@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from .curves import (
     CurveError,
     FitError,
     ScalingCurve,
+    check_n_grid,
     detect_cliffs,
     fit_power_law,
     log_spaced_ns,
@@ -90,6 +93,9 @@ class ExperimentConfig:
             if not self.input:
                 raise ConfigError("input: import runs need an input CSV path")
             return
+        for name in ("sigma", "lam", "s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name}: must be finite, got {getattr(self, name)}")
         if self.d < 1:
             raise ConfigError(f"d: must be >= 1, got {self.d}")
         if self.sigma < 0:
@@ -108,20 +114,20 @@ class ExperimentConfig:
             raise ConfigError(f"arm: expected reg or noreg, got {self.arm!r}")
         if self.width < 1:
             raise ConfigError(f"width: must be >= 1, got {self.width}")
+        if self.max_steps < 1:
+            raise ConfigError(f"max_steps: must be >= 1, got {self.max_steps}")
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
-        grid = self.resolve_n_grid()
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-            raise ConfigError(f"n_grid: must be ascending positive integers, got {grid}")
+        self.resolve_n_grid()
 
     def resolve_n_grid(self) -> list[int]:
-        if self.n_grid:
-            return [int(n) for n in self.n_grid]
         try:
+            if self.n_grid:
+                return check_n_grid(self.n_grid)
             return log_spaced_ns(self.n_min, self.n_max, self.points_per_decade)
         except CurveError as exc:
             raise ConfigError(f"n_grid: {exc}") from None
@@ -137,11 +143,26 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"config: {path} must hold a JSON object")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    for key in payload:
-        if key not in known:
+    hints = typing.get_type_hints(ExperimentConfig)
+    for key, value in payload.items():
+        if key not in hints:
             raise ConfigError(f"config: unknown field {key!r} in {path}")
+        if not _fits_annotation(value, hints[key]):
+            expected = ExperimentConfig.__dataclass_fields__[key].type
+            raise ConfigError(f"{key}: expected {expected}, got {value!r} in {path}")
     return payload
+
+
+def _fits_annotation(value, hint) -> bool:
+    """Whether a JSON value has a config field's annotated type; bools are not numbers."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits_annotation(v, args[0]) for v in value)
+    if args:
+        return any(_fits_annotation(value, h) for h in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -201,7 +222,6 @@ def _dispatch_run(cfg: ExperimentConfig) -> ScalingCurve:
             seed=cfg.seed,
             lam=cfg.lam if cfg.estimator == "ridge" else None,
             fix_task=cfg.fix_task,
-            workers=cfg.workers,
         )
     if cfg.kind == "gaussian":
         return run_gaussian_scaling(
@@ -211,7 +231,6 @@ def _dispatch_run(cfg: ExperimentConfig) -> ScalingCurve:
             trials=cfg.trials,
             seed=cfg.seed,
             sampler=cfg.sampler,
-            workers=cfg.workers,
         )
     train_cfg = TrainConfig(width=cfg.width, max_steps=cfg.max_steps, reg_points=cfg.reg_points)
     return run_harmonic_scaling(
@@ -221,7 +240,6 @@ def _dispatch_run(cfg: ExperimentConfig) -> ScalingCurve:
         trials=cfg.trials,
         seed=cfg.seed,
         config=train_cfg,
-        workers=cfg.workers,
     )
 
 
@@ -380,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--points-per-decade", type=int)
     run.add_argument("--trials", type=int)
     run.add_argument("--seed", type=int)
-    run.add_argument("--workers", type=int)
+    run.add_argument("--workers", type=int, help="validated for compatibility; cells always run serially")
     run.add_argument("--fix-task", action="store_true", default=None)
     run.add_argument("--input", help="CSV to ingest (kind=import)")
     run.add_argument("--out", help="output directory")

@@ -21,6 +21,8 @@ __all__ = [
     "CurveError",
     "FitError",
     "aggregate_trials",
+    "check_n_grid",
+    "run_cells",
     "fit_power_law",
     "powerlaw_loglog_convexity",
     "loglog_second_differences",
@@ -163,6 +165,28 @@ def aggregate_trials(raw, metadata: dict | None = None) -> ScalingCurve:
         for n in sorted(by_n)
     )
     return ScalingCurve(points=points, metadata=dict(metadata or {}))
+
+
+def check_n_grid(n_grid) -> list[int]:
+    """The grid as a list of ints; CurveError unless nonempty, positive and ascending."""
+    grid = [int(n) for n in n_grid]
+    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise CurveError(f"bad n grid {grid}: need a nonempty ascending list of positive integers")
+    return grid
+
+
+def run_cells(cell, n_grid, trials: int) -> list[tuple[int, int, float]]:
+    """Evaluate ``cell(n_idx, n, trial) -> error`` over the grid, serially.
+
+    Cells run in (n index, trial) order and come back as (n, trial,
+    error) records for ``aggregate_trials``. Each cell draws only from
+    streams keyed by its own (trial, n index), so the order cannot
+    change any result.
+    """
+    grid = check_n_grid(n_grid)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    return [(n, trial, cell(n_idx, n, trial)) for n_idx, n in enumerate(grid) for trial in range(trials)]
 
 
 def log_spaced_ns(n_min: int, n_max: int, points_per_decade: int = 10) -> list[int]:

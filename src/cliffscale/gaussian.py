@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special, stats
 
 from . import streams
-from .curves import ScalingCurve, aggregate_trials
+from .curves import ScalingCurve, aggregate_trials, run_cells
 
 __all__ = [
     "GaussianTask",
@@ -31,11 +31,6 @@ __all__ = [
     "run_gaussian_scaling",
     "sample_chi_squared",
 ]
-
-# Above this many degrees of freedom, summing squared normals costs more
-# than it is worth; switch to the gamma-based sampler.
-CHI2_DIRECT_MAX_DF = 10_000
-
 
 @dataclass(frozen=True)
 class GaussianTask:
@@ -112,19 +107,15 @@ def simulate_error(task: GaussianTask, n: int, rng: np.random.Generator) -> floa
 
 
 def sample_chi_squared(df: int, rng: np.random.Generator) -> float:
-    """One chi-squared draw with df degrees of freedom.
+    """One chi-squared draw with df degrees of freedom, in O(1) time.
 
-    Small df sums squared normals directly; large df delegates to the
-    generator's gamma-based sampler. df = 0 is the degenerate point mass
-    at zero.
+    Delegates to the generator's gamma-based sampler. df = 0 is the
+    degenerate point mass at zero.
     """
     if df < 0:
         raise ValueError(f"degrees of freedom must be >= 0, got {df}")
     if df == 0:
         return 0.0
-    if df <= CHI2_DIRECT_MAX_DF:
-        z = rng.standard_normal(df)
-        return float(z @ z)
     return float(rng.chisquare(df))
 
 
@@ -189,25 +180,16 @@ def run_gaussian_scaling(
     trials: int,
     seed: int,
     sampler: str = "sufficient",
-    workers: int = 1,
 ) -> ScalingCurve:
     """Scaling curve of simulated classification errors over an n grid."""
-    from .linreg import _run_cells
-
-    n_grid = [int(n) for n in n_grid]
-    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be a nonempty ascending list")
     if sampler not in ("full", "sufficient"):
         raise ValueError(f"unknown sampler {sampler!r} (expected 'full' or 'sufficient')")
     task = GaussianTask(d=d, s=float(s))
     draw = simulate_error if sampler == "full" else sample_error_sufficient
 
-    def one_cell(n_idx: int, trial: int) -> tuple[int, int, float]:
-        n = n_grid[n_idx]
-        rng = streams.stream(seed, streams.DATA, trial, n_idx)
-        return n, trial, draw(task, n, rng)
+    def cell(n_idx: int, n: int, trial: int) -> float:
+        return draw(task, n, streams.stream(seed, streams.DATA, trial, n_idx))
 
-    records = _run_cells(one_cell, len(n_grid), trials, workers)
     meta = {
         "task": "gaussian",
         "d": str(d),
@@ -215,4 +197,4 @@ def run_gaussian_scaling(
         "sampler": sampler,
         "seed": str(seed),
     }
-    return aggregate_trials(records, metadata=meta)
+    return aggregate_trials(run_cells(cell, n_grid, trials), metadata=meta)

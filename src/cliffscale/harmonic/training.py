@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .. import streams
-from ..curves import ScalingCurve, aggregate_trials
+from ..curves import ScalingCurve, aggregate_trials, run_cells
 from .basis import BandwidthRegularizer, HarmonicFunction, sample_harmonic
 from .network import AdamState, MlpModel, adam_step, init_mlp, mlp_backward, mlp_forward_batch
 
@@ -185,7 +185,6 @@ def run_harmonic_scaling(
     seed: int,
     config: TrainConfig = TrainConfig(),
     d: int = 2,
-    workers: int = 1,
 ) -> ScalingCurve:
     """Scaling curve for the harmonic task, regularized or not.
 
@@ -194,16 +193,10 @@ def run_harmonic_scaling(
     from its own stream, so the two arms see identical targets and data
     under the same seed.
     """
-    from ..linreg import _run_cells
-
-    n_grid = [int(n) for n in n_grid]
-    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be a nonempty ascending list")
     if arm not in ("reg", "noreg"):
         raise ValueError(f"unknown arm {arm!r} (expected 'reg' or 'noreg')")
 
-    def one_cell(n_idx: int, trial: int) -> tuple[int, int, float]:
-        n = n_grid[n_idx]
+    def cell(n_idx: int, n: int, trial: int) -> float:
         target = sample_harmonic(B, d, streams.stream(seed, streams.TARGET, trial))
         regularizer = None
         if arm == "reg":
@@ -218,9 +211,8 @@ def run_harmonic_scaling(
             regularizer=regularizer,
             rng=streams.stream(seed, streams.TRAIN, trial, n_idx),
         )
-        return n, trial, result.test_mse
+        return result.test_mse
 
-    records = _run_cells(one_cell, len(n_grid), trials, workers)
     meta = {
         "task": "harmonic",
         "arm": arm,
@@ -229,4 +221,4 @@ def run_harmonic_scaling(
         "width": str(config.width),
         "seed": str(seed),
     }
-    return aggregate_trials(records, metadata=meta)
+    return aggregate_trials(run_cells(cell, n_grid, trials), metadata=meta)

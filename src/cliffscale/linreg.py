@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .curves import ScalingCurve, aggregate_trials
+from .curves import ScalingCurve, aggregate_trials, run_cells
 
 __all__ = [
     "LinearTask",
@@ -180,43 +180,24 @@ def run_linreg_scaling(
     lam: float | None = None,
     n_test: int = DEFAULT_NN_TEST_POINTS,
     fix_task: bool = False,
-    workers: int = 1,
 ) -> ScalingCurve:
     """Scaling curve of a linear-regression estimator over an n grid.
 
     Each trial draws a fresh task (unless ``fix_task``) and a fresh
     dataset per n, all from streams keyed by (seed, trial, n index), so
-    results are independent of worker count and trial order.
+    results are independent of trial order.
     """
-    n_grid = [int(n) for n in n_grid]
-    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be a nonempty ascending list")
     if estimator == "ridge" and (lam is None or lam <= 0):
         raise ValueError("ridge estimator needs a positive lambda")
 
-    def one_cell(n_idx: int, trial: int) -> tuple[int, int, float]:
-        n = n_grid[n_idx]
+    def cell(n_idx: int, n: int, trial: int) -> float:
         task_key = (streams.TASK, 0) if fix_task else (streams.TASK, trial)
         task = sample_task(d, sigma, streams.stream(seed, *task_key))
         data = sample_dataset(task, n, streams.stream(seed, streams.DATA, trial, n_idx))
         rng_test = streams.stream(seed, streams.TEST, trial, n_idx)
-        return n, trial, _trial_error(task, data, estimator, lam, n_test, rng_test)
+        return _trial_error(task, data, estimator, lam, n_test, rng_test)
 
-    records = _run_cells(one_cell, len(n_grid), trials, workers)
     meta = {"task": "linreg", "estimator": estimator, "d": str(d), "sigma": repr(float(sigma)), "seed": str(seed)}
     if estimator == "ridge":
         meta["lambda"] = repr(float(lam))
-    return aggregate_trials(records, metadata=meta)
-
-
-def _run_cells(one_cell, n_count: int, trials: int, workers: int):
-    """Evaluate every (n index, trial) cell, optionally on a thread pool."""
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    cells = [(i, t) for i in range(n_count) for t in range(trials)]
-    if workers <= 1:
-        return [one_cell(i, t) for i, t in cells]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: one_cell(*c), cells))
+    return aggregate_trials(run_cells(cell, n_grid, trials), metadata=meta)

@@ -2,8 +2,8 @@
 
 Every simulated quantity in this package draws from a stream keyed by
 (master seed, purpose, trial, n-index). Streams are built on Philox, a
-counter-based generator, so results are identical no matter how work is
-scheduled across threads, and a run with more trials reproduces the
+counter-based generator, so results are identical no matter in which
+order cells are evaluated, and a run with more trials reproduces the
 trials of a shorter run exactly.
 """
 

@@ -50,10 +50,32 @@ class TestRun:
         assert manifest["config"]["trials"] == 7
         assert manifest["trial_counts"]["2"] == 7
 
-    def test_invalid_field_names_offender(self, tmp_path, capsys):
-        code = run_cli("run", "--kind", "gaussian", "--trials", 0, "--out", tmp_path)
+    @pytest.mark.parametrize(
+        "argv, config, field",
+        [
+            (["--trials", 0], None, "trials"),
+            ([], {"d": "5"}, "d"),
+            ([], {"trials": True}, "trials"),
+            ([], {"workers": 2.5}, "workers"),
+            ([], {"n_grid": [10, 100.0]}, "n_grid"),
+            (["--estimator", "ridge", "--lambda", "nan"], None, "lam"),
+            (["--s", "nan"], None, "s"),
+            (["--max-steps", -5], None, "max_steps"),
+            (["--n-grid", "100,10"], None, "n_grid"),
+        ],
+        ids=[
+            "trials-zero", "d-string", "trials-bool", "workers-float", "n_grid-float",
+            "lambda-nan", "s-nan", "max_steps-negative", "n_grid-descending",
+        ],
+    )
+    def test_invalid_field_names_offender(self, tmp_path, capsys, argv, config, field):
+        if config is not None:
+            cfg = tmp_path / "exp.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", cfg, *argv]
+        code = run_cli("run", "--kind", "gaussian", *argv, "--out", tmp_path / "o")
         assert code == 2
-        assert "trials" in capsys.readouterr().err
+        assert f"config error: {field}:" in capsys.readouterr().err
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"

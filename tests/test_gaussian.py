@@ -173,18 +173,12 @@ class TestChiSquared:
         assert sample_chi_squared(0, rng_for(12)) == 0.0
 
     def test_paths_agree_in_distribution(self):
-        # direct (sum of squares) path vs gamma path at the same df
-        import cliffscale.gaussian as g
-
+        # gamma-based sampler vs the defining sum of squared normals
         rng_a, rng_b = rng_for(13), rng_for(14)
-        direct = np.array([sample_chi_squared(40, rng_a) for _ in range(4000)])
-        old = g.CHI2_DIRECT_MAX_DF
-        try:
-            g.CHI2_DIRECT_MAX_DF = 0
-            gamma = np.array([sample_chi_squared(40, rng_b) for _ in range(4000)])
-        finally:
-            g.CHI2_DIRECT_MAX_DF = old
-        assert stats.ks_2samp(direct, gamma).pvalue > 1e-4
+        drawn = np.array([sample_chi_squared(40, rng_a) for _ in range(4000)])
+        z = rng_b.standard_normal((4000, 40))
+        reference = np.einsum("ij,ij->i", z, z)
+        assert stats.ks_2samp(drawn, reference).pvalue > 1e-4
 
 
 class TestAsymptoticError:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cliffscale import streams
+from cliffscale.gaussian import run_gaussian_scaling
+from cliffscale.harmonic.training import run_harmonic_scaling
 from cliffscale.linreg import (
     LinearTask,
     RegressionDataset,
@@ -234,8 +236,7 @@ class TestRunScaling:
         kwargs = dict(d=4, sigma=0.1, estimator="lstsq", n_grid=[2, 4, 8], trials=6, seed=3)
         a = run_linreg_scaling(**kwargs)
         b = run_linreg_scaling(**kwargs)
-        c = run_linreg_scaling(**kwargs, workers=4)
-        assert a.points == b.points == c.points
+        assert a.points == b.points
 
     def test_trial_prefix_stable(self):
         # A longer run reproduces the shorter run's trials exactly.
@@ -248,6 +249,21 @@ class TestRunScaling:
         with pytest.raises(ValueError):
             run_linreg_scaling(d=3, sigma=0.1, estimator="ridge", n_grid=[2, 4], trials=2, seed=5)
 
-    def test_bad_grid_rejected(self):
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda **kw: run_linreg_scaling(d=3, sigma=0.0, estimator="lstsq", **kw),
+            lambda **kw: run_gaussian_scaling(d=3, s=1.0, **kw),
+            lambda **kw: run_harmonic_scaling(B=1, arm="noreg", **kw),
+        ],
+        ids=["linreg", "gaussian", "harmonic"],
+    )
+    @pytest.mark.parametrize(
+        "n_grid, trials",
+        [([4, 2], 2), ([], 2), ([2, 4], 0)],
+        ids=["descending", "empty", "no-trials"],
+    )
+    def test_bad_grid_rejected(self, run, n_grid, trials):
+        # Every kind shares one grid and trial check, run before any cell.
         with pytest.raises(ValueError):
-            run_linreg_scaling(d=3, sigma=0.0, estimator="lstsq", n_grid=[4, 2], trials=2, seed=6)
+            run(n_grid=n_grid, trials=trials, seed=6)

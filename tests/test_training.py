@@ -103,7 +103,7 @@ class TestRunHarmonicScaling:
             B=1, arm="reg", n_grid=[8, 16], trials=2, seed=4, config=tiny_config(max_steps=60)
         )
         a = run_harmonic_scaling(**kwargs)
-        b = run_harmonic_scaling(**kwargs, workers=2)
+        b = run_harmonic_scaling(**kwargs)
         assert a.points == b.points
 
     def test_arms_share_targets_and_reject_unknown(self):
