@@ -116,6 +116,14 @@ class ExperimentConfig:
             raise ConfigError(f"width: must be >= 1, got {self.width}")
         if self.max_steps < 1:
             raise ConfigError(f"max_steps: must be >= 1, got {self.max_steps}")
+        if self.reg_points < 1:
+            raise ConfigError(f"reg_points: must be >= 1, got {self.reg_points}")
+        if self.kind == "harmonic" and self.arm == "reg":
+            # Harmonic runs are 2-D: the regularizer projects onto (2B+1)^2
+            # basis columns, and fewer points than that leave no residual.
+            n_basis = (2 * self.bandlimit + 1) ** 2
+            if self.reg_points < n_basis:
+                raise ConfigError(f"reg_points: the reg arm needs >= (2B+1)^2 = {n_basis}, got {self.reg_points}")
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:

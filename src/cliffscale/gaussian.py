@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import streams
 from .curves import ScalingCurve, aggregate_trials, run_cells
@@ -154,6 +154,10 @@ def asymptotic_error(task: GaussianTask, n: int, chi2_quantile: float = 0.5) -> 
         raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 < chi2_quantile < 1.0:
         raise ValueError(f"quantile must lie in (0, 1), got {chi2_quantile}")
+    # Imported here: scipy.stats costs most of the package's import time
+    # and nothing else needs it.
+    from scipy import stats
+
     s = task.s
     q = 0.0 if task.d == 1 else float(stats.chi2.ppf(chi2_quantile, df=task.d - 1))
     return float(std_normal_cdf(-s) + math.exp(-s * s / 2.0) / (math.sqrt(8.0 * math.pi) * s) * q / n)

@@ -1,9 +1,14 @@
 """End-to-end tests of the cliffscale command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cliffscale
 from cliffscale.cli import main
 
 
@@ -62,10 +67,13 @@ class TestRun:
             (["--s", "nan"], None, "s"),
             (["--max-steps", -5], None, "max_steps"),
             (["--n-grid", "100,10"], None, "n_grid"),
+            (["--reg-points", 0], None, "reg_points"),
+            (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 3], None, "reg_points"),
         ],
         ids=[
             "trials-zero", "d-string", "trials-bool", "workers-float", "n_grid-float",
             "lambda-nan", "s-nan", "max_steps-negative", "n_grid-descending",
+            "reg_points-zero", "reg_points-below-basis",
         ],
     )
     def test_invalid_field_names_offender(self, tmp_path, capsys, argv, config, field):
@@ -221,3 +229,12 @@ class TestPlot:
         src = tmp_path / "c.csv"
         src.write_text("n,trial,error\n10,0,0.5\n100,0,0.3\n")
         assert run_cli("plot", src, "--overlay-powerlaw", "nope", "--out", tmp_path / "x.svg") == 2
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time and only asymptotic_error needs it.
+    src = str(Path(cliffscale.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, cliffscale.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cliffscale import streams
 from cliffscale.gaussian import run_gaussian_scaling
 from cliffscale.harmonic.training import run_harmonic_scaling
 from cliffscale.linreg import (
+    NN_TREE_MAX_D,
     LinearTask,
     RegressionDataset,
     fit_least_squares,
@@ -16,8 +20,12 @@ from cliffscale.linreg import (
     nn_test_mse,
     run_linreg_scaling,
     sample_dataset,
+    _nn_predict_batch,
     sample_task,
 )
+
+# One dimension served by the k-d tree and one by the brute-force scan.
+SIDES = pytest.mark.parametrize("d", [NN_TREE_MAX_D, NN_TREE_MAX_D + 1], ids=["tree", "brute"])
 
 
 def rng_for(*key):
@@ -173,11 +181,20 @@ class TestNearestNeighbor:
         data = RegressionDataset(xs=np.array([[1.0, 2.0], [3.0, 4.0]]), ys=np.array([1.0, 2.0]))
         assert nn_predict(data, np.array([3.0, 4.0])) == 2.0
 
-    def test_tie_goes_to_lowest_index(self):
-        data = RegressionDataset(
-            xs=np.array([[1.0, 0.0], [-1.0, 0.0]]), ys=np.array([10.0, 20.0])
-        )
-        assert nn_predict(data, np.array([0.0, 0.0])) == 10.0
+    @SIDES
+    def test_tie_goes_to_lowest_index(self, d):
+        # All 2d rows +-e_i sit at distance 1 from the origin.
+        xs = np.concatenate([np.eye(d), -np.eye(d)])[::-1]
+        data = RegressionDataset(xs=xs, ys=10.0 * np.arange(1, 2 * d + 1))
+        assert nn_predict(data, np.zeros(d)) == 10.0
+
+    @SIDES
+    def test_duplicated_rows_go_to_lowest_index(self, d):
+        rng = rng_for(28, d)
+        a, b, c = rng.standard_normal((3, d))
+        data = RegressionDataset(xs=np.stack([b, a, c, a, b, a]), ys=np.arange(6.0))
+        queries = np.stack([a, b, c, a + 1e-3, b - 1e-3])
+        assert list(_nn_predict_batch(data, queries)) == [1.0, 0.0, 2.0, 1.0, 0.0]
 
     def test_permutation_invariant_without_ties(self):
         rng = rng_for(23)
@@ -194,6 +211,12 @@ class TestNearestNeighbor:
         data = RegressionDataset(xs=np.zeros((0, 2)), ys=np.zeros(0))
         with pytest.raises(ValueError):
             nn_predict(data, np.zeros(2))
+
+    @SIDES
+    def test_non_finite_query_rejected(self, d):
+        data = RegressionDataset(xs=np.eye(d), ys=np.arange(float(d)))
+        with pytest.raises(ValueError, match="non-finite"):
+            nn_predict(data, np.full(d, np.nan))
 
     def test_origin_point_mse_near_one(self):
         # Single training point at the origin with y=0: prediction is always
@@ -213,6 +236,67 @@ class TestNearestNeighbor:
             ]
             medians.append(np.median(vals))
         assert medians[0] > medians[1] > medians[2]
+
+
+def squared_distances(xs, q):
+    return np.sum((xs - q) ** 2, axis=1)
+
+
+def direct_nearest(xs, q):
+    """Lowest index among the rows at minimal squared distance from q."""
+    return int(np.argmin(squared_distances(xs, q)))
+
+
+TREE_DIMS = [1, 2, NN_TREE_MAX_D]
+BRUTE_DIMS = [NN_TREE_MAX_D + 1, 2 * NN_TREE_MAX_D]
+# Half-integers in [-2, 2]: every distance is computed exactly by either
+# path, and equal distances are frequent.
+GRID = st.sampled_from([k / 2 for k in range(-4, 5)])
+FLOATS = st.floats(-10, 10, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def nn_problems(draw, dims, elements):
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(1, 60))
+    xs = draw(hnp.arrays(np.float64, (n, d), elements=elements))
+    queries = draw(hnp.arrays(np.float64, (draw(st.integers(1, 20)), d), elements=elements))
+    return RegressionDataset(xs=xs, ys=np.arange(n, dtype=float)), queries
+
+
+class TestNearestNeighborPaths:
+    """Both 1-NN paths against a direct scan, on each side of NN_TREE_MAX_D.
+
+    ys[i] = i, so a prediction is the index of the row it came from.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(nn_problems(TREE_DIMS + BRUTE_DIMS, GRID))
+    def test_exact_on_a_grid_with_ties(self, problem):
+        data, queries = problem
+        expected = [direct_nearest(data.xs, q) for q in queries]
+        assert list(_nn_predict_batch(data, queries)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(nn_problems(TREE_DIMS, FLOATS))
+    def test_tree_matches_direct_scan_on_floats(self, problem):
+        data, queries = problem
+        expected = [direct_nearest(data.xs, q) for q in queries]
+        assert list(_nn_predict_batch(data, queries)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(nn_problems(BRUTE_DIMS, FLOATS))
+    def test_brute_within_rounding_of_direct_scan(self, problem):
+        # |x|^2 - 2 q.x rounds each value by at most about
+        # (d + 2) eps (|x|^2 + |q|^2), so it can only swap rows whose
+        # distances differ by less than twice that.
+        data, queries = problem
+        d = data.xs.shape[1]
+        scale = np.max(np.sum(data.xs**2, axis=1))
+        for q, pred in zip(queries, _nn_predict_batch(data, queries)):
+            d2 = squared_distances(data.xs, q)
+            tol = 4 * (d + 2) * np.finfo(float).eps * (scale + q @ q)
+            assert d2[int(pred)] - d2.min() <= tol
 
 
 class TestRunScaling:
