@@ -124,8 +124,9 @@ class ExperimentConfig:
             n_basis = (2 * self.bandlimit + 1) ** 2
             if self.reg_points < n_basis:
                 raise ConfigError(f"reg_points: the reg arm needs >= (2B+1)^2 = {n_basis}, got {self.reg_points}")
-        if self.trials < 1:
-            raise ConfigError(f"trials: must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= 2**32:
+            # Each trial index is one 32-bit word of its stream key.
+            raise ConfigError(f"trials: must be in [1, 2**32], got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
         if self.workers < 1:

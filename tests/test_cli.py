@@ -59,6 +59,7 @@ class TestRun:
         "argv, config, field",
         [
             (["--trials", 0], None, "trials"),
+            (["--trials", 2**32 + 1], None, "trials"),
             ([], {"d": "5"}, "d"),
             ([], {"trials": True}, "trials"),
             ([], {"workers": 2.5}, "workers"),
@@ -71,7 +72,7 @@ class TestRun:
             (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 3], None, "reg_points"),
         ],
         ids=[
-            "trials-zero", "d-string", "trials-bool", "workers-float", "n_grid-float",
+            "trials-zero", "trials-above-2**32", "d-string", "trials-bool", "workers-float", "n_grid-float",
             "lambda-nan", "s-nan", "max_steps-negative", "n_grid-descending",
             "reg_points-zero", "reg_points-below-basis",
         ],
