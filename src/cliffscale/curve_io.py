@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 CSV_HEADER = "n,trial,error"
+# Curves hold n as int64 (ScalingCurve.ns).
+MAX_N = 2**63 - 1
 
 
 def curve_records(curve: ScalingCurve) -> list[tuple[int, int, float]]:
@@ -42,10 +44,21 @@ def write_curve_csv(curve: ScalingCurve, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_text(path) -> str:
+    """The file decoded as UTF-8; a CurveError names the line of a bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Everything before the bad byte decodes; the "x" completes its line.
+        lineno = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise CurveError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def read_curve_csv(path, metadata: dict | None = None) -> ScalingCurve:
     """Parse a ``n,trial,error`` CSV; malformed rows name their line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise CurveError(f"{path}: empty file")
     if lines[0].strip() != CSV_HEADER:
@@ -63,9 +76,9 @@ def read_curve_csv(path, metadata: dict | None = None) -> ScalingCurve:
             error = float(parts[2])
         except ValueError as exc:
             raise CurveError(f"{path}:{lineno}: {exc}") from None
-        if n < 1 or trial < 0 or not error >= 0 or error != error or error == float("inf"):
+        if not 1 <= n <= MAX_N or trial < 0 or not error >= 0 or error != error or error == float("inf"):
             raise CurveError(
-                f"{path}:{lineno}: need n >= 1, trial >= 0 and a finite nonnegative error, "
+                f"{path}:{lineno}: need 1 <= n < 2**63, trial >= 0 and a finite nonnegative error, "
                 f"got ({parts[0]}, {parts[1]}, {parts[2]})"
             )
         records.append((n, trial, error))

@@ -251,7 +251,10 @@ def fit_power_law(
             # Best nonnegative-exponent fit of the remainder is a constant.
             alpha = 0.0
             intercept = float(np.mean(y))
-        A = math.exp(intercept)
+        try:
+            A = math.exp(intercept)
+        except OverflowError:
+            A = math.inf  # scores as an infinite misfit below
         pred = A * ns ** (-alpha) + E
         obj = float(np.mean((log_v - np.log(pred)) ** 2))
         return obj, A, alpha
@@ -276,6 +279,8 @@ def fit_power_law(
     candidates = [0.0, e_hi, 0.5 * (a + b)]
     best = min(((solve_at(E), E) for E in candidates), key=lambda t: t[0][0])
     (obj, A, alpha), E = best
+    if not all(math.isfinite(v) for v in (obj, A, alpha)):
+        raise FitError("no power law within floating-point range fits this curve")
     return PowerLawFit(
         A=A,
         alpha=alpha,

@@ -190,6 +190,8 @@ class BandwidthRegularizer:
     lam: float
     basis: np.ndarray = field(init=False, repr=False)
     span: np.ndarray = field(init=False, repr=False)
+    # span cast to the dtype of the last residual call, kept across calls.
+    _working_span: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lam < 0:
@@ -199,6 +201,7 @@ class BandwidthRegularizer:
         u, sigma, _ = np.linalg.svd(self.basis, full_matrices=False)
         cutoff = max(self.basis.shape) * np.finfo(float).eps * (sigma[0] if len(sigma) else 0.0)
         self.span = np.ascontiguousarray(u[:, sigma > cutoff])
+        self._working_span = self.span
 
     @property
     def m(self) -> int:
@@ -214,7 +217,9 @@ class BandwidthRegularizer:
         y = np.asarray(y)
         if y.shape != (self.m,):
             raise ValueError(f"value vector must have shape ({self.m},), got {y.shape}")
-        span = self.span.astype(y.dtype, copy=False)
+        if self._working_span.dtype != y.dtype:
+            self._working_span = self.span.astype(y.dtype)
+        span = self._working_span
         return y - span @ (y @ span)
 
     def residual_matrix(self) -> np.ndarray:

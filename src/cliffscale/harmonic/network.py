@@ -3,6 +3,12 @@
 Kept deliberately small and explicit: dense affine layers, ReLU between
 them, exact gradients assembled layer by layer so they can be checked
 against finite differences.
+
+Forward and backward passes write into a ``Workspace``. Given one, the
+returned ``out``, ``cache`` and gradients are views into it, valid until
+its next use; without one, each call builds its own, so the results are
+fresh arrays. A training loop builds one workspace and reuses it every
+step, so no step allocates an (m x width) array.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ __all__ = [
     "mlp_forward",
     "mlp_forward_batch",
     "mlp_backward",
+    "Workspace",
     "AdamState",
     "adam_step",
     "save_model",
@@ -66,21 +73,66 @@ def init_mlp(layer_sizes, rng: np.random.Generator, dtype=np.float64) -> MlpMode
     return MlpModel(weights=weights, biases=biases)
 
 
-def mlp_forward_batch(model: MlpModel, xs: np.ndarray):
+class Workspace:
+    """Reusable buffers for forward and backward passes of one model shape.
+
+    Holds, for up to ``rows`` inputs, one activation buffer per layer,
+    two ping-pong delta buffers and a ReLU mask as wide as the widest
+    hidden layer, and gradient arrays shaped like ``model.parameters()``.
+    A pass on fewer rows uses leading-row views of the buffers.
+    """
+
+    def __init__(self, model: MlpModel, rows: int):
+        dtype = model.weights[0].dtype
+        self.rows = int(rows)
+        self.layer_sizes = model.layer_sizes
+        self.dtype = dtype
+        self.activations = [np.empty((self.rows, w.shape[1]), dtype=dtype) for w in model.weights]
+        hidden = max((w.shape[0] for w in model.weights[1:]), default=0)
+        self._deltas = [np.empty(self.rows * hidden, dtype=dtype) for _ in range(2)]
+        self._mask = np.empty(self.rows * hidden, dtype=bool)
+        self.grads = [np.empty_like(p) for p in model.parameters()]
+
+    def _check(self, model: MlpModel, rows: int) -> None:
+        if model.layer_sizes != self.layer_sizes or model.weights[0].dtype != self.dtype:
+            raise ValueError(
+                f"workspace was built for {self.layer_sizes} {self.dtype}, "
+                f"not {model.layer_sizes} {model.weights[0].dtype}"
+            )
+        if rows > self.rows:
+            raise ValueError(f"workspace holds {self.rows} rows, got {rows}")
+
+    def _delta(self, which: int, rows: int, cols: int) -> np.ndarray:
+        return self._deltas[which][: rows * cols].reshape(rows, cols)
+
+    def _relu_mask(self, rows: int, cols: int) -> np.ndarray:
+        return self._mask[: rows * cols].reshape(rows, cols)
+
+
+def mlp_forward_batch(model: MlpModel, xs: np.ndarray, work: Workspace | None = None):
     """Outputs and the activation cache for a batch of inputs.
 
     Returns (out, cache): out has shape (m,), cache holds the input and
-    every post-ReLU activation for the backward pass.
+    every post-ReLU activation for the backward pass. Apart from the
+    input, both are views into ``work`` (a fresh workspace when none is
+    given).
     """
     a = np.asarray(xs, dtype=model.weights[0].dtype)
     if a.ndim != 2 or a.shape[1] != model.weights[0].shape[0]:
         raise ValueError(f"inputs must have shape (m, {model.weights[0].shape[0]}), got {a.shape}")
+    rows = len(a)
+    if work is None:
+        work = Workspace(model, rows)
+    work._check(model, rows)
     cache = [a]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        a = z if i == last else np.maximum(z, 0.0)
-        cache.append(a)
+        z = np.matmul(a, w, out=work.activations[i][:rows])
+        z += b
+        if i != last:
+            np.maximum(z, 0.0, out=z)
+        cache.append(z)
+        a = z
     out = cache.pop()[:, 0]
     if not np.isfinite(out).all():
         raise FloatingPointError("non-finite activations: training diverged")
@@ -93,25 +145,40 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> float:
     return float(out[0])
 
 
-def mlp_backward(model: MlpModel, cache: list[np.ndarray], dout: np.ndarray) -> list[np.ndarray]:
+def mlp_backward(
+    model: MlpModel, cache: list[np.ndarray], dout: np.ndarray, work: Workspace | None = None
+) -> list[np.ndarray]:
     """Exact gradients of sum_i dout_i * f(x_i) in parameters() order.
 
     ``cache`` is the activation list from mlp_forward_batch on the same
     batch; ``dout`` is the loss gradient with respect to the outputs.
+    The gradients are views into ``work`` (a fresh workspace when none
+    is given); ``cache`` is only read.
     """
     dout = np.asarray(dout, dtype=model.weights[0].dtype)
-    if dout.shape != (len(cache[0]),):
-        raise ValueError(f"dout must have shape ({len(cache[0])},), got {dout.shape}")
-    grads: list[np.ndarray] = []
+    rows = len(cache[0])
+    if dout.shape != (rows,):
+        raise ValueError(f"dout must have shape ({rows},), got {dout.shape}")
+    if work is None:
+        work = Workspace(model, rows)
+    work._check(model, rows)
+    grads = work.grads
     delta = dout[:, None]
     for i in range(len(model.weights) - 1, -1, -1):
-        a_prev = cache[i]
-        grads.append(delta.sum(axis=0))
-        grads.append(a_prev.T @ delta)
+        w = model.weights[i]
+        np.sum(delta, axis=0, out=grads[2 * i + 1])
+        np.matmul(cache[i].T, delta, out=grads[2 * i])
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (cache[i] > 0)
-    grads.reverse()
-    return grads
+            nxt = work._delta(i % 2, rows, w.shape[0])
+            if w.shape[1] == 1:
+                # A product over one column is one rounding per element,
+                # as in the matrix product, without the BLAS call.
+                np.multiply(delta, w.T, out=nxt)
+            else:
+                np.matmul(delta, w.T, out=nxt)
+            nxt *= np.greater(cache[i], 0, out=work._relu_mask(rows, w.shape[0]))
+            delta = nxt
+    return list(grads)
 
 
 @dataclass
@@ -125,6 +192,8 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    # Two arrays per parameter for adam_step's intermediate terms, made on first use.
+    scratch: list[np.ndarray] = field(default_factory=list, init=False, repr=False, compare=False)
 
     @classmethod
     def for_model(cls, model: MlpModel, learning_rate: float = 1e-3,
@@ -141,28 +210,46 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-    """One bias-corrected Adam update, applied to ``params`` in place."""
+    """One bias-corrected Adam update, applied to ``params`` in place.
+
+    Per element: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    p -= (lr / c1) m / (sqrt(v / c2) + eps), evaluated in the parameter
+    dtype through the state's scratch arrays, so a step allocates nothing.
+    """
     if len(params) != len(state.first) or len(grads) != len(params):
         raise ValueError("parameter, gradient and moment lists must be parallel")
+    for p, g in zip(params, grads):
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+        if g.dtype != p.dtype:
+            raise ValueError(f"gradient dtype {g.dtype} != parameter dtype {p.dtype}")
+    if not state.scratch:
+        state.scratch = [np.empty((2, *m.shape), dtype=m.dtype) for m in state.first]
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     correct1 = 1.0 - b1 ** state.step
     correct2 = 1.0 - b2 ** state.step
     scale = state.learning_rate / correct1
-    for p, g, m, v in zip(params, grads, state.first, state.second):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    for p, g, m, v, (num, den) in zip(params, grads, state.first, state.second, state.scratch):
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=num)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= scale * m / (np.sqrt(v / correct2) + state.eps)
+        v += np.multiply(np.multiply(g, g, out=num), 1.0 - b2, out=num)
+        np.multiply(m, scale, out=num)
+        np.sqrt(np.divide(v, correct2, out=den), out=den)
+        den += state.eps
+        p -= np.divide(num, den, out=num)
 
 
 def save_model(model: MlpModel, path) -> None:
-    """Write a checkpoint: layer sizes plus row-major parameter arrays."""
+    """Write a checkpoint: layer sizes, dtype and row-major parameter arrays.
+
+    Values are written as float64, which holds every float32 exactly, so
+    a checkpoint reloads bit for bit in its recorded dtype.
+    """
     payload = {
         "layer_sizes": model.layer_sizes,
+        "dtype": model.weights[0].dtype.name,
         "weights": [w.astype(float).ravel(order="C").tolist() for w in model.weights],
         "biases": [b.astype(float).tolist() for b in model.biases],
     }
@@ -171,12 +258,16 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a save_model checkpoint; one without a dtype loads as float64."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    dtype = np.dtype(payload.get("dtype", "float64"))
+    if dtype.kind != "f":
+        raise ValueError(f"checkpoint dtype must be a float type, got {dtype}")
     sizes = payload["layer_sizes"]
     weights = [
-        np.asarray(flat, dtype=float).reshape(fan_in, fan_out)
+        np.asarray(flat, dtype=dtype).reshape(fan_in, fan_out)
         for flat, fan_in, fan_out in zip(payload["weights"], sizes[:-1], sizes[1:])
     ]
-    biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
+    biases = [np.asarray(b, dtype=dtype) for b in payload["biases"]]
     return MlpModel(weights=weights, biases=biases)

@@ -15,7 +15,15 @@ import numpy as np
 from .. import streams
 from ..curves import ScalingCurve, aggregate_trials, run_cells
 from .basis import BandwidthRegularizer, HarmonicFunction, sample_harmonic
-from .network import AdamState, MlpModel, adam_step, init_mlp, mlp_backward, mlp_forward_batch
+from .network import (
+    AdamState,
+    MlpModel,
+    Workspace,
+    adam_step,
+    init_mlp,
+    mlp_backward,
+    mlp_forward_batch,
+)
 
 __all__ = ["TrainConfig", "TrainResult", "DivergenceError", "train", "run_harmonic_scaling"]
 
@@ -58,8 +66,8 @@ class TrainResult:
     reg_value: float | None
 
 
-def _mse(model: MlpModel, xs: np.ndarray, targets: np.ndarray) -> float:
-    preds, _ = mlp_forward_batch(model, xs)
+def _mse(model: MlpModel, xs: np.ndarray, targets: np.ndarray, work: Workspace | None = None) -> float:
+    preds, _ = mlp_forward_batch(model, xs, work)
     resid = preds.astype(float) - targets
     return float(resid @ resid) / len(targets)
 
@@ -111,6 +119,14 @@ def train(
     test_xd = test_x.astype(dtype)
 
     batch = min(config.batch_size, n) if n else 0
+    # One step's inputs are the minibatch rows followed by the fixed
+    # regularizer points; every step overwrites all of dout.
+    rows = batch + (len(reg_x) if reg_x is not None else 0)
+    xs = np.empty((rows, target.d), dtype=dtype)
+    if reg_x is not None:
+        xs[batch:] = reg_x
+    dout = np.empty(rows, dtype=dtype)
+    work = Workspace(model, max(rows, len(val_x), len(test_xd)))
     order = np.zeros(0, dtype=np.intp)
     cursor = 0
 
@@ -126,17 +142,13 @@ def train(
                 cursor = 0
             idx = order[cursor : cursor + batch]
             cursor += batch
-            xb, yb = train_x[idx], train_y[idx]
-        else:
-            xb = np.zeros((0, target.d), dtype=dtype)
-            yb = np.zeros(0, dtype=dtype)
+            xs[:batch] = train_x[idx]
+            yb = train_y[idx]
 
-        xs = np.concatenate([xb, reg_x]) if reg_x is not None else xb
         try:
-            out, cache = mlp_forward_batch(model, xs)
+            out, cache = mlp_forward_batch(model, xs, work)
         except FloatingPointError:
             raise DivergenceError(step) from None
-        dout = np.zeros(len(xs), dtype=dtype)
         loss = 0.0
         if batch:
             resid = out[:batch] - yb
@@ -149,10 +161,10 @@ def train(
         if not np.isfinite(loss):
             raise DivergenceError(step)
 
-        adam_step(state, params, mlp_backward(model, cache, dout))
+        adam_step(state, params, mlp_backward(model, cache, dout, work))
 
         if step % config.eval_every == 0:
-            val = _mse(model, val_x, val_y)
+            val = _mse(model, val_x, val_y, work)
             if val < best_val:
                 best_val = val
                 last_improvement = step
@@ -160,11 +172,11 @@ def train(
                 stopped_early = True
                 break
 
-    final_val = _mse(model, val_x, val_y)
-    test_mse = final_val if config.reuse_val_as_test else _mse(model, test_xd, test_y)
+    final_val = _mse(model, val_x, val_y, work)
+    test_mse = final_val if config.reuse_val_as_test else _mse(model, test_xd, test_y, work)
     reg_value = None
     if regularizer is not None:
-        preds, _ = mlp_forward_batch(model, reg_x)
+        preds, _ = mlp_forward_batch(model, reg_x, work)
         r = regularizer.residual(preds)
         reg_value = float(r @ r) / regularizer.m
     return TrainResult(

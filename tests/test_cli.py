@@ -232,6 +232,28 @@ class TestPlot:
         assert run_cli("plot", src, "--overlay-powerlaw", "nope", "--out", tmp_path / "x.svg") == 2
 
 
+class TestBadCurveFiles:
+    # Both used to escape CurveError: the decode error exited 2 as a config
+    # error, and n >= 2**63 died with an OverflowError traceback.
+    FILES = {
+        "non-utf8": b"n,trial,error\n10,0,0.5\n2\xff0,0,0.1\n",
+        "n-above-int64": b"n,trial,error\n10,0,0.5\n100000000000000000000000000000,0,0.1\n",
+    }
+
+    @pytest.mark.parametrize("command", ["analyze", "plot", "import"])
+    @pytest.mark.parametrize("content", FILES.values(), ids=FILES.keys())
+    def test_exits_3_naming_file_and_line(self, tmp_path, capsys, command, content):
+        src = tmp_path / "raw.csv"
+        src.write_bytes(content)
+        argv = {
+            "analyze": ["analyze", src],
+            "plot": ["plot", src, "--out", tmp_path / "plot.svg"],
+            "import": ["run", "--kind", "import", "--input", src, "--out", tmp_path / "out"],
+        }[command]
+        assert run_cli(*argv) == 3
+        assert f"data error: {src}:3:" in capsys.readouterr().err
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats is most of the import time and only asymptotic_error needs it.
     src = str(Path(cliffscale.__file__).resolve().parents[1])

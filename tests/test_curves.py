@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliffscale.curves import (
     CliffRegion,
@@ -253,3 +255,24 @@ class TestLogSpacedNs:
             log_spaced_ns(0, 100, 10)
         with pytest.raises(CurveError):
             log_spaced_ns(100, 100, 10)
+
+
+POSITIVE_ERRORS = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 10**12), st.lists(POSITIVE_ERRORS, min_size=1, max_size=3)),
+        min_size=1,
+        max_size=10,
+        unique_by=lambda point: point[0],
+    )
+)
+def test_fit_power_law_returns_a_valid_fit_or_fit_error(points):
+    curve = aggregate_trials([(n, t, e) for n, errs in points for t, e in enumerate(errs)])
+    try:
+        fit = fit_power_law(curve)
+    except FitError:
+        return
+    assert all(math.isfinite(v) and v >= 0 for v in (fit.A, fit.alpha, fit.E, fit.residual))
+    assert fit.n_range == (int(curve.ns[0]), int(curve.ns[-1]))

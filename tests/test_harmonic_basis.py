@@ -220,3 +220,15 @@ class TestRegularizer:
         reg = BandwidthRegularizer(B=1, d=2, points=rng_for(23).uniform(size=(40, 2)), lam=1.0)
         with pytest.raises(ValueError):
             regularizer_value(reg, np.zeros(41))
+
+    def test_residual_in_each_working_dtype_matches_a_fresh_cast(self):
+        # The span is cast once per working dtype and kept; alternating
+        # dtypes must give what casting it afresh on every call gives.
+        reg = BandwidthRegularizer(B=1, d=2, points=rng_for(24).uniform(size=(70, 2)), lam=1.0)
+        y = rng_for(25).standard_normal(70)
+        for dtype in (np.float32, np.float64, np.float32):
+            yd = y.astype(dtype)
+            span = reg.span.astype(dtype)
+            want = yd - span @ (yd @ span)
+            got = reg.residual(yd)
+            assert got.dtype == dtype and np.array_equal(got, want)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliffscale.curves import CurveError, PowerLawFit, aggregate_trials, fit_power_law
 from cliffscale.curve_io import (
@@ -72,6 +74,59 @@ class TestCsvRoundTrip:
     def test_records_flatten_in_trial_order(self):
         curve = aggregate_trials([(10, 1, 0.2), (10, 0, 0.5)])
         assert curve_records(curve) == [(10, 0, 0.5), (10, 1, 0.2)]
+
+
+# Replacement bytes for one field of a valid file: raw bytes (invalid
+# UTF-8 included), text, integers past the int64 range of n, float reprs.
+MUTATED_FIELDS = st.one_of(
+    st.binary(max_size=12),
+    st.text(max_size=12).map(str.encode),
+    st.integers().map(lambda i: str(i).encode()),
+    st.integers(2**62, 2**70).map(lambda i: str(i).encode()),
+    st.floats().map(lambda f: repr(f).encode()),
+)
+VALID_ROWS = st.lists(
+    st.tuples(st.integers(1, 10**6), st.integers(0, 5), st.floats(0, 1e6)), min_size=1, max_size=8
+)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "curve.csv"
+
+
+def read_or_curve_error(path, data: bytes) -> None:
+    """read_curve_csv raises only CurveError, and what it returns is usable."""
+    path.write_bytes(data)
+    try:
+        curve = read_curve_csv(path)
+    except CurveError:
+        return
+    assert len(curve.ns) == len(curve.statistic("median")) >= 1
+
+
+class TestCsvProperties:
+    @given(data=st.binary(max_size=200), with_header=st.booleans())
+    def test_arbitrary_bytes(self, csv_path, data, with_header):
+        read_or_curve_error(csv_path, b"n,trial,error\n" * with_header + data)
+
+    @given(rows=VALID_ROWS, row=st.integers(0, 7), column=st.integers(0, 2), field=MUTATED_FIELDS)
+    def test_valid_file_with_one_field_mutated(self, csv_path, rows, row, column, field):
+        fields = [[str(n).encode(), str(t).encode(), repr(e).encode()] for n, t, e in rows]
+        fields[row % len(fields)][column] = field
+        read_or_curve_error(csv_path, b"n,trial,error\n" + b"".join(b",".join(f) + b"\n" for f in fields))
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"n,trial,error\r\n10,0,0.5\r\n2\xff0,0,0.1\n")
+        with pytest.raises(CurveError, match=r":3: not UTF-8"):
+            read_curve_csv(path)
+
+    def test_n_beyond_int64_rejected_with_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"n,trial,error\n{2**63 - 1},0,0.5\n{2**63},0,0.1\n")
+        with pytest.raises(CurveError, match=":3:"):
+            read_curve_csv(path)
 
 
 class TestJson:

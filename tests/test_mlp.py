@@ -7,6 +7,7 @@ from cliffscale import streams
 from cliffscale.harmonic.network import (
     AdamState,
     MlpModel,
+    Workspace,
     adam_step,
     init_mlp,
     load_model,
@@ -19,6 +20,52 @@ from cliffscale.harmonic.network import (
 
 def rng_for(*key):
     return streams.stream(31337, *key)
+
+
+def reference_forward(model, xs):
+    """The plain expression form of mlp_forward_batch, one fresh array per op."""
+    a = np.asarray(xs, dtype=model.weights[0].dtype)
+    cache = [a]
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w + b
+        a = z if i == last else np.maximum(z, 0.0)
+        cache.append(a)
+    return cache.pop()[:, 0], cache
+
+
+def reference_backward(model, cache, dout):
+    """The plain expression form of mlp_backward."""
+    grads = []
+    delta = np.asarray(dout, dtype=model.weights[0].dtype)[:, None]
+    for i in range(len(model.weights) - 1, -1, -1):
+        grads.append(delta.sum(axis=0))
+        grads.append(cache[i].T @ delta)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (cache[i] > 0)
+    grads.reverse()
+    return grads
+
+
+def reference_adam(state, params, grads):
+    """The plain expression form of adam_step."""
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    correct1 = 1.0 - b1 ** state.step
+    correct2 = 1.0 - b2 ** state.step
+    scale = state.learning_rate / correct1
+    for p, g, m, v in zip(params, grads, state.first, state.second):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        p -= scale * m / (np.sqrt(v / correct2) + state.eps)
+
+
+def assert_arrays_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def flat_loss(model, xs, dout_fn):
@@ -107,6 +154,70 @@ class TestBackward:
             mlp_backward(model, cache, np.zeros(6))
 
 
+class TestWorkspace:
+    MODELS = {"deep": [2, 8, 16, 8, 1], "linear": [3, 1]}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sizes", MODELS.values(), ids=MODELS.keys())
+    def test_matches_reference_at_and_below_capacity(self, dtype, sizes):
+        rng = rng_for(30)
+        model = init_mlp(sizes, rng, dtype=dtype)
+        xs = rng.uniform(size=(60, sizes[0]))
+        dout = rng.standard_normal(60)
+        work = Workspace(model, 60)
+        for rows in (60, 59, 17, 1):
+            want_out, want_cache = reference_forward(model, xs[:rows])
+            want_grads = reference_backward(model, want_cache, dout[:rows])
+            for w in (work, None):
+                out, cache = mlp_forward_batch(model, xs[:rows], w)
+                assert_arrays_equal([out, *cache], [want_out, *want_cache])
+                assert_arrays_equal(mlp_backward(model, cache, dout[:rows], w), want_grads)
+
+    def test_matches_reference_at_training_scale(self):
+        # The output layer's k = 1 product is an elementwise multiply here
+        # and a BLAS call in the reference; both round once per element.
+        rng = rng_for(31)
+        model = init_mlp([2, 64, 64, 1], rng, dtype=np.float32)
+        xs = rng.uniform(size=(2060, 2))
+        dout = rng.standard_normal(2060)
+        out, cache = mlp_forward_batch(model, xs, Workspace(model, 2060))
+        want_out, want_cache = reference_forward(model, xs)
+        assert_arrays_equal([out, *cache], [want_out, *want_cache])
+        assert_arrays_equal(mlp_backward(model, cache, dout), reference_backward(model, want_cache, dout))
+
+    def test_results_live_in_the_workspace(self):
+        rng = rng_for(32)
+        model = init_mlp([2, 8, 8, 1], rng)
+        work = Workspace(model, 10)
+        out, cache = mlp_forward_batch(model, rng.uniform(size=(10, 2)), work)
+        grads = mlp_backward(model, cache, np.ones(10), work)
+        assert all(np.shares_memory(a, b) for a, b in zip(cache[1:], work.activations))
+        assert np.shares_memory(out, work.activations[-1])
+        assert all(g is w for g, w in zip(grads, work.grads))
+
+    def test_fresh_results_survive_later_calls(self):
+        rng = rng_for(33)
+        model = init_mlp([2, 8, 8, 1], rng)
+        xs, other = rng.uniform(size=(2, 12, 2))
+        out, cache = mlp_forward_batch(model, xs)
+        grads = mlp_backward(model, cache, np.ones(12))
+        kept = [a.copy() for a in (out, *cache, *grads)]
+        _, other_cache = mlp_forward_batch(model, other)
+        mlp_backward(model, other_cache, np.full(12, -3.0))
+        assert_arrays_equal([out, *cache, *grads], kept)
+
+    def test_rejects_more_rows_or_another_model(self):
+        rng = rng_for(34)
+        model = init_mlp([2, 8, 1], rng)
+        work = Workspace(model, 4)
+        with pytest.raises(ValueError, match="4 rows"):
+            mlp_forward_batch(model, np.zeros((5, 2)), work)
+        with pytest.raises(ValueError, match="built for"):
+            mlp_forward_batch(init_mlp([2, 8, 1], rng, dtype=np.float32), np.zeros((3, 2)), work)
+        with pytest.raises(ValueError, match="built for"):
+            mlp_forward_batch(init_mlp([2, 4, 1], rng), np.zeros((3, 2)), work)
+
+
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         model = init_mlp([2, 4, 1], rng_for(10))
@@ -154,6 +265,30 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(state, params, bad)
 
+    def test_dtype_mismatch_rejected_before_any_update(self):
+        model = init_mlp([2, 4, 1], rng_for(18), dtype=np.float32)
+        state = AdamState.for_model(model)
+        params = model.parameters()
+        before = [p.copy() for p in params]
+        grads = [np.ones(p.shape, dtype=np.float64) for p in params]
+        with pytest.raises(ValueError, match="dtype"):
+            adam_step(state, params, grads)
+        assert state.step == 0
+        assert_arrays_equal(params, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_expression(self, dtype):
+        rng = rng_for(19)
+        model, twin = (init_mlp([2, 16, 16, 1], rng_for(20), dtype=dtype) for _ in range(2))
+        state = AdamState.for_model(model, learning_rate=3e-3)
+        ref = AdamState.for_model(twin, learning_rate=3e-3)
+        for _ in range(30):
+            grads = [rng.standard_normal(p.shape).astype(dtype) for p in model.parameters()]
+            adam_step(state, model.parameters(), grads)
+            reference_adam(ref, twin.parameters(), grads)
+        assert_arrays_equal(model.parameters(), twin.parameters())
+        assert_arrays_equal(state.first + state.second, ref.first + ref.second)
+
 
 class TestCheckpointRoundTrip:
     def test_save_load(self, tmp_path):
@@ -166,3 +301,20 @@ class TestCheckpointRoundTrip:
         a, _ = mlp_forward_batch(model, xs)
         b, _ = mlp_forward_batch(loaded, xs)
         assert np.allclose(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_round_trip_keeps_dtype_bit_for_bit(self, tmp_path, dtype):
+        model = init_mlp([2, 8, 8, 1], rng_for(21), dtype=dtype)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert_arrays_equal(loaded.parameters(), model.parameters())
+        xs = rng_for(22).uniform(size=(9, 2))
+        assert np.array_equal(mlp_forward_batch(loaded, xs)[0], mlp_forward_batch(model, xs)[0])
+
+    def test_checkpoint_without_dtype_loads_as_float64(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"layer_sizes": [1, 1], "weights": [[0.5]], "biases": [[0.25]]}')
+        loaded = load_model(path)
+        assert [p.dtype for p in loaded.parameters()] == [np.float64, np.float64]
+        assert mlp_forward(loaded, np.array([2.0])) == 1.25

@@ -1,9 +1,12 @@
 """Tests for the harmonic training loop and scaling runner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cliffscale import streams
+from cliffscale.harmonic import training
 from cliffscale.harmonic.basis import BandwidthRegularizer, sample_harmonic
 from cliffscale.harmonic.training import DivergenceError, TrainConfig, train, run_harmonic_scaling
 
@@ -86,6 +89,61 @@ class TestTrain:
         h = sample_harmonic(1, 2, rng_for(16))
         with pytest.raises(ValueError, match="generator"):
             train(h, 32, config=tiny_config())
+
+
+class TestPinnedResults:
+    # float.hex of (test_mse, val_mse, reg_value) and the step count,
+    # captured from the implementation that allocated fresh arrays for
+    # every forward, backward and Adam operation. n = 300 exceeds the
+    # batch size, so the minibatch permutation wraps within 60 steps.
+    # float32 matrix products round as the BLAS kernel orders them: the
+    # values were taken with scipy-openblas 0.3.31 on an AVX-512 x86-64
+    # CPU, and another BLAS build or kernel may differ in the last bits.
+    PINNED = {
+        "reg": ("0x1.9d032fef1c294p-1", "0x1.8698eb7b6488ep-1", "0x1.0b04944444444p-6", 60),
+        "noreg": ("0x1.971833ec4cf76p-1", "0x1.815ef46d6ddaap-1", None, 60),
+    }
+
+    @pytest.mark.parametrize("arm", PINNED)
+    def test_matches_pinned_values(self, arm):
+        h = sample_harmonic(1, 2, rng_for(40))
+        reg = small_regularizer(1, 60, 41) if arm == "reg" else None
+        cfg = tiny_config(width=16, max_steps=60, reg_points=60)
+        res = train(h, 300, config=cfg, regularizer=reg, rng=rng_for(42))
+        reg_value = None if res.reg_value is None else res.reg_value.hex()
+        assert (res.test_mse.hex(), res.val_mse.hex(), reg_value, res.steps) == self.PINNED[arm]
+
+
+class TestAllocations:
+    def test_steps_after_the_first_allocate_no_activation_sized_array(self, monkeypatch):
+        # Every step after the first reuses the workspace built by train(),
+        # so the traced peak above the memory held after step 1 stays below
+        # one (m x width) float32 array; numpy reports its buffers to
+        # tracemalloc.
+        m, width = 2000, 64
+        h = sample_harmonic(1, 2, rng_for(50))
+        reg = small_regularizer(1, m, 51)
+        cfg = tiny_config(width=width, max_steps=6, eval_every=2, reg_points=m)
+        growth = []
+
+        def measured_adam_step(state, params, grads):
+            adam_step(state, params, grads)
+            current, peak = tracemalloc.get_traced_memory()
+            if state.step == 1:
+                growth.append(current)
+                tracemalloc.reset_peak()
+            else:
+                growth.append(peak - growth[0])
+
+        adam_step = training.adam_step
+        monkeypatch.setattr(training, "adam_step", measured_adam_step)
+        tracemalloc.start()
+        try:
+            train(h, 100, config=cfg, regularizer=reg, rng=rng_for(52))
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == 6
+        assert max(growth[1:]) < m * width * np.dtype(np.float32).itemsize
 
 
 class TestRunHarmonicScaling:
