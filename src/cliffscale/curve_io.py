@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
+import numpy as np
+
 from .curves import CliffRegion, CurveError, PowerLawFit, ScalingCurve, aggregate_trials
 
 __all__ = [
@@ -26,6 +28,11 @@ __all__ = [
 CSV_HEADER = "n,trial,error"
 # Curves hold n as int64 (ScalingCurve.ns).
 MAX_N = 2**63 - 1
+# Every byte after the header of a file write_curve_csv emits: decimal
+# digits, commas, newlines, and the ".", "e" and exponent signs of float
+# reprs.
+_CANONICAL_BYTES = b"0123456789,.e+-\n"
+_CANONICAL_COLUMNS = np.dtype([("n", np.int64), ("trial", np.int64), ("error", np.float64)])
 
 
 def curve_records(curve: ScalingCurve) -> list[tuple[int, int, float]]:
@@ -56,8 +63,75 @@ def _read_text(path) -> str:
         raise CurveError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
+def _is_decimal(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _read_canonical(path, metadata: dict | None) -> ScalingCurve | None:
+    """The curve of a file as write_curve_csv emits it, parsed in C; else None.
+
+    A file qualifies when it is the exact header and then rows of digits,
+    commas, float reprs and single newlines, with signs only in exponents,
+    and its rows parse as int64, int64 and float64 columns that pass the
+    line loop's range checks in strictly increasing (n, trial) order.
+    numpy parses floats with the same correctly rounded conversion as
+    ``float``, so the values are the line loop's, grouped at n boundaries
+    as ``aggregate_trials`` groups them. Any other file is left to the line
+    loop, which also words every error.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    head = CSV_HEADER.encode() + b"\n"
+    body = raw[len(head):]
+    if (
+        not raw.startswith(head)
+        or not body
+        or body.translate(None, _CANONICAL_BYTES)
+        or b"\n\n" in raw
+        # A sign anywhere but in an exponent; the counts only run on files
+        # that have a sign at all.
+        or (
+            (b"+" in body or b"-" in body)
+            and body.count(b"+") + body.count(b"-") != body.count(b"e+") + body.count(b"e-")
+        )
+    ):
+        return None
+    # loadtxt reads the file again in chunks; holding these copies of it
+    # through the parse would raise the peak memory of a large import.
+    del raw, body
+    try:
+        ns, trials, errors = np.loadtxt(
+            path, dtype=_CANONICAL_COLUMNS, delimiter=",", comments=None, skiprows=1, ndmin=1, unpack=True
+        )
+    except ValueError:
+        return None
+    # With signs only in exponents, no field is negative and none is NaN.
+    if ns.min() < 1 or not np.isfinite(errors).all():
+        return None
+    dn = np.diff(ns)
+    if not ((dn > 0) | ((dn == 0) & (np.diff(trials) > 0))).all():
+        return None
+    starts = np.flatnonzero(np.concatenate(([True], dn != 0)))
+    bounds = [*starts.tolist(), len(ns)]
+    errs = errors.tolist()
+    points = tuple(
+        (n, tuple(errs[a:b])) for n, a, b in zip(ns[starts].tolist(), bounds, bounds[1:])
+    )
+    return ScalingCurve(points=points, metadata=dict(metadata or {}))
+
+
 def read_curve_csv(path, metadata: dict | None = None) -> ScalingCurve:
-    """Parse a ``n,trial,error`` CSV; malformed rows name their line number."""
+    """Parse a ``n,trial,error`` CSV; malformed rows name their line number.
+
+    n and trial are ASCII decimal digits; the error is a float literal
+    without whitespace, underscores or non-ASCII characters.
+    """
+    curve = _read_canonical(path, metadata)
+    return curve if curve is not None else _read_lines(path, metadata)
+
+
+def _read_lines(path, metadata: dict | None) -> ScalingCurve:
+    """read_curve_csv line by line: the reference parser, and the one that words errors."""
     lines = _read_text(path).splitlines()
     if not lines:
         raise CurveError(f"{path}: empty file")
@@ -70,15 +144,23 @@ def read_curve_csv(path, metadata: dict | None = None) -> ScalingCurve:
         parts = line.split(",")
         if len(parts) != 3:
             raise CurveError(f"{path}:{lineno}: expected 3 comma-separated fields, got {len(parts)}")
+        if not (_is_decimal(parts[0]) and _is_decimal(parts[1])):
+            raise CurveError(
+                f"{path}:{lineno}: n and trial must be ASCII decimal digits, got {parts[0]!r}, {parts[1]!r}"
+            )
+        if not parts[2].isascii() or "_" in parts[2] or parts[2].strip() != parts[2]:
+            raise CurveError(
+                f"{path}:{lineno}: the error must be ASCII, without whitespace or '_', got {parts[2]!r}"
+            )
         try:
             n = int(parts[0])
             trial = int(parts[1])
             error = float(parts[2])
         except ValueError as exc:
             raise CurveError(f"{path}:{lineno}: {exc}") from None
-        if not 1 <= n <= MAX_N or trial < 0 or not error >= 0 or error != error or error == float("inf"):
+        if not 1 <= n <= MAX_N or not error >= 0 or error != error or error == float("inf"):
             raise CurveError(
-                f"{path}:{lineno}: need 1 <= n < 2**63, trial >= 0 and a finite nonnegative error, "
+                f"{path}:{lineno}: need 1 <= n < 2**63 and a finite nonnegative error, "
                 f"got ({parts[0]}, {parts[1]}, {parts[2]})"
             )
         records.append((n, trial, error))

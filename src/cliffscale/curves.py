@@ -147,24 +147,41 @@ def aggregate_trials(raw, metadata: dict | None = None) -> ScalingCurve:
     """Group (n, trial, error) records into a ScalingCurve, losslessly.
 
     Records may arrive in any order; each (n, trial) pair must be unique.
-    Trial errors are stored in trial order.
+    Trial errors are stored in trial order. Records in (n, trial) order,
+    as ``run_cells`` returns them, are grouped in one pass; others are
+    sorted first.
     """
     records = list(raw)
     if not records:
         raise CurveError("no records to aggregate")
-    by_n: dict[int, dict[int, float]] = {}
+    points = _group_sorted(records)
+    if points is None:
+        points = _group_sorted(sorted(records, key=lambda r: (int(r[0]), int(r[1]))))
+    return ScalingCurve(points=points, metadata=dict(metadata or {}))
+
+
+def _group_sorted(records) -> tuple | None:
+    """The points of (n, trial)-ordered records, or None if they are out of order.
+
+    A repeated (n, trial) pair raises CurveError.
+    """
+    points: list[tuple[int, list[float]]] = []
     for n, trial, error in records:
         n = int(n)
         trial = int(trial)
-        slot = by_n.setdefault(n, {})
-        if trial in slot:
+        if not points or n != last_n:
+            if points and n < last_n:
+                return None
+            errs: list[float] = []
+            points.append((n, errs))
+            last_n = n
+        elif trial <= last_trial:
+            if trial < last_trial:
+                return None
             raise CurveError(f"duplicate record for n={n}, trial={trial}")
-        slot[trial] = float(error)
-    points = tuple(
-        (n, tuple(by_n[n][t] for t in sorted(by_n[n])))
-        for n in sorted(by_n)
-    )
-    return ScalingCurve(points=points, metadata=dict(metadata or {}))
+        errs.append(float(error))
+        last_trial = trial
+    return tuple((n, tuple(errs)) for n, errs in points)
 
 
 def check_n_grid(n_grid) -> list[int]:

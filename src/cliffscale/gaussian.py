@@ -8,12 +8,12 @@ tightly approximated by a closed-form cliff-shaped curve in n.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import streams
 from .curves import ScalingCurve, aggregate_trials, run_cells
@@ -55,15 +55,29 @@ class ClassifierWeights:
             raise ValueError("weights must be a finite vector")
 
 
+@functools.cache
+def _erfc():
+    """scipy's erfc, imported on first use.
+
+    Importing scipy.special pulls numpy.f2py, numpy.testing and numpy.ma in
+    with it, about 0.3 s of importing the package; a cached call costs less
+    than an import statement in the function that needs it.
+    """
+    from scipy.special import erfc
+
+    return erfc
+
+
 def std_normal_cdf(x):
     """Standard normal CDF via the complementary error function.
 
     Accurate to well under 1e-14 absolute over the whole real line;
     accepts scalars or arrays.
     """
+    erfc = _erfc()
     if np.isscalar(x):
-        return 0.5 * float(special.erfc(-float(x) / math.sqrt(2.0)))
-    return 0.5 * special.erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
+        return 0.5 * float(erfc(-float(x) / math.sqrt(2.0)))
+    return 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def estimate_weights(xs: np.ndarray, ys: np.ndarray) -> ClassifierWeights:
@@ -190,9 +204,14 @@ def run_gaussian_scaling(
         raise ValueError(f"unknown sampler {sampler!r} (expected 'full' or 'sufficient')")
     task = GaussianTask(d=d, s=float(s))
     draw = simulate_error if sampler == "full" else sample_error_sufficient
+    # Cells run one at a time, and each draws from one stream only, so every
+    # cell resets the previous cell's generator instead of building its own.
+    rng = None
 
     def cell(n_idx: int, n: int, trial: int) -> float:
-        return draw(task, n, streams.stream(seed, streams.DATA, trial, n_idx))
+        nonlocal rng
+        rng = streams.stream(seed, streams.DATA, trial, n_idx, reuse=rng)
+        return draw(task, n, rng)
 
     meta = {
         "task": "gaussian",

@@ -35,7 +35,7 @@ DATA = 2
 TEST = 3
 TARGET = 4
 REG_POINTS = 5
-VALIDATION = 6
+# 6 is retired (it named validation data, which no stream ever drew); never reuse it.
 TRAIN = 7
 
 # Keys of trials from _SINGLE on are derived in aligned blocks of BLOCK
@@ -146,33 +146,65 @@ class _FixedKey(ISeedSequence):
 
     __slots__ = ("_key",)
 
-    def __init__(self, key: np.ndarray):
+    def __init__(self, key: list[int]):
         self._key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 2 or np.dtype(dtype) != np.uint64:
             raise ValueError("a fixed Philox key is exactly 2 uint64 words")
-        return self._key.copy()
+        return np.array(self._key, dtype=np.uint64)
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
-    """Return the Generator for (seed, key).
+def _derived_key(seed: int, key: tuple) -> list[int]:
+    """The 2 words of the Philox key of (seed, key), as Python ints.
 
-    The same (seed, key) always yields the same stream, and distinct keys
-    yield statistically independent streams. Its draws equal those of
-    ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``. Each call
-    returns a fresh generator, independent of every other.
+    Philox's state setter reads Python ints faster than numpy scalars.
     """
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    key = tuple(int(k) for k in key)
+    key = tuple(map(int, key))
     for k in key:
         if not 0 <= k <= _MASK32:
             raise ValueError(f"key entries must be 32-bit unsigned integers, got {k}")
     if len(key) < 2 or key[1] < _SINGLE:
-        row = _key_rows(seed, key[:2], key[2:], None)[0]
-    else:
-        offset = key[1] % BLOCK
-        row = _key_rows(seed, key[:1], key[2:], key[1] - offset)[offset]
-    return np.random.Generator(np.random.Philox(_FixedKey(row)))
+        return _key_rows(seed, key[:2], key[2:], None)[0].tolist()
+    offset = key[1] % BLOCK
+    return _key_rows(seed, key[:1], key[2:], key[1] - offset)[offset].tolist()
+
+
+# Philox's counter and output buffer as a fresh generator starts them.
+_ZERO_WORDS = (0, 0, 0, 0)
+
+
+def stream(seed: int, *key: int, reuse: np.random.Generator | None = None) -> np.random.Generator:
+    """Return the Generator for (seed, key).
+
+    The same (seed, key) always yields the same stream, and distinct keys
+    yield statistically independent streams. Its draws equal those of
+    ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``. Without
+    ``reuse`` each call returns a fresh generator, independent of every
+    other.
+
+    ``reuse`` must be a generator this function returned earlier. It is
+    reset to the start of (seed, key) and returned, which costs less than
+    building a new one and gives the same draws whatever was drawn from it
+    before: a Philox stream is set by its key and counter alone (Salmon et
+    al., SC'11). The earlier stream of ``reuse`` ends there.
+    """
+    row = _derived_key(seed, key)
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(_FixedKey(row)))
+    fixed = reuse.bit_generator.seed_seq if isinstance(reuse, np.random.Generator) else None
+    if not isinstance(fixed, _FixedKey):
+        raise ValueError("reuse must be a generator returned by stream()")
+    fixed._key = row
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": row},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reuse

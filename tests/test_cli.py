@@ -238,6 +238,10 @@ class TestBadCurveFiles:
     FILES = {
         "non-utf8": b"n,trial,error\n10,0,0.5\n2\xff0,0,0.1\n",
         "n-above-int64": b"n,trial,error\n10,0,0.5\n100000000000000000000000000000,0,0.1\n",
+        # int() reads these as n = 10, 33 and 7; the format is ASCII decimal.
+        "underscore": b"n,trial,error\n10,0,0.5\n1_0,0,0.5\n",
+        "arabic-indic": "n,trial,error\n10,0,0.5\n٣٣,0,0.25\n".encode(),
+        "spaces": b"n,trial,error\n10,0,0.5\n 7 ,0,0.1\n",
     }
 
     @pytest.mark.parametrize("command", ["analyze", "plot", "import"])
@@ -255,9 +259,11 @@ class TestBadCurveFiles:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time and only asymptotic_error needs it.
+    # scipy.stats is most of the import time and only asymptotic_error needs
+    # it; scipy.special, for erfc, pulls in numpy.f2py, numpy.testing and
+    # numpy.ma. Importing the CLI loads no scipy module at all.
     src = str(Path(cliffscale.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, cliffscale.cli; print('scipy.stats' in sys.modules)"
+    probe = "import sys, cliffscale.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -68,6 +68,26 @@ class TestAggregateTrials:
         shuffled = [records[i] for i in (2, 0, 3, 1)]
         assert aggregate_trials(records).points == aggregate_trials(shuffled).points
 
+    # In (n, trial) order, as run_cells returns them, records are grouped in
+    # one pass; any other order must give the same curve or the same error.
+    @given(
+        cells=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 6)), min_size=1, max_size=20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shuffled_records_aggregate_to_the_sorted_curve(self, cells, seed):
+        records = sorted((n, t, float(i)) for i, (n, t) in enumerate(cells))
+        shuffled = [records[i] for i in np.random.default_rng(seed).permutation(len(records))]
+        if len(set(cells)) < len(cells):
+            for rows in (records, shuffled):
+                with pytest.raises(CurveError, match="duplicate"):
+                    aggregate_trials(rows)
+            return
+        by_n: dict[int, list[float]] = {}
+        for n, _, e in records:
+            by_n.setdefault(n, []).append(e)
+        want = tuple((n, tuple(errs)) for n, errs in by_n.items())
+        assert aggregate_trials(records).points == aggregate_trials(shuffled).points == want
+
 
 class TestFitPowerLaw:
     def test_recovers_exact_parameters(self):

@@ -269,3 +269,26 @@ class TestRunGaussianScaling:
         assert np.all(big.statistic("max") >= small.statistic("max"))
         for n, errs in small.points:
             assert big.trial_errors(n)[: len(errs)] == errs
+
+    @pytest.mark.parametrize("sampler", ["sufficient", "full"])
+    def test_one_generator_per_run(self, monkeypatch, sampler):
+        # Each cell resets the previous cell's generator; a fresh Philox per
+        # cell costs more than a sufficient-sampler draw.
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        run_gaussian_scaling(d=3, s=1.0, n_grid=[2, 5, 9], trials=20, seed=4, sampler=sampler)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("sampler", ["sufficient", "full"])
+    def test_cells_draw_their_own_fresh_stream(self, sampler):
+        task, grid, seed = GaussianTask(d=3, s=1.0), [2, 5, 9], 4
+        curve = run_gaussian_scaling(d=task.d, s=task.s, n_grid=grid, trials=20, seed=seed, sampler=sampler)
+        draw = sample_error_sufficient if sampler == "sufficient" else simulate_error
+        for n_idx, (n, errs) in enumerate(curve.points):
+            assert errs == tuple(draw(task, n, streams.stream(seed, streams.DATA, t, n_idx)) for t in range(20))

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from cliffscale import curve_io
 from cliffscale.curves import CurveError, PowerLawFit, aggregate_trials, fit_power_law
 from cliffscale.curve_io import (
     cliffs_to_json,
@@ -90,6 +91,43 @@ VALID_ROWS = st.lists(
 )
 
 
+@st.composite
+def csv_text(draw) -> bytes:
+    """Mostly canonical CSV bytes, some with the edits the C path must refuse."""
+    ns = st.one_of(st.integers(1, 3), st.integers(1, 2**63 - 1))
+    trials = st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 1))
+    cells = sorted(draw(st.lists(st.tuples(ns, trials), min_size=1, max_size=8, unique=True)))
+    errors = st.one_of(
+        st.floats(min_value=0.0, allow_infinity=False).map(repr),
+        st.sampled_from(["-0.0", "5e-324", "2.2250738585072014e-308", "1e-400", "+.5", "5.", "1e+16"]),
+    )
+    rows = [[str(n), str(t), draw(errors)] for n, t in cells]
+    edits = draw(st.lists(
+        st.tuples(st.sampled_from(["+", "-", "0", " ", "1e400", "nan", "swap", "dup", "#", ""]), st.integers(0, 7),
+                  st.integers(0, 2)),
+        max_size=2,
+    ))
+    for kind, i, column in edits:
+        i %= len(rows)
+        if kind in ("+", "-", "0", " "):
+            rows[i][column] = kind + rows[i][column]
+        elif kind in ("1e400", "nan"):
+            rows[i][2] = kind
+        elif kind == "swap" and i + 1 < len(rows):
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+        elif kind == "dup":
+            rows.insert(i, list(rows[i]))
+    lines = [",".join(fields) for fields in rows]
+    for kind, i, _ in edits:
+        if kind in ("#", ""):
+            lines.insert(i % len(lines), kind)
+    eol = draw(st.sampled_from(["\n"] * 3 + ["\r\n"]))
+    return ("n,trial,error" + eol + eol.join(lines) + eol * draw(st.booleans())).encode()
+
+
+CSV_TEXT = csv_text()
+
+
 @pytest.fixture(scope="module")
 def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("csv") / "curve.csv"
@@ -127,6 +165,47 @@ class TestCsvProperties:
         path.write_text(f"n,trial,error\n{2**63 - 1},0,0.5\n{2**63},0,0.1\n")
         with pytest.raises(CurveError, match=":3:"):
             read_curve_csv(path)
+
+    # int() and float() accept digit-group underscores, surrounding spaces,
+    # signs and non-ASCII digits; the format does not.
+    @pytest.mark.parametrize(
+        "row",
+        ["1_0,0,0.5", "٣٣,0,0.25", " 7 ,0,0.1", "7,+1,0.1", "7,-0,0.1", "+7,0,0.1", "7,1,0_5", "7,1, 0.5",
+         "7,1,0.5\t", "7,1,٠.٥", "7,1,0.５"],
+    )
+    def test_non_ascii_decimal_field_names_its_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"n,trial,error\n10,0,0.5\n{row}\n", encoding="utf-8")
+        with pytest.raises(CurveError, match=":3:"):
+            read_curve_csv(path)
+
+    @given(data=CSV_TEXT)
+    @example(data=b"n,trial,error\n1,0,5e-324\n1,1,4e-320\n1,7,2.2250738585072014e-308\n9223372036854775807,0,1e-400\n")
+    @example(data=b"n,trial,error\n1,0,-0.0\n")
+    @example(data=b"n,trial,error\n+5,0,0.5\n")
+    @example(data=b"n,trial,error\n5,-0,0.5\n")
+    @example(data=b"n,trial,error\n0,0,0.5\n")
+    @example(data=b"n,trial,error\n 7 ,0,0.1\n")
+    @example(data=b"n,trial,error\n9223372036854775808,0,0.5\n")
+    @example(data=b"n,trial,error\n5,0,0.5\n#\n6,0,0.5\n")
+    @example(data=b"n,trial,error\n5,0,0.5\r\n6,0,0.5\r\n")
+    @example(data=b"n,trial,error\n5,0,0.5\n\n6,0,0.5\n")
+    @example(data=b"n,trial,error\n6,0,0.5\n5,0,0.5\n")
+    @example(data=b"n,trial,error\n5,1,0.5\n5,0,0.5\n")
+    @example(data=b"n,trial,error\n5,0,0.5\n5,0,0.25\n")
+    def test_fast_path_returns_the_line_loops_curve(self, csv_path, data):
+        csv_path.write_bytes(data)
+        fast = curve_io._read_canonical(csv_path, None)
+        if fast is not None:
+            assert curve_to_json(fast) == curve_to_json(curve_io._read_lines(csv_path, None))
+
+    @given(cells=VALID_ROWS.map(lambda rows: {(n, t): e for n, t, e in rows}))
+    def test_fast_path_reads_what_write_curve_csv_writes(self, csv_path, cells):
+        curve = aggregate_trials((n, t, e) for (n, t), e in cells.items())
+        write_curve_csv(curve, csv_path)
+        fast = curve_io._read_canonical(csv_path, {"task": "x"})
+        assert fast is not None
+        assert curve_to_json(fast) == curve_to_json(curve.with_metadata(task="x"))
 
 
 class TestJson:

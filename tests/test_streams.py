@@ -107,3 +107,52 @@ def test_seed_seq_is_the_derived_key():
 def test_out_of_range_rejected(args):
     with pytest.raises(ValueError):
         streams.stream(*args)
+
+
+# Ways to use a generator before it is handed back through ``reuse``: 32-bit
+# draws leave half a word in ``uinteger``, and raw or normal draws leave the
+# 4-word output buffer partly used.
+EARLIER_USE = st.lists(
+    st.sampled_from([
+        lambda g: g.integers(0, 2**31, dtype=np.uint32),
+        lambda g: g.integers(0, 2**31, size=3, dtype=np.int32),
+        lambda g: g.bit_generator.random_raw(),
+        lambda g: g.standard_normal(),
+        lambda g: g.random(5),
+        lambda g: g.chisquare(7),
+    ]),
+    max_size=6,
+)
+
+
+@given(seed=seeds, key=keys, first=st.tuples(seeds, keys), use=EARLIER_USE)
+def test_reuse_restarts_the_stream(seed, key, first, use):
+    g = streams.stream(first[0], *first[1])
+    for f in use:
+        f(g)
+    assert streams.stream(seed, *key, reuse=g) is g
+    np.testing.assert_array_equal(raw(g), raw(streams.stream(seed, *key)))
+    for f in use:
+        f(g)
+    streams.stream(seed, *key, reuse=g)
+    want = streams.stream(seed, *key)
+    got, expected = [(r.integers(0, 2**32, dtype=np.uint32), r.standard_normal(), r.chisquare(999)) for r in (g, want)]
+    assert got == expected
+    np.testing.assert_array_equal(g.bit_generator.seed_seq.generate_state(2, np.uint64),
+                                  want.bit_generator.seed_seq.generate_state(2, np.uint64))
+
+
+@pytest.mark.parametrize("args", [(-1,), (2**64, 1, 2), (0, 2**32), (0, 1, -3)], ids=str)
+def test_reuse_rejects_a_bad_key_like_a_fresh_call(args):
+    g = streams.stream(1, 2)
+    with pytest.raises(ValueError) as fresh:
+        streams.stream(*args)
+    with pytest.raises(ValueError) as reused:
+        streams.stream(*args, reuse=g)
+    assert str(reused.value) == str(fresh.value)
+
+
+@pytest.mark.parametrize("other", [np.random.default_rng(0), np.random.Generator(np.random.Philox(0)), "rng"])
+def test_reuse_takes_only_a_generator_from_stream(other):
+    with pytest.raises(ValueError, match="reuse"):
+        streams.stream(1, 2, reuse=other)
