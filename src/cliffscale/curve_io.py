@@ -9,6 +9,7 @@ representation, sorted keys), so a run is reproducible bit for bit.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -45,8 +46,14 @@ def curve_records(curve: ScalingCurve) -> list[tuple[int, int, float]]:
 
 
 def write_curve_csv(curve: ScalingCurve, path) -> None:
+    # One join per n: a row is "n," + "trial," + repr(error), trials from 0.
     lines = [CSV_HEADER]
-    lines.extend(f"{n},{t},{repr(e)}" for n, t, e in curve_records(curve))
+    trial_heads: list[str] = []
+    for n, errs in curve.points:
+        if len(trial_heads) < len(errs):
+            trial_heads = [f"{t}," for t in range(len(errs))]
+        head = f"{n},"
+        lines.append(head + f"\n{head}".join(map(operator.add, trial_heads, map(repr, errs))))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -176,13 +183,27 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# json.dumps(indent=2) puts each error of curve_to_json on its own line, 8
+# spaces deep. Without indent json encodes a list in C, and with these
+# separators its items come out in that layout, formatted as json formats
+# every number.
+_ERROR_LIST = json.JSONEncoder(separators=(",\n        ", ": "))
+
+
 def curve_to_json(curve: ScalingCurve) -> str:
-    return _dumps(
-        {
-            "points": [{"n": n, "errors": list(errs)} for n, errs in curve.points],
-            "metadata": dict(curve.metadata),
-        }
-    )
+    """``_dumps({"points": [{"n": n, "errors": [...]}, ...], "metadata": {...}})``, laid out directly.
+
+    The error lists are most of a large curve, and json's indenting encoder
+    formats them one number at a time in Python.
+    """
+    points = [
+        f'    {{\n      "errors": [\n        {_ERROR_LIST.encode(errs)[1:-1]}\n      ],\n      "n": {json.dumps(n)}\n    }}'
+        for n, errs in curve.points
+    ]
+    body = "[\n" + ",\n".join(points) + "\n  ]" if points else "[]"
+    # One level deeper than on its own; json escapes newlines inside strings.
+    metadata = json.dumps(dict(curve.metadata), sort_keys=True, indent=2).replace("\n", "\n  ")
+    return f'{{\n  "metadata": {metadata},\n  "points": {body}\n}}\n'
 
 
 def curve_from_json(text: str) -> ScalingCurve:

@@ -192,18 +192,23 @@ def check_n_grid(n_grid) -> list[int]:
     return grid
 
 
-def run_cells(cell, n_grid, trials: int) -> list[tuple[int, int, float]]:
-    """Evaluate ``cell(n_idx, n, trial) -> error`` over the grid, serially.
+def run_cells(row, n_grid, trials: int) -> list[tuple[int, int, float]]:
+    """Evaluate ``row(n_idx, n, trials) -> errors`` over the grid, serially.
 
-    Cells run in (n index, trial) order and come back as (n, trial,
-    error) records for ``aggregate_trials``. Each cell draws only from
-    streams keyed by its own (trial, n index), so the order cannot
-    change any result.
+    A row returns the errors of trials 0 .. trials - 1 at one n, in trial
+    order. Rows run in n-index order and come back as (n, trial, error)
+    records for ``aggregate_trials``. Each trial draws only from streams
+    keyed by its own (trial, n index), so the order cannot change any
+    result.
     """
     grid = check_n_grid(n_grid)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    return [(n, trial, cell(n_idx, n, trial)) for n_idx, n in enumerate(grid) for trial in range(trials)]
+    return [
+        (n, trial, error)
+        for n_idx, n in enumerate(grid)
+        for trial, error in enumerate(row(n_idx, n, trials))
+    ]
 
 
 def log_spaced_ns(n_min: int, n_max: int, points_per_decade: int = 10) -> list[int]:
@@ -235,6 +240,12 @@ def _fit_values(curve: ScalingCurve, statistic: str, n_range, floor: float | Non
     return ns, vals
 
 
+# On extreme curves numpy meets zeros, infinities and overflow along the way
+# (a median of two values near the float maximum, log(0) once E reaches an
+# error, inf * 0 in a prediction). The search scores those candidates as
+# infinite or NaN misfits and a fit that is not finite raises FitError, so
+# the floating-point warnings carry nothing.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def fit_power_law(
     curve: ScalingCurve,
     n_range: tuple[int, int] | None = None,

@@ -143,16 +143,27 @@ def sample_error_sufficient(task: GaussianTask, n: int, rng: np.random.Generator
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    s = task.s
     eps = rng.standard_normal()
     chi2 = sample_chi_squared(task.d - 1, rng)
+    return float(_sufficient_errors(task.s, n, eps, chi2))
+
+
+def _sufficient_errors(s: float, n: int, eps, chi2):
+    """Errors of the draws (eps, chi2): Phi(-s * first / |w|), elementwise.
+
+    first = s + eps / sqrt(n) and |w|^2 = first^2 + chi2 / n. eps and chi2
+    are floats or arrays of them. A zero |w| (probability zero) reports
+    chance error.
+    """
     first = s + eps / math.sqrt(n)
     norm_sq = first * first + chi2 / n
-    if norm_sq == 0.0:
+    degenerate = norm_sq == 0.0
+    # count_nonzero costs far less than any() on a single draw.
+    if np.count_nonzero(degenerate):
         warnings.warn("degenerate zero estimate; reporting chance error", RuntimeWarning)
-        return 0.5
-    margin = s * first / math.sqrt(norm_sq)
-    return float(std_normal_cdf(-margin))
+        # Counted as infinitely long, a zero estimate has margin 0: error 0.5.
+        norm_sq = np.where(degenerate, math.inf, norm_sq)
+    return std_normal_cdf(-(s * first / np.sqrt(norm_sq)))
 
 
 def asymptotic_error(task: GaussianTask, n: int, chi2_quantile: float = 0.5) -> float:
@@ -203,15 +214,23 @@ def run_gaussian_scaling(
     if sampler not in ("full", "sufficient"):
         raise ValueError(f"unknown sampler {sampler!r} (expected 'full' or 'sufficient')")
     task = GaussianTask(d=d, s=float(s))
-    draw = simulate_error if sampler == "full" else sample_error_sufficient
-    # Cells run one at a time, and each draws from one stream only, so every
-    # cell resets the previous cell's generator instead of building its own.
-    rng = None
+    # Rows run one at a time and each trial draws from one stream only, so
+    # one generator is reset to every trial's key in turn.
+    rng = streams.stream(seed, streams.DATA, 0, 0)
+    df = task.d - 1
 
-    def cell(n_idx: int, n: int, trial: int) -> float:
-        nonlocal rng
-        rng = streams.stream(seed, streams.DATA, trial, n_idx, reuse=rng)
-        return draw(task, n, rng)
+    def row(n_idx: int, n: int, trials: int) -> list[float]:
+        walk = streams.trial_streams(seed, streams.DATA, trials, n_idx, reuse=rng)
+        if sampler == "full":
+            return [simulate_error(task, n, g) for g in walk]
+        # Each trial draws as sample_error_sufficient does; the errors of
+        # the row then come from one evaluation over all its draws.
+        eps = np.empty(trials)
+        chi2 = np.empty(trials)
+        for t, g in enumerate(walk):
+            eps[t] = g.standard_normal()
+            chi2[t] = sample_chi_squared(df, g)
+        return _sufficient_errors(task.s, n, eps, chi2).tolist()
 
     meta = {
         "task": "gaussian",
@@ -220,4 +239,4 @@ def run_gaussian_scaling(
         "sampler": sampler,
         "seed": str(seed),
     }
-    return aggregate_trials(run_cells(cell, n_grid, trials), metadata=meta)
+    return aggregate_trials(run_cells(row, n_grid, trials), metadata=meta)

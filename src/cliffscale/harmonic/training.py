@@ -225,6 +225,9 @@ def run_harmonic_scaling(
         )
         return result.test_mse
 
+    def row(n_idx: int, n: int, trials: int) -> list[float]:
+        return [cell(n_idx, n, trial) for trial in range(trials)]
+
     meta = {
         "task": "harmonic",
         "arm": arm,
@@ -233,4 +236,4 @@ def run_harmonic_scaling(
         "width": str(config.width),
         "seed": str(seed),
     }
-    return aggregate_trials(run_cells(cell, n_grid, trials), metadata=meta)
+    return aggregate_trials(run_cells(row, n_grid, trials), metadata=meta)

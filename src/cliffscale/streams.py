@@ -19,6 +19,11 @@ as numpy integer arithmetic (see ``BLOCK``). The last few blocks are
 memoized; which ones are cached never changes a draw. The generator's
 ``bit_generator.seed_seq`` is a shim that hands Philox the derived key:
 it is not a ``SeedSequence`` and cannot be spawned.
+
+A Philox stream is set by its key and counter alone (Salmon et al.,
+SC'11), so one generator can be reset from stream to stream:
+``stream(..., reuse=g)`` does so for one key, and ``trial_streams`` walks
+the trials of a key in order, one block of keys at a time.
 """
 
 from __future__ import annotations
@@ -155,11 +160,8 @@ class _FixedKey(ISeedSequence):
         return np.array(self._key, dtype=np.uint64)
 
 
-def _derived_key(seed: int, key: tuple) -> list[int]:
-    """The 2 words of the Philox key of (seed, key), as Python ints.
-
-    Philox's state setter reads Python ints faster than numpy scalars.
-    """
+def _checked(seed: int, key: tuple) -> tuple[int, tuple[int, ...]]:
+    """seed and key as Python ints; ValueError unless they fit 64 and 32 bits."""
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
@@ -167,6 +169,15 @@ def _derived_key(seed: int, key: tuple) -> list[int]:
     for k in key:
         if not 0 <= k <= _MASK32:
             raise ValueError(f"key entries must be 32-bit unsigned integers, got {k}")
+    return seed, key
+
+
+def _derived_key(seed: int, key: tuple) -> list[int]:
+    """The 2 words of the Philox key of (seed, key), as Python ints.
+
+    Philox's state setter reads Python ints faster than numpy scalars.
+    """
+    seed, key = _checked(seed, key)
     if len(key) < 2 or key[1] < _SINGLE:
         return _key_rows(seed, key[:2], key[2:], None)[0].tolist()
     offset = key[1] % BLOCK
@@ -195,11 +206,20 @@ def stream(seed: int, *key: int, reuse: np.random.Generator | None = None) -> np
     row = _derived_key(seed, key)
     if reuse is None:
         return np.random.Generator(np.random.Philox(_FixedKey(row)))
-    fixed = reuse.bit_generator.seed_seq if isinstance(reuse, np.random.Generator) else None
+    return _reset(_reusable(reuse), row)
+
+
+def _reusable(g) -> np.random.Generator:
+    fixed = g.bit_generator.seed_seq if isinstance(g, np.random.Generator) else None
     if not isinstance(fixed, _FixedKey):
         raise ValueError("reuse must be a generator returned by stream()")
-    fixed._key = row
-    reuse.bit_generator.state = {
+    return g
+
+
+def _reset(g: np.random.Generator, row: list[int]) -> np.random.Generator:
+    """Restart g, a generator from stream(), at counter 0 under the key row."""
+    g.bit_generator.seed_seq._key = row
+    g.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZERO_WORDS, "key": row},
         "buffer": _ZERO_WORDS,
@@ -207,4 +227,25 @@ def stream(seed: int, *key: int, reuse: np.random.Generator | None = None) -> np
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return reuse
+    return g
+
+
+def trial_streams(seed: int, purpose: int, trials: int, *tail: int, reuse: np.random.Generator):
+    """Walk ``reuse`` through the streams of (seed, purpose, t, *tail), t in range(trials).
+
+    ``reuse`` must be a generator ``stream`` returned. Each item is
+    ``reuse``, reset as by ``stream(seed, purpose, t, *tail, reuse=reuse)``
+    when the walk reaches trial t, so it draws what that trial's fresh
+    stream draws until the next item is taken. The keys are derived
+    ``BLOCK`` trials at a time, with ``stream``'s arithmetic, so a walk
+    holds one block of them beyond those the key cache keeps. Arguments
+    are checked, with ``stream``'s messages, before the first item.
+    """
+    seed, key = _checked(seed, (purpose, max(trials - 1, 0), *tail))
+    return _walk(_reusable(reuse), seed, key[:1], key[2:], trials)
+
+
+def _walk(g: np.random.Generator, seed: int, head: tuple, tail: tuple, trials: int):
+    for start in range(0, trials, BLOCK):
+        for row in _key_rows(seed, head, tail, start)[: trials - start].tolist():
+            yield _reset(g, row)

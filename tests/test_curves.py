@@ -1,6 +1,7 @@
 """Tests for curve aggregation, power-law fitting and cliff detection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -296,3 +297,28 @@ def test_fit_power_law_returns_a_valid_fit_or_fit_error(points):
         return
     assert all(math.isfinite(v) and v >= 0 for v in (fit.A, fit.alpha, fit.E, fit.residual))
     assert fit.n_range == (int(curve.ns[0]), int(curve.ns[-1]))
+
+
+# Fits of extreme curves (errors at n = 2..5) as fit_power_law returned them
+# while numpy still warned inside it; None is a FitError. Silencing the
+# warnings must change none of them.
+EXTREME_FITS = {
+    "huge-first": ([[7.6e199], [1.0], [1.0], [1.0]], (1.787987301803083e308, 501.22068295357315, 0.999, 93.71099061437357)),
+    "all-5e-324": ([[5e-324]] * 4, (5e-324, 1.7616292177500755e-13, 0.0, 0.0)),
+    "down-to-5e-324": ([[1.0], [1e-100], [1e-300], [5e-324]], None),
+    "drop-to-5e-324": ([[1.0], [0.5], [1e-300], [5e-324]], None),
+    "median-overflows": ([[1e308, 1e308], [1.0], [1.0], [1.0]], None),
+}
+
+
+@pytest.mark.parametrize("errors, want", list(EXTREME_FITS.values()), ids=list(EXTREME_FITS))
+def test_extreme_curves_fit_as_before_without_warnings(errors, want):
+    curve = aggregate_trials([(n, t, e) for n, errs in zip(range(2, 6), errors) for t, e in enumerate(errs)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is None:
+            with pytest.raises(FitError):
+                fit_power_law(curve)
+            return
+        fit = fit_power_law(curve)
+    assert (fit.A, fit.alpha, fit.E, fit.residual, fit.n_range) == (*want, (2, 5))

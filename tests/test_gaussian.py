@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cliffscale import streams
+from cliffscale import gaussian, streams
 from cliffscale.gaussian import (
     ClassifierWeights,
     GaussianTask,
@@ -292,3 +292,28 @@ class TestRunGaussianScaling:
         draw = sample_error_sufficient if sampler == "sufficient" else simulate_error
         for n_idx, (n, errs) in enumerate(curve.points):
             assert errs == tuple(draw(task, n, streams.stream(seed, streams.DATA, t, n_idx)) for t in range(20))
+
+
+class TestRows:
+    """A gaussian run works a grid row at a time, with the draws of its cells."""
+
+    @pytest.mark.parametrize("sampler", ["sufficient", "full"])
+    @pytest.mark.parametrize("d", [1, 2, 1000])
+    @pytest.mark.parametrize("trials", [1, 15, 17, 1025])
+    def test_rows_equal_cells_on_fresh_streams(self, sampler, d, trials):
+        task, grid, seed = GaussianTask(d=d, s=0.7), [1, 6], 12
+        curve = run_gaussian_scaling(d=d, s=task.s, n_grid=grid, trials=trials, seed=seed, sampler=sampler)
+        draw = sample_error_sufficient if sampler == "sufficient" else simulate_error
+        for n_idx, (n, errs) in enumerate(curve.points):
+            want = tuple(draw(task, n, streams.stream(seed, streams.DATA, t, n_idx)) for t in range(trials))
+            assert errs == want
+            assert all(type(e) is float for e in errs)
+
+    def test_degenerate_draw_reports_chance_and_warns(self):
+        # eps = -s sqrt(n) puts the first weight at exactly 0; with chi2 = 0
+        # the whole estimate is zero.
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            errors = gaussian._sufficient_errors(1.0, 4, np.array([-2.0, 0.0]), np.array([0.0, 0.0]))
+        assert errors.tolist() == [0.5, std_normal_cdf(-1.0)]
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            assert float(gaussian._sufficient_errors(1.0, 4, -2.0, 0.0)) == 0.5

@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cliffscale import curve_io
-from cliffscale.curves import CurveError, PowerLawFit, aggregate_trials, fit_power_law
+from cliffscale.curves import CurveError, PowerLawFit, ScalingCurve, aggregate_trials, fit_power_law
 from cliffscale.curve_io import (
     cliffs_to_json,
     curve_from_json,
@@ -232,6 +232,70 @@ class TestJson:
 
         text = cliffs_to_json([CliffRegion(n_start=5, n_end=20, strength=1.5)])
         assert json.loads(text) == [{"n_start": 5, "n_end": 20, "strength": 1.5}]
+
+
+def reference_csv(curve) -> bytes:
+    """What write_curve_csv writes, as it was first formulated: one f-string per record."""
+    lines = [curve_io.CSV_HEADER]
+    lines.extend(f"{n},{t},{repr(e)}" for n, t, e in curve_records(curve))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_curve_json(curve) -> str:
+    """curve_to_json as it was first formulated: json.dumps of the whole payload."""
+    payload = {
+        "points": [{"n": n, "errors": list(errs)} for n, errs in curve.points],
+        "metadata": dict(curve.metadata),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+WRITER_ERRORS = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+    st.sampled_from([-0.0, 5e-324, 1e22, 1e16, 0.1, 1.0]),
+    st.integers(0, 2**70),
+)
+
+
+@st.composite
+def writer_curves(draw) -> ScalingCurve:
+    ns = sorted(draw(st.lists(st.integers(1, 2**63 - 1), max_size=4, unique=True)))
+    points = tuple((n, tuple(draw(st.lists(WRITER_ERRORS, min_size=1, max_size=5)))) for n in ns)
+    metadata = draw(st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=3))
+    return ScalingCurve(points=points, metadata=metadata)
+
+
+# Pinned curves: none, one point, int errors up to 2**70, -0.0, the smallest
+# subnormal, reprs in exponent form, the largest n, and metadata that is
+# non-ASCII or needs escaping.
+WRITER_EXAMPLES = [
+    ScalingCurve(points=()),
+    ScalingCurve(points=((7, (0.25,)),)),
+    ScalingCurve(points=((1, (0, 3, 2**70)), (2, (-0.0, 5e-324, 1e-310)), (2**63 - 1, (1e22, 1e16, 0.1)))),
+    ScalingCurve(points=((10, (0.5,)),), metadata={"t\u00e2che": "\u03b1\u2013\U0001f600", "k": "a\"b\\c\nd\te\x00"}),
+]
+
+
+def with_writer_examples(test):
+    for curve in WRITER_EXAMPLES:
+        test = example(curve=curve)(test)
+    return test
+
+
+class TestWritersMatchReferences:
+    @given(curve=writer_curves())
+    @with_writer_examples
+    def test_csv_bytes(self, csv_path, curve):
+        write_curve_csv(curve, csv_path)
+        assert csv_path.read_bytes() == reference_csv(curve)
+
+    @given(curve=writer_curves())
+    @with_writer_examples
+    # json writes numpy floats as floats.
+    @example(curve=ScalingCurve(points=((3, (np.float64(0.1), np.float64(2.0))),)))
+    def test_json_text(self, curve):
+        assert curve_to_json(curve) == reference_curve_json(curve)
 
 
 class TestRenderSvg:
