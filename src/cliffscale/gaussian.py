@@ -68,16 +68,23 @@ def _erfc():
     return erfc
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
+def _phi(x: float) -> float:
+    """std_normal_cdf of a float, without its type dispatch."""
+    return 0.5 * float(_erfc()(-x / _SQRT2))
+
+
 def std_normal_cdf(x):
     """Standard normal CDF via the complementary error function.
 
     Accurate to well under 1e-14 absolute over the whole real line;
     accepts scalars or arrays.
     """
-    erfc = _erfc()
     if np.isscalar(x):
-        return 0.5 * float(erfc(-float(x) / math.sqrt(2.0)))
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
+        return _phi(float(x))
+    return 0.5 * _erfc()(-np.asarray(x, dtype=float) / _SQRT2)
 
 
 def estimate_weights(xs: np.ndarray, ys: np.ndarray) -> ClassifierWeights:
@@ -143,27 +150,16 @@ def sample_error_sufficient(task: GaussianTask, n: int, rng: np.random.Generator
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
+    s = task.s
     eps = rng.standard_normal()
     chi2 = sample_chi_squared(task.d - 1, rng)
-    return float(_sufficient_errors(task.s, n, eps, chi2))
-
-
-def _sufficient_errors(s: float, n: int, eps, chi2):
-    """Errors of the draws (eps, chi2): Phi(-s * first / |w|), elementwise.
-
-    first = s + eps / sqrt(n) and |w|^2 = first^2 + chi2 / n. eps and chi2
-    are floats or arrays of them. A zero |w| (probability zero) reports
-    chance error.
-    """
     first = s + eps / math.sqrt(n)
     norm_sq = first * first + chi2 / n
-    degenerate = norm_sq == 0.0
-    # count_nonzero costs far less than any() on a single draw.
-    if np.count_nonzero(degenerate):
+    if norm_sq == 0.0:
         warnings.warn("degenerate zero estimate; reporting chance error", RuntimeWarning)
-        # Counted as infinitely long, a zero estimate has margin 0: error 0.5.
-        norm_sq = np.where(degenerate, math.inf, norm_sq)
-    return std_normal_cdf(-(s * first / np.sqrt(norm_sq)))
+        return 0.5
+    margin = s * first / math.sqrt(norm_sq)
+    return _phi(-margin)
 
 
 def asymptotic_error(task: GaussianTask, n: int, chi2_quantile: float = 0.5) -> float:
@@ -214,23 +210,19 @@ def run_gaussian_scaling(
     if sampler not in ("full", "sufficient"):
         raise ValueError(f"unknown sampler {sampler!r} (expected 'full' or 'sufficient')")
     task = GaussianTask(d=d, s=float(s))
-    # Rows run one at a time and each trial draws from one stream only, so
-    # one generator is reset to every trial's key in turn.
-    rng = streams.stream(seed, streams.DATA, 0, 0)
-    df = task.d - 1
+    draw = simulate_error if sampler == "full" else sample_error_sufficient
+    # Rows run one at a time, and each trial draws from one stream only, so
+    # every trial resets the previous trial's generator instead of building
+    # its own.
+    rng = None
 
     def row(n_idx: int, n: int, trials: int) -> list[float]:
-        walk = streams.trial_streams(seed, streams.DATA, trials, n_idx, reuse=rng)
-        if sampler == "full":
-            return [simulate_error(task, n, g) for g in walk]
-        # Each trial draws as sample_error_sufficient does; the errors of
-        # the row then come from one evaluation over all its draws.
-        eps = np.empty(trials)
-        chi2 = np.empty(trials)
-        for t, g in enumerate(walk):
-            eps[t] = g.standard_normal()
-            chi2[t] = sample_chi_squared(df, g)
-        return _sufficient_errors(task.s, n, eps, chi2).tolist()
+        nonlocal rng
+        errors = []
+        for trial in range(trials):
+            rng = streams.stream(seed, streams.DATA, trial, n_idx, reuse=rng)
+            errors.append(draw(task, n, rng))
+        return errors
 
     meta = {
         "task": "gaussian",

@@ -19,11 +19,6 @@ as numpy integer arithmetic (see ``BLOCK``). The last few blocks are
 memoized; which ones are cached never changes a draw. The generator's
 ``bit_generator.seed_seq`` is a shim that hands Philox the derived key:
 it is not a ``SeedSequence`` and cannot be spawned.
-
-A Philox stream is set by its key and counter alone (Salmon et al.,
-SC'11), so one generator can be reset from stream to stream:
-``stream(..., reuse=g)`` does so for one key, and ``trial_streams`` walks
-the trials of a key in order, one block of keys at a time.
 """
 
 from __future__ import annotations
@@ -51,6 +46,9 @@ TRAIN = 7
 # once the pool before it was cached, and a block ~150 us.
 BLOCK = 1024
 _SINGLE = 16
+
+# Philox's counter and output buffer as a fresh generator starts them.
+_ZERO_WORDS = (0, 0, 0, 0)
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx, after
 # M. E. O'Neill's seed_seq_fe). Its pool has 4 uint32 words.
@@ -125,7 +123,12 @@ def _key_rows(seed: int, head: tuple[int, ...], tail: tuple[int, ...], start: in
     array per pool lane. With ``start=None`` there is no trial word and one
     row, for the key (*head, *tail), mixed as Python ints. The result is
     read-only, because the cache hands it to every caller.
+
+    seed, head and tail are checked as ``stream`` checks them, so every
+    cached block was derived from valid words.
     """
+    seed, words = _checked(seed, head + tail)
+    head, tail = words[: len(head)], words[len(head) :]
     pool = list(_prefix_pool(seed, head))
     j = len(head)
     if start is not None:
@@ -149,10 +152,25 @@ class _FixedKey(ISeedSequence):
     be spawned.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_start")
 
     def __init__(self, key: list[int]):
         self._key = key
+        # Philox's state at counter 0 under the key; restart() reuses the dict.
+        self._start = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_WORDS, "key": key},
+            "buffer": _ZERO_WORDS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def restart(self, bit_generator: np.random.Philox, key: list[int]) -> None:
+        """Set ``bit_generator``, the Philox this sequence seeded, to counter 0 under ``key``."""
+        self._key = key
+        self._start["state"]["key"] = key
+        bit_generator.state = self._start
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 2 or np.dtype(dtype) != np.uint64:
@@ -177,15 +195,16 @@ def _derived_key(seed: int, key: tuple) -> list[int]:
 
     Philox's state setter reads Python ints faster than numpy scalars.
     """
-    seed, key = _checked(seed, key)
-    if len(key) < 2 or key[1] < _SINGLE:
-        return _key_rows(seed, key[:2], key[2:], None)[0].tolist()
-    offset = key[1] % BLOCK
-    return _key_rows(seed, key[:1], key[2:], key[1] - offset)[offset].tolist()
-
-
-# Philox's counter and output buffer as a fresh generator starts them.
-_ZERO_WORDS = (0, 0, 0, 0)
+    trial = key[1] if len(key) > 1 else None
+    # A block in the cache was derived from valid words, so with a plain int
+    # seed and trial word the trial word is all that is left to check.
+    if not (type(seed) is int and type(trial) is int and _SINGLE <= trial <= _MASK32):
+        seed, key = _checked(seed, key)
+        if len(key) < 2 or key[1] < _SINGLE:
+            return _key_rows(seed, key[:2], key[2:], None)[0].tolist()
+        trial = key[1]
+    offset = trial % BLOCK
+    return _key_rows(seed, key[:1], key[2:], trial - offset)[offset].tolist()
 
 
 def stream(seed: int, *key: int, reuse: np.random.Generator | None = None) -> np.random.Generator:
@@ -206,46 +225,8 @@ def stream(seed: int, *key: int, reuse: np.random.Generator | None = None) -> np
     row = _derived_key(seed, key)
     if reuse is None:
         return np.random.Generator(np.random.Philox(_FixedKey(row)))
-    return _reset(_reusable(reuse), row)
-
-
-def _reusable(g) -> np.random.Generator:
-    fixed = g.bit_generator.seed_seq if isinstance(g, np.random.Generator) else None
+    fixed = reuse.bit_generator.seed_seq if isinstance(reuse, np.random.Generator) else None
     if not isinstance(fixed, _FixedKey):
         raise ValueError("reuse must be a generator returned by stream()")
-    return g
-
-
-def _reset(g: np.random.Generator, row: list[int]) -> np.random.Generator:
-    """Restart g, a generator from stream(), at counter 0 under the key row."""
-    g.bit_generator.seed_seq._key = row
-    g.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": row},
-        "buffer": _ZERO_WORDS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return g
-
-
-def trial_streams(seed: int, purpose: int, trials: int, *tail: int, reuse: np.random.Generator):
-    """Walk ``reuse`` through the streams of (seed, purpose, t, *tail), t in range(trials).
-
-    ``reuse`` must be a generator ``stream`` returned. Each item is
-    ``reuse``, reset as by ``stream(seed, purpose, t, *tail, reuse=reuse)``
-    when the walk reaches trial t, so it draws what that trial's fresh
-    stream draws until the next item is taken. The keys are derived
-    ``BLOCK`` trials at a time, with ``stream``'s arithmetic, so a walk
-    holds one block of them beyond those the key cache keeps. Arguments
-    are checked, with ``stream``'s messages, before the first item.
-    """
-    seed, key = _checked(seed, (purpose, max(trials - 1, 0), *tail))
-    return _walk(_reusable(reuse), seed, key[:1], key[2:], trials)
-
-
-def _walk(g: np.random.Generator, seed: int, head: tuple, tail: tuple, trials: int):
-    for start in range(0, trials, BLOCK):
-        for row in _key_rows(seed, head, tail, start)[: trials - start].tolist():
-            yield _reset(g, row)
+    fixed.restart(reuse.bit_generator, row)
+    return reuse

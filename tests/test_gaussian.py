@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cliffscale import gaussian, streams
+from cliffscale import streams
 from cliffscale.gaussian import (
     ClassifierWeights,
     GaussianTask,
@@ -310,10 +310,11 @@ class TestRows:
             assert all(type(e) is float for e in errs)
 
     def test_degenerate_draw_reports_chance_and_warns(self):
-        # eps = -s sqrt(n) puts the first weight at exactly 0; with chi2 = 0
-        # the whole estimate is zero.
+        # eps = -s sqrt(n) puts the first weight at exactly 0; at d = 1 the
+        # chi-squared draw is 0, so the whole estimate is zero.
+        class Draws:
+            def standard_normal(self):
+                return -2.0
+
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            errors = gaussian._sufficient_errors(1.0, 4, np.array([-2.0, 0.0]), np.array([0.0, 0.0]))
-        assert errors.tolist() == [0.5, std_normal_cdf(-1.0)]
-        with pytest.warns(RuntimeWarning, match="degenerate"):
-            assert float(gaussian._sufficient_errors(1.0, 4, -2.0, 0.0)) == 0.5
+            assert sample_error_sufficient(GaussianTask(d=1, s=1.0), 4, Draws()) == 0.5
