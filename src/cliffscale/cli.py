@@ -19,7 +19,7 @@ import math
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,14 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-KINDS = ("linreg", "gaussian", "harmonic", "import")
+# The allowed values of the config fields that name a choice; the parser and
+# ExperimentConfig.validate both read them here.
+CHOICES = {
+    "kind": ("linreg", "gaussian", "harmonic", "import"),
+    "estimator": ("lstsq", "ridge", "nn"),
+    "sampler": ("full", "sufficient"),
+    "arm": ("reg", "noreg"),
+}
 
 
 class ConfigError(ValueError):
@@ -87,8 +94,11 @@ class ExperimentConfig:
     out: str = "."
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind: expected one of {KINDS}, got {self.kind!r}")
+        # kind is checked first; an import run reads a CSV and uses no other choice.
+        for name in ("kind",) if self.kind == "import" else CHOICES:
+            value = getattr(self, name)
+            if value not in CHOICES[name]:
+                raise ConfigError(f"{name}: expected one of {CHOICES[name]}, got {value!r}")
         if self.kind == "import":
             if not self.input:
                 raise ConfigError("input: import runs need an input CSV path")
@@ -102,16 +112,10 @@ class ExperimentConfig:
             raise ConfigError(f"sigma: must be >= 0, got {self.sigma}")
         if self.s < 0:
             raise ConfigError(f"s: must be >= 0, got {self.s}")
-        if self.estimator not in ("lstsq", "ridge", "nn"):
-            raise ConfigError(f"estimator: expected lstsq, ridge or nn, got {self.estimator!r}")
         if self.estimator == "ridge" and self.lam <= 0:
             raise ConfigError(f"lambda: ridge needs a positive value, got {self.lam}")
-        if self.sampler not in ("full", "sufficient"):
-            raise ConfigError(f"sampler: expected full or sufficient, got {self.sampler!r}")
         if self.bandlimit < 0:
             raise ConfigError(f"bandlimit: must be >= 0, got {self.bandlimit}")
-        if self.arm not in ("reg", "noreg"):
-            raise ConfigError(f"arm: expected reg or noreg, got {self.arm!r}")
         if self.width < 1:
             raise ConfigError(f"width: must be >= 1, got {self.width}")
         if self.max_steps < 1:
@@ -179,33 +183,13 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         for key, value in _load_config_file(args.config).items():
             setattr(cfg, key, value)
-    overrides = {
-        "kind": args.kind,
-        "d": args.d,
-        "sigma": args.sigma,
-        "lam": args.lam,
-        "s": args.s,
-        "sampler": args.sampler,
-        "bandlimit": args.bandlimit,
-        "arm": args.arm,
-        "width": args.width,
-        "estimator": args.estimator,
-        "n_grid": _parse_n_grid(args.n_grid) if args.n_grid else None,
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "points_per_decade": args.points_per_decade,
-        "trials": args.trials,
-        "seed": args.seed,
-        "workers": args.workers,
-        "fix_task": True if args.fix_task else None,
-        "max_steps": args.max_steps,
-        "reg_points": args.reg_points,
-        "input": args.input,
-        "out": args.out,
-    }
-    for key, value in overrides.items():
+    # Every run flag's dest is the name of the field it sets; an unset flag is None.
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name)
+        if f.name == "n_grid":
+            value = _parse_n_grid(value) if value else None
         if value is not None:
-            setattr(cfg, key, value)
+            setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 
@@ -389,15 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a scaling experiment and write its outputs")
     run.add_argument("--config", help="JSON config file; flags override its fields")
-    run.add_argument("--kind", choices=KINDS)
+    run.add_argument("--kind", choices=CHOICES["kind"])
     run.add_argument("--d", type=int, help="task dimension (linreg, gaussian)")
     run.add_argument("--sigma", type=float, help="observation noise (linreg)")
     run.add_argument("--lambda", dest="lam", type=float, help="ridge penalty (linreg)")
-    run.add_argument("--estimator", choices=("lstsq", "ridge", "nn"))
+    run.add_argument("--estimator", choices=CHOICES["estimator"])
     run.add_argument("--s", type=float, help="signal-to-noise ratio (gaussian)")
-    run.add_argument("--sampler", choices=("full", "sufficient"), help="gaussian sampler")
+    run.add_argument("--sampler", choices=CHOICES["sampler"], help="gaussian sampler")
     run.add_argument("--bandlimit", type=int, help="harmonic bandlimit B")
-    run.add_argument("--arm", choices=("reg", "noreg"), help="harmonic arm")
+    run.add_argument("--arm", choices=CHOICES["arm"], help="harmonic arm")
     run.add_argument("--width", type=int, help="harmonic network width")
     run.add_argument("--max-steps", type=int, help="harmonic optimizer step budget")
     run.add_argument("--reg-points", type=int, help="harmonic regularizer sample count m")

@@ -211,18 +211,14 @@ def run_gaussian_scaling(
         raise ValueError(f"unknown sampler {sampler!r} (expected 'full' or 'sufficient')")
     task = GaussianTask(d=d, s=float(s))
     draw = simulate_error if sampler == "full" else sample_error_sufficient
-    # Rows run one at a time, and each trial draws from one stream only, so
-    # every trial resets the previous trial's generator instead of building
-    # its own.
+    # Cells run one at a time, and each draws from one stream only, so every
+    # cell resets the previous cell's generator instead of building its own.
     rng = None
 
-    def row(n_idx: int, n: int, trials: int) -> list[float]:
+    def cell(n_idx: int, n: int, trial: int) -> float:
         nonlocal rng
-        errors = []
-        for trial in range(trials):
-            rng = streams.stream(seed, streams.DATA, trial, n_idx, reuse=rng)
-            errors.append(draw(task, n, rng))
-        return errors
+        rng = streams.stream(seed, streams.DATA, trial, n_idx, reuse=rng)
+        return draw(task, n, rng)
 
     meta = {
         "task": "gaussian",
@@ -231,4 +227,4 @@ def run_gaussian_scaling(
         "sampler": sampler,
         "seed": str(seed),
     }
-    return aggregate_trials(run_cells(row, n_grid, trials), metadata=meta)
+    return aggregate_trials(run_cells(cell, n_grid, trials), metadata=meta)

@@ -50,7 +50,6 @@ class TrainConfig:
     eval_every: int = 25
     val_size: int = 512
     test_size: int = 4096
-    reuse_val_as_test: bool = False
     reg_points: int = 20_000
     reg_lambda: float = 1.0
     dtype: str = "float32"
@@ -97,10 +96,10 @@ def train(
 
     train_x = rng.uniform(size=(n, target.d))
     val_x = rng.uniform(size=(config.val_size, target.d))
-    test_x = val_x if config.reuse_val_as_test else rng.uniform(size=(config.test_size, target.d))
+    test_x = rng.uniform(size=(config.test_size, target.d))
     train_y = np.asarray(target(train_x), dtype=dtype) if n else np.zeros(0, dtype=dtype)
     val_y = np.asarray(target(val_x), dtype=float)
-    test_y = val_y if config.reuse_val_as_test else np.asarray(target(test_x), dtype=float)
+    test_y = np.asarray(target(test_x), dtype=float)
 
     sizes = [target.d] + [config.width] * config.hidden_layers + [1]
     model = init_mlp(sizes, rng, dtype=dtype)
@@ -173,7 +172,7 @@ def train(
                 break
 
     final_val = _mse(model, val_x, val_y, work)
-    test_mse = final_val if config.reuse_val_as_test else _mse(model, test_xd, test_y, work)
+    test_mse = _mse(model, test_xd, test_y, work)
     reg_value = None
     if regularizer is not None:
         preds, _ = mlp_forward_batch(model, reg_x, work)
@@ -225,9 +224,6 @@ def run_harmonic_scaling(
         )
         return result.test_mse
 
-    def row(n_idx: int, n: int, trials: int) -> list[float]:
-        return [cell(n_idx, n, trial) for trial in range(trials)]
-
     meta = {
         "task": "harmonic",
         "arm": arm,
@@ -236,4 +232,4 @@ def run_harmonic_scaling(
         "width": str(config.width),
         "seed": str(seed),
     }
-    return aggregate_trials(run_cells(row, n_grid, trials), metadata=meta)
+    return aggregate_trials(run_cells(cell, n_grid, trials), metadata=meta)

@@ -248,10 +248,7 @@ def run_linreg_scaling(
         rng_test = streams.stream(seed, streams.TEST, trial, n_idx)
         return _trial_error(task, data, estimator, lam, n_test, rng_test)
 
-    def row(n_idx: int, n: int, trials: int) -> list[float]:
-        return [cell(n_idx, n, trial) for trial in range(trials)]
-
     meta = {"task": "linreg", "estimator": estimator, "d": str(d), "sigma": repr(float(sigma)), "seed": str(seed)}
     if estimator == "ridge":
         meta["lambda"] = repr(float(lam))
-    return aggregate_trials(run_cells(row, n_grid, trials), metadata=meta)
+    return aggregate_trials(run_cells(cell, n_grid, trials), metadata=meta)

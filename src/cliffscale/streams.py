@@ -38,14 +38,12 @@ REG_POINTS = 5
 # 6 is retired (it named validation data, which no stream ever drew); never reuse it.
 TRAIN = 7
 
-# Keys of trials from _SINGLE on are derived in aligned blocks of BLOCK
-# trials, which share one numpy computation; BLOCK is a power of two, so the
-# last block ends exactly at the largest one-word trial, 2**32 - 1. Earlier
-# trials are derived one at a time, so a run with few trials pays for no
-# keys it never uses: on a 2-core x86 box one key as Python ints took ~8 us
-# once the pool before it was cached, and a block ~150 us.
+# Keys with a trial word are derived in aligned blocks of BLOCK trials,
+# which share one numpy computation; BLOCK is a power of two, so the last
+# block ends exactly at the largest one-word trial, 2**32 - 1. On a 2-core
+# x86 box a block took ~150 us, so a run with few trials pays for keys it
+# never uses, once per block.
 BLOCK = 1024
-_SINGLE = 16
 
 # Philox's counter and output buffer as a fresh generator starts them.
 _ZERO_WORDS = (0, 0, 0, 0)
@@ -198,10 +196,10 @@ def _derived_key(seed: int, key: tuple) -> list[int]:
     trial = key[1] if len(key) > 1 else None
     # A block in the cache was derived from valid words, so with a plain int
     # seed and trial word the trial word is all that is left to check.
-    if not (type(seed) is int and type(trial) is int and _SINGLE <= trial <= _MASK32):
+    if not (type(seed) is int and type(trial) is int and 0 <= trial <= _MASK32):
         seed, key = _checked(seed, key)
-        if len(key) < 2 or key[1] < _SINGLE:
-            return _key_rows(seed, key[:2], key[2:], None)[0].tolist()
+        if len(key) < 2:
+            return _key_rows(seed, key, (), None)[0].tolist()
         trial = key[1]
     offset = trial % BLOCK
     return _key_rows(seed, key[:1], key[2:], trial - offset)[offset].tolist()

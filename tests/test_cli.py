@@ -1,5 +1,7 @@
 """End-to-end tests of the cliffscale command-line interface."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cliffscale
-from cliffscale.cli import main
+from cliffscale.cli import CHOICES, ExperimentConfig, build_parser, main
 
 
 def run_cli(*argv):
@@ -70,11 +72,14 @@ class TestRun:
             (["--n-grid", "100,10"], None, "n_grid"),
             (["--reg-points", 0], None, "reg_points"),
             (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 3], None, "reg_points"),
+            ([], {"estimator": "x"}, "estimator"),
+            ([], {"sampler": "x"}, "sampler"),
+            ([], {"arm": "x"}, "arm"),
         ],
         ids=[
             "trials-zero", "trials-above-2**32", "d-string", "trials-bool", "workers-float", "n_grid-float",
             "lambda-nan", "s-nan", "max_steps-negative", "n_grid-descending",
-            "reg_points-zero", "reg_points-below-basis",
+            "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
         ],
     )
     def test_invalid_field_names_offender(self, tmp_path, capsys, argv, config, field):
@@ -100,6 +105,13 @@ class TestRun:
         assert (out / "curve.csv").read_text().splitlines()[1:] == [
             "10,0,0.5", "10,1,0.3", "100,0,0.1",
         ]
+
+    def test_import_ignores_the_simulation_choices(self, tmp_path):
+        src = tmp_path / "raw.csv"
+        src.write_text("n,trial,error\n10,0,0.5\n")
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"kind": "import", "input": str(src), "arm": "x"}))
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 0
 
     def test_import_malformed_row_exits_3(self, tmp_path, capsys):
         src = tmp_path / "raw.csv"
@@ -267,3 +279,18 @@ def test_import_leaves_scipy_stats_unloaded():
     probe = "import sys, cliffscale.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def run_parser_actions():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["run"]._actions
+
+
+def test_run_flags_set_the_config_fields_by_name():
+    dests = {a.dest for a in run_parser_actions() if a.dest not in ("help", "config")}
+    assert dests == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def test_run_flag_choices_come_from_the_choice_table():
+    with_choices = {a.dest: a.choices for a in run_parser_actions() if a.choices is not None}
+    assert with_choices == CHOICES

@@ -20,6 +20,7 @@ from cliffscale.curves import (
     log_spaced_ns,
     loglog_second_differences,
     powerlaw_loglog_convexity,
+    run_cells,
 )
 from cliffscale.gaussian import GaussianTask, approx_error
 
@@ -88,6 +89,27 @@ class TestAggregateTrials:
             by_n.setdefault(n, []).append(e)
         want = tuple((n, tuple(errs)) for n, errs in by_n.items())
         assert aggregate_trials(records).points == aggregate_trials(shuffled).points == want
+
+
+class TestRunCells:
+    def test_cells_run_in_n_index_then_trial_order(self):
+        visits = []
+
+        def cell(n_idx, n, trial):
+            visits.append((n_idx, n, trial))
+            return n + trial / 10
+
+        records = run_cells(cell, [3, 7, 20], 2)
+        assert visits == [(0, 3, 0), (0, 3, 1), (1, 7, 0), (1, 7, 1), (2, 20, 0), (2, 20, 1)]
+        assert records == [(n, trial, n + trial / 10) for _, n, trial in visits]
+
+    def test_needs_a_trial(self):
+        with pytest.raises(ValueError, match="trial"):
+            run_cells(lambda n_idx, n, trial: 0.0, [3, 7], 0)
+
+    def test_rejects_a_descending_grid(self):
+        with pytest.raises(CurveError, match="grid"):
+            run_cells(lambda n_idx, n, trial: 0.0, [7, 3], 1)
 
 
 class TestFitPowerLaw:

@@ -40,6 +40,19 @@ class TestCsvRoundTrip:
         back = read_curve_csv(path)
         assert back.points == curve.points
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_numpy_errors_round_trip_as_python_floats(self, tmp_path, dtype):
+        errs = (dtype(0.5), dtype(0.1), dtype(5e-30))
+        curve = ScalingCurve(points=((3, errs), (4, (2, 0.25))))
+        want = ((3, tuple(map(float, errs))), (4, (2.0, 0.25)))
+        assert curve.points == want
+        assert all(type(e) is float for _, stored in curve.points for e in stored)
+        path = tmp_path / "curve.csv"
+        write_curve_csv(curve, path)
+        assert path.read_text().splitlines()[1] == f"3,0,{float(errs[0])!r}"
+        assert read_curve_csv(path).points == want
+        assert curve_from_json(curve_to_json(curve)).points == want
+
     def test_analysis_identical_after_round_trip(self, tmp_path):
         curve = sample_curve()
         path = tmp_path / "curve.csv"
@@ -292,7 +305,7 @@ class TestWritersMatchReferences:
 
     @given(curve=writer_curves())
     @with_writer_examples
-    # json writes numpy floats as floats.
+    # A curve stores numpy errors as Python floats.
     @example(curve=ScalingCurve(points=((3, (np.float64(0.1), np.float64(2.0))),)))
     def test_json_text(self, curve):
         assert curve_to_json(curve) == reference_curve_json(curve)

@@ -19,8 +19,8 @@ def raw(rng, count=8):
 
 B = streams.BLOCK
 EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
-# Block edges and the switch from single keys to blocks (every power of two
-# up to 2B, and one either side), plus the last one-word trial and its block.
+# Block edges and small trials (every power of two up to 2B, and one either
+# side), plus the last one-word trial and its block.
 EDGE_TRIALS = sorted({t for k in range(12) for t in (2**k - 1, 2**k, 2**k + 1)} | {2**32 - B, 2**32 - 1})
 
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
@@ -158,10 +158,10 @@ def test_reuse_takes_only_a_generator_from_stream(other):
         streams.stream(1, 2, reuse=other)
 
 
-# A trial word from streams._SINGLE on, as a plain int, is looked up in the
-# block cache without stream()'s word checks; the block's other words are
-# checked when the block is derived. Each case is also rejected, with the
-# same message, at trial 3, which is checked word by word.
+# A trial word that is a plain int is looked up in the block cache without
+# stream()'s word checks; the block's other words are checked when the block
+# is derived. Each case is rejected at trials 40 and B + 40 on a reused
+# generator with the same message as at trial 3 on a fresh one.
 @pytest.mark.parametrize(
     "seed, head, tail",
     [(-1, (1,), (2,)), (2**64, (1,), ()), (0, (2**32,), ()), (0, (1,), (-3,)), (0, (1,), (2, 2**32))],
@@ -186,3 +186,14 @@ def test_word_types_do_not_change_the_stream():
         a = raw(streams.stream(*first))
         np.testing.assert_array_equal(raw(streams.stream(*second)), a)
         np.testing.assert_array_equal(a, raw(reference(7, 2, 40, 3)))
+
+
+def test_a_run_derives_each_block_once():
+    # A linreg cell draws from (TASK, trial), (DATA, trial, n index) and
+    # (TEST, trial, n index): one block for the tasks, then two per grid row.
+    from cliffscale.linreg import run_linreg_scaling
+
+    grid = [2, 4, 8, 16, 32, 64]
+    streams._key_rows.cache_clear()
+    run_linreg_scaling(d=3, sigma=0.1, estimator="ridge", lam=1.0, n_grid=grid, trials=50, seed=9)
+    assert streams._key_rows.cache_info().misses <= 2 * len(grid) + 1

@@ -79,12 +79,6 @@ class TestTrain:
         if res.stopped_early:
             assert res.steps < 300
 
-    def test_reuse_val_as_test(self):
-        h = sample_harmonic(1, 2, rng_for(14))
-        cfg = tiny_config(reuse_val_as_test=True)
-        res = train(h, 32, config=cfg, rng=rng_for(15))
-        assert res.test_mse == res.val_mse
-
     def test_requires_rng(self):
         h = sample_harmonic(1, 2, rng_for(16))
         with pytest.raises(ValueError, match="generator"):
