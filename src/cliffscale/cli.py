@@ -44,9 +44,9 @@ from .curve_io import (
     read_curve_csv,
     write_curve_csv,
 )
-from .gaussian import GaussianTask, approx_error, run_gaussian_scaling
-from .harmonic.training import DivergenceError, TrainConfig, run_harmonic_scaling
-from .linreg import run_linreg_scaling
+from .gaussian import SAMPLERS, GaussianTask, approx_error, run_gaussian_scaling
+from .harmonic.training import ARMS, DivergenceError, TrainConfig, run_harmonic_scaling
+from .linreg import ESTIMATORS, run_linreg_scaling
 from .svgplot import Overlay, PlotError, render_svg
 
 EXIT_OK = 0
@@ -55,12 +55,13 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 # The allowed values of the config fields that name a choice; the parser and
-# ExperimentConfig.validate both read them here.
+# ExperimentConfig.validate both read them here. Each runner's choices are
+# named by the module that implements them.
 CHOICES = {
     "kind": ("linreg", "gaussian", "harmonic", "import"),
-    "estimator": ("lstsq", "ridge", "nn"),
-    "sampler": ("full", "sufficient"),
-    "arm": ("reg", "noreg"),
+    "estimator": ESTIMATORS,
+    "sampler": SAMPLERS,
+    "arm": ARMS,
 }
 
 
@@ -113,7 +114,7 @@ class ExperimentConfig:
         if self.s < 0:
             raise ConfigError(f"s: must be >= 0, got {self.s}")
         if self.estimator == "ridge" and self.lam <= 0:
-            raise ConfigError(f"lambda: ridge needs a positive value, got {self.lam}")
+            raise ConfigError(f"lam: ridge needs a positive value, got {self.lam}")
         if self.bandlimit < 0:
             raise ConfigError(f"bandlimit: must be >= 0, got {self.bandlimit}")
         if self.width < 1:
@@ -203,7 +204,7 @@ def _parse_n_grid(text: str) -> list[int]:
 
 def _dispatch_run(cfg: ExperimentConfig) -> ScalingCurve:
     if cfg.kind == "import":
-        return read_curve_csv(cfg.input, metadata={"task": "import", "source": str(cfg.input)})
+        return read_curve_csv(cfg.input, metadata={"task": "import", "source": cfg.input})
     grid = cfg.resolve_n_grid()
     if cfg.kind == "linreg":
         return run_linreg_scaling(

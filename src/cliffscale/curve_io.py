@@ -124,7 +124,7 @@ def _read_canonical(path, metadata: dict | None) -> ScalingCurve | None:
     points = tuple(
         (n, tuple(errs[a:b])) for n, a, b in zip(ns[starts].tolist(), bounds, bounds[1:])
     )
-    return ScalingCurve(points=points, metadata=dict(metadata or {}))
+    return ScalingCurve(points=points, metadata=metadata or {})
 
 
 def read_curve_csv(path, metadata: dict | None = None) -> ScalingCurve:
@@ -202,7 +202,7 @@ def curve_to_json(curve: ScalingCurve) -> str:
     ]
     body = "[\n" + ",\n".join(points) + "\n  ]" if points else "[]"
     # One level deeper than on its own; json escapes newlines inside strings.
-    metadata = json.dumps(dict(curve.metadata), sort_keys=True, indent=2).replace("\n", "\n  ")
+    metadata = json.dumps(curve.metadata, sort_keys=True, indent=2).replace("\n", "\n  ")
     return f'{{\n  "metadata": {metadata},\n  "points": {body}\n}}\n'
 
 
@@ -211,7 +211,7 @@ def curve_from_json(text: str) -> ScalingCurve:
     points = tuple(
         (int(p["n"]), tuple(float(e) for e in p["errors"])) for p in payload["points"]
     )
-    return ScalingCurve(points=points, metadata=dict(payload.get("metadata", {})))
+    return ScalingCurve(points=points, metadata=payload.get("metadata", {}))
 
 
 def fit_to_json(fit: PowerLawFit) -> str:

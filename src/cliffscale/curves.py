@@ -10,6 +10,7 @@ are the cliff regions this module detects.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +62,13 @@ class ScalingCurve:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        prev = 0
+        ns: list[int] = []
         for n, errs in self.points:
+            try:
+                n = operator.index(n)
+            except TypeError:
+                raise CurveError(f"n values must be integers, got {n!r}") from None
+            prev = ns[-1] if ns else 0
             if n <= prev:
                 raise CurveError(f"n values must be strictly increasing positives, got {n} after {prev}")
             if len(errs) == 0:
@@ -70,10 +76,12 @@ class ScalingCurve:
             if not all(map(math.isfinite, errs)) or min(errs) < 0:
                 bad = next(e for e in errs if not math.isfinite(e) or e < 0)
                 raise CurveError(f"error values must be finite and >= 0, got {bad} at n={n}")
-            prev = n
-        if not all(_PLAIN_ERRORS.issuperset(map(type, errs)) for _, errs in self.points):
-            points = tuple((n, tuple(map(float, errs))) for n, errs in self.points)
-            object.__setattr__(self, "points", points)
+            ns.append(n)
+        rows = [errs for _, errs in self.points]
+        if not all(_PLAIN_ERRORS.issuperset(map(type, errs)) for errs in rows):
+            rows = [tuple(map(float, errs)) for errs in rows]
+        object.__setattr__(self, "points", tuple(zip(ns, rows)))
+        object.__setattr__(self, "metadata", {k: str(v) for k, v in self.metadata.items()})
 
     @property
     def ns(self) -> np.ndarray:
@@ -96,9 +104,7 @@ class ScalingCurve:
         return np.array([np.percentile(errs, p) for _, errs in self.points], dtype=float)
 
     def with_metadata(self, **tags) -> "ScalingCurve":
-        md = dict(self.metadata)
-        md.update({k: str(v) for k, v in tags.items()})
-        return ScalingCurve(points=self.points, metadata=md)
+        return ScalingCurve(points=self.points, metadata={**self.metadata, **tags})
 
 
 @dataclass(frozen=True)
@@ -150,42 +156,23 @@ class CliffRegion:
 def aggregate_trials(raw, metadata: dict | None = None) -> ScalingCurve:
     """Group (n, trial, error) records into a ScalingCurve, losslessly.
 
-    Records may arrive in any order; each (n, trial) pair must be unique.
-    Trial errors are stored in trial order. Records in (n, trial) order,
-    as ``run_cells`` returns them, are grouped in one pass; others are
-    sorted first.
+    Records may arrive in any order; each (n, trial) pair must be unique,
+    and the first duplicate in (n, trial) order is named. Trial errors are
+    stored in trial order.
     """
-    records = list(raw)
+    records = sorted(((int(n), int(trial), error) for n, trial, error in raw), key=lambda r: r[:2])
     if not records:
         raise CurveError("no records to aggregate")
-    points = _group_sorted(records)
-    if points is None:
-        points = _group_sorted(sorted(records, key=lambda r: (int(r[0]), int(r[1]))))
-    return ScalingCurve(points=points, metadata=dict(metadata or {}))
-
-
-def _group_sorted(records) -> tuple | None:
-    """The points of (n, trial)-ordered records, or None if they are out of order.
-
-    A repeated (n, trial) pair raises CurveError.
-    """
     points: list[tuple[int, list[float]]] = []
     for n, trial, error in records:
-        n = int(n)
-        trial = int(trial)
-        if not points or n != last_n:
-            if points and n < last_n:
-                return None
-            errs: list[float] = []
-            points.append((n, errs))
-            last_n = n
-        elif trial <= last_trial:
-            if trial < last_trial:
-                return None
-            raise CurveError(f"duplicate record for n={n}, trial={trial}")
-        errs.append(float(error))
+        if points and n == points[-1][0]:
+            if trial == last_trial:
+                raise CurveError(f"duplicate record for n={n}, trial={trial}")
+        else:
+            points.append((n, []))
+        points[-1][1].append(float(error))
         last_trial = trial
-    return tuple((n, tuple(errs)) for n, errs in points)
+    return ScalingCurve(points=tuple((n, tuple(errs)) for n, errs in points), metadata=metadata or {})
 
 
 def check_n_grid(n_grid) -> list[int]:
@@ -196,25 +183,20 @@ def check_n_grid(n_grid) -> list[int]:
     return grid
 
 
-def run_cells(cell, n_grid, trials: int) -> list[tuple[int, int, float]]:
-    """Evaluate ``cell(n_idx, n, trial) -> error`` over the grid, serially.
+def run_cells(cell, n_grid, trials: int, metadata: dict) -> ScalingCurve:
+    """The curve of ``cell(n_idx, n, trial) -> error`` over the grid, run serially.
 
-    Cells run in (n index, trial) order and come back as (n, trial,
-    error) records for ``aggregate_trials``. Each cell draws only from
-    streams keyed by its own (trial, n index), so the order cannot
-    change any result.
+    Cells run in (n index, trial) order, and each grid row's errors are
+    stored in trial order. Each cell draws only from streams keyed by its
+    own (trial, n index), so the order cannot change any result.
     """
     grid = check_n_grid(n_grid)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    records = []
-    for n_idx, n in enumerate(grid):
-        # Records built after their row's cells sit together in memory, not
-        # between the cells' temporaries: built cell by cell, they raised the
-        # peak RSS of repeated 5 x 10^4-cell gaussian pipelines by ~2 MiB.
-        errors = [cell(n_idx, n, trial) for trial in range(trials)]
-        records += [(n, trial, error) for trial, error in enumerate(errors)]
-    return records
+    points = tuple(
+        (n, tuple(cell(n_idx, n, trial) for trial in range(trials))) for n_idx, n in enumerate(grid)
+    )
+    return ScalingCurve(points=points, metadata=metadata)
 
 
 def log_spaced_ns(n_min: int, n_max: int, points_per_decade: int = 10) -> list[int]:

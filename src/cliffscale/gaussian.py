@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
+# aggregate_trials is not called here; benchmarks/tracing.py wraps it at this name.
 from .curves import ScalingCurve, aggregate_trials, run_cells
 
 __all__ = [
@@ -30,7 +31,12 @@ __all__ = [
     "approx_error",
     "run_gaussian_scaling",
     "sample_chi_squared",
+    "SAMPLERS",
 ]
+
+# The names of run_gaussian_scaling's samplers.
+SAMPLERS = ("full", "sufficient")
+
 
 @dataclass(frozen=True)
 class GaussianTask:
@@ -207,8 +213,8 @@ def run_gaussian_scaling(
     sampler: str = "sufficient",
 ) -> ScalingCurve:
     """Scaling curve of simulated classification errors over an n grid."""
-    if sampler not in ("full", "sufficient"):
-        raise ValueError(f"unknown sampler {sampler!r} (expected 'full' or 'sufficient')")
+    if sampler not in SAMPLERS:
+        raise ValueError(f"unknown sampler {sampler!r} (expected one of {SAMPLERS})")
     task = GaussianTask(d=d, s=float(s))
     draw = simulate_error if sampler == "full" else sample_error_sufficient
     # Cells run one at a time, and each draws from one stream only, so every
@@ -220,11 +226,5 @@ def run_gaussian_scaling(
         rng = streams.stream(seed, streams.DATA, trial, n_idx, reuse=rng)
         return draw(task, n, rng)
 
-    meta = {
-        "task": "gaussian",
-        "d": str(d),
-        "s": repr(float(s)),
-        "sampler": sampler,
-        "seed": str(seed),
-    }
-    return aggregate_trials(run_cells(cell, n_grid, trials), metadata=meta)
+    meta = {"task": "gaussian", "d": d, "s": task.s, "sampler": sampler, "seed": seed}
+    return run_cells(cell, n_grid, trials, meta)

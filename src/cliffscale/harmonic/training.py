@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .. import streams
+# aggregate_trials is not called here; benchmarks/tracing.py wraps it at this name.
 from ..curves import ScalingCurve, aggregate_trials, run_cells
 from .basis import BandwidthRegularizer, HarmonicFunction, sample_harmonic
 from .network import (
@@ -25,7 +26,10 @@ from .network import (
     mlp_forward_batch,
 )
 
-__all__ = ["TrainConfig", "TrainResult", "DivergenceError", "train", "run_harmonic_scaling"]
+__all__ = ["TrainConfig", "TrainResult", "DivergenceError", "train", "run_harmonic_scaling", "ARMS"]
+
+# The names of run_harmonic_scaling's arms.
+ARMS = ("reg", "noreg")
 
 
 class DivergenceError(FloatingPointError):
@@ -204,8 +208,8 @@ def run_harmonic_scaling(
     from its own stream, so the two arms see identical targets and data
     under the same seed.
     """
-    if arm not in ("reg", "noreg"):
-        raise ValueError(f"unknown arm {arm!r} (expected 'reg' or 'noreg')")
+    if arm not in ARMS:
+        raise ValueError(f"unknown arm {arm!r} (expected one of {ARMS})")
 
     def cell(n_idx: int, n: int, trial: int) -> float:
         target = sample_harmonic(B, d, streams.stream(seed, streams.TARGET, trial))
@@ -224,12 +228,5 @@ def run_harmonic_scaling(
         )
         return result.test_mse
 
-    meta = {
-        "task": "harmonic",
-        "arm": arm,
-        "B": str(B),
-        "d": str(d),
-        "width": str(config.width),
-        "seed": str(seed),
-    }
-    return aggregate_trials(run_cells(cell, n_grid, trials), metadata=meta)
+    meta = {"task": "harmonic", "arm": arm, "B": B, "d": d, "width": config.width, "seed": seed}
+    return run_cells(cell, n_grid, trials, meta)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
+# aggregate_trials is not called here; benchmarks/tracing.py wraps it at this name.
 from .curves import ScalingCurve, aggregate_trials, run_cells
 
 __all__ = [
@@ -27,7 +28,11 @@ __all__ = [
     "nn_predict",
     "nn_test_mse",
     "run_linreg_scaling",
+    "ESTIMATORS",
 ]
+
+# The names of run_linreg_scaling's estimators.
+ESTIMATORS = ("lstsq", "ridge", "nn")
 
 DEFAULT_NN_TEST_POINTS = 10_000
 
@@ -214,11 +219,9 @@ def _trial_error(task, data, estimator, lam, n_test, rng_test) -> float:
         return linear_test_mse(task, fit_least_squares(data))
     if estimator == "ridge":
         return linear_test_mse(task, fit_ridge(data, lam))
-    if estimator == "nn":
-        if len(data) == 0:
-            raise ValueError("nearest-neighbor estimator needs n >= 1")
-        return nn_test_mse(task, data, n_test, rng_test)
-    raise ValueError(f"unknown estimator {estimator!r}")
+    if len(data) == 0:
+        raise ValueError("nearest-neighbor estimator needs n >= 1")
+    return nn_test_mse(task, data, n_test, rng_test)
 
 
 def run_linreg_scaling(
@@ -238,6 +241,8 @@ def run_linreg_scaling(
     dataset per n, all from streams keyed by (seed, trial, n index), so
     results are independent of trial order.
     """
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r} (expected one of {ESTIMATORS})")
     if estimator == "ridge" and (lam is None or lam <= 0):
         raise ValueError("ridge estimator needs a positive lambda")
 
@@ -248,7 +253,7 @@ def run_linreg_scaling(
         rng_test = streams.stream(seed, streams.TEST, trial, n_idx)
         return _trial_error(task, data, estimator, lam, n_test, rng_test)
 
-    meta = {"task": "linreg", "estimator": estimator, "d": str(d), "sigma": repr(float(sigma)), "seed": str(seed)}
+    meta = {"task": "linreg", "estimator": estimator, "d": d, "sigma": float(sigma), "seed": seed}
     if estimator == "ridge":
-        meta["lambda"] = repr(float(lam))
-    return aggregate_trials(run_cells(cell, n_grid, trials), metadata=meta)
+        meta["lambda"] = float(lam)
+    return run_cells(cell, n_grid, trials, meta)

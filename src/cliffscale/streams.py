@@ -16,7 +16,9 @@ between cells: the pool of the seed and the key words before the trial
 (key position 1) is taken once from numpy, and the trial word and the
 words after it are mixed in for a block of consecutive trials at a time,
 as numpy integer arithmetic (see ``BLOCK``). The last few blocks are
-memoized; which ones are cached never changes a draw. The generator's
+memoized; which ones are cached never changes a draw. A key without a
+trial word, which no stream of this package uses, is derived by numpy's
+``SeedSequence`` itself. The generator's
 ``bit_generator.seed_seq`` is a shim that hands Philox the derived key:
 it is not a ``SeedSequence`` and cannot be spawned.
 """
@@ -114,30 +116,25 @@ def _prefix_pool(seed: int, head: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=4)
-def _key_rows(seed: int, head: tuple[int, ...], tail: tuple[int, ...], start: int | None) -> np.ndarray:
-    """Philox keys, shape (rows, 2) uint64, for the keys (*head, trial, *tail).
+def _key_rows(seed: int, head: tuple[int, ...], tail: tuple[int, ...], start: int) -> np.ndarray:
+    """Philox keys, shape (BLOCK, 2) uint64, for the keys (*head, trial, *tail).
 
     The rows are the ``BLOCK`` trials from ``start``, mixed in as one uint64
-    array per pool lane. With ``start=None`` there is no trial word and one
-    row, for the key (*head, *tail), mixed as Python ints. The result is
-    read-only, because the cache hands it to every caller.
+    array per pool lane. The result is read-only, because the cache hands it
+    to every caller.
 
     seed, head and tail are checked as ``stream`` checks them, so every
     cached block was derived from valid words.
     """
     seed, words = _checked(seed, head + tail)
     head, tail = words[: len(head)], words[len(head) :]
-    pool = list(_prefix_pool(seed, head))
-    j = len(head)
-    if start is not None:
-        pool = _mix_word(pool, j, start + np.arange(BLOCK, dtype=np.uint64))
-        j += 1
-    for j, word in enumerate(tail, start=j):
+    pool = _mix_word(list(_prefix_pool(seed, head)), len(head), start + np.arange(BLOCK, dtype=np.uint64))
+    for j, word in enumerate(tail, start=len(head) + 1):
         pool = _mix_word(pool, j, word)
     # generate_state(2, uint64): 4 output words, paired low word first.
     c = _OUT_CONSTS
     w = [_hashmix(p, c[i], c[i + 1]) for i, p in enumerate(pool)]
-    keys = np.array([w[0] | w[1] << 32, w[2] | w[3] << 32], dtype=np.uint64).T.reshape(-1, 2)
+    keys = np.array([w[0] | w[1] << 32, w[2] | w[3] << 32], dtype=np.uint64).T
     keys.flags.writeable = False
     return keys
 
@@ -199,7 +196,7 @@ def _derived_key(seed: int, key: tuple) -> list[int]:
     if not (type(seed) is int and type(trial) is int and 0 <= trial <= _MASK32):
         seed, key = _checked(seed, key)
         if len(key) < 2:
-            return _key_rows(seed, key, (), None)[0].tolist()
+            return np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64).tolist()
         trial = key[1]
     offset = trial % BLOCK
     return _key_rows(seed, key[:1], key[2:], trial - offset)[offset].tolist()

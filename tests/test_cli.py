@@ -67,6 +67,7 @@ class TestRun:
             ([], {"workers": 2.5}, "workers"),
             ([], {"n_grid": [10, 100.0]}, "n_grid"),
             (["--estimator", "ridge", "--lambda", "nan"], None, "lam"),
+            ([], {"estimator": "ridge", "lam": 0}, "lam"),
             (["--s", "nan"], None, "s"),
             (["--max-steps", -5], None, "max_steps"),
             (["--n-grid", "100,10"], None, "n_grid"),
@@ -78,7 +79,7 @@ class TestRun:
         ],
         ids=[
             "trials-zero", "trials-above-2**32", "d-string", "trials-bool", "workers-float", "n_grid-float",
-            "lambda-nan", "s-nan", "max_steps-negative", "n_grid-descending",
+            "lambda-nan", "lam-zero-ridge", "s-nan", "max_steps-negative", "n_grid-descending",
             "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
         ],
     )

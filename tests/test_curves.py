@@ -42,6 +42,21 @@ class TestScalingCurve:
         with pytest.raises(CurveError):
             ScalingCurve(points=((10, (float("nan"),)),))
 
+    def test_numpy_integer_n_is_stored_as_int(self):
+        curve = ScalingCurve(points=((np.int64(3), (0.5,)), (np.uint32(10), (0.25,))))
+        assert curve.points == ((3, (0.5,)), (10, (0.25,)))
+        assert all(type(n) is int for n, _ in curve.points)
+
+    @pytest.mark.parametrize("n", [3.0, np.float64(3.0), 5.5, "3"])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(CurveError, match="integers"):
+            ScalingCurve(points=((n, (0.5,)),))
+
+    def test_metadata_values_are_stored_as_str(self):
+        curve = ScalingCurve(points=((2, (0.5,)),), metadata={"d": 4, "s": 0.5, "task": "x"})
+        assert curve.metadata == {"d": "4", "s": "0.5", "task": "x"}
+        assert curve.with_metadata(B=2, s=1.0).metadata == {"B": "2", "d": "4", "s": "1.0", "task": "x"}
+
     def test_statistics_deterministic(self):
         curve = aggregate_trials([(10, 0, 0.5), (10, 1, 0.3), (100, 0, 0.1)])
         assert curve.statistic("median").tolist() == [0.4, 0.1]
@@ -70,8 +85,8 @@ class TestAggregateTrials:
         shuffled = [records[i] for i in (2, 0, 3, 1)]
         assert aggregate_trials(records).points == aggregate_trials(shuffled).points
 
-    # In (n, trial) order, as run_cells returns them, records are grouped in
-    # one pass; any other order must give the same curve or the same error.
+    # Any order of the records gives the curve of the sorted records, or the
+    # same duplicate error.
     @given(
         cells=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 6)), min_size=1, max_size=20),
         seed=st.integers(0, 2**32 - 1),
@@ -99,17 +114,32 @@ class TestRunCells:
             visits.append((n_idx, n, trial))
             return n + trial / 10
 
-        records = run_cells(cell, [3, 7, 20], 2)
+        curve = run_cells(cell, [3, 7, 20], 2, {})
         assert visits == [(0, 3, 0), (0, 3, 1), (1, 7, 0), (1, 7, 1), (2, 20, 0), (2, 20, 1)]
-        assert records == [(n, trial, n + trial / 10) for _, n, trial in visits]
+        assert curve.points == ((3, (3.0, 3.1)), (7, (7.0, 7.1)), (20, (20.0, 20.1)))
+
+    def test_rows_hold_errors_in_trial_order(self):
+        curve = run_cells(lambda n_idx, n, trial: 1.0 / (1 + trial), [5, 50], 4, {})
+        assert curve.trial_errors(5) == curve.trial_errors(50) == (1.0, 0.5, 1 / 3, 0.25)
+
+    def test_metadata_values_are_stored_as_str(self):
+        meta = {"task": "demo", "d": 3, "s": 0.1, "seed": np.uint64(7)}
+        curve = run_cells(lambda n_idx, n, trial: 0.5, [2], 1, meta)
+        assert curve.metadata == {"task": "demo", "d": "3", "s": "0.1", "seed": "7"}
+        assert meta["d"] == 3  # the caller's dict is left as it was
+
+    def test_numpy_errors_come_back_as_python_floats(self):
+        curve = run_cells(lambda n_idx, n, trial: np.float64(0.25) * (trial + 1), [2, 4], 2, {})
+        assert curve.points == ((2, (0.25, 0.5)), (4, (0.25, 0.5)))
+        assert all(type(e) is float for _, errs in curve.points for e in errs)
 
     def test_needs_a_trial(self):
         with pytest.raises(ValueError, match="trial"):
-            run_cells(lambda n_idx, n, trial: 0.0, [3, 7], 0)
+            run_cells(lambda n_idx, n, trial: 0.0, [3, 7], 0, {})
 
     def test_rejects_a_descending_grid(self):
         with pytest.raises(CurveError, match="grid"):
-            run_cells(lambda n_idx, n, trial: 0.0, [7, 3], 1)
+            run_cells(lambda n_idx, n, trial: 0.0, [7, 3], 1, {})
 
 
 class TestFitPowerLaw:

@@ -53,6 +53,16 @@ class TestCsvRoundTrip:
         assert read_curve_csv(path).points == want
         assert curve_from_json(curve_to_json(curve)).points == want
 
+    def test_numpy_integer_n_writes_as_int(self, tmp_path):
+        # Both writers give a numpy-n curve the bytes of its plain-int twin.
+        plain = ScalingCurve(points=((3, (0.5, 2)), (10, (0.25,))), metadata={"d": 3})
+        typed = ScalingCurve(points=((np.int64(3), (0.5, 2)), (np.int32(10), (0.25,))), metadata={"d": np.int64(3)})
+        assert curve_to_json(typed) == curve_to_json(plain)
+        write_curve_csv(plain, tmp_path / "plain.csv")
+        write_curve_csv(typed, tmp_path / "typed.csv")
+        assert (tmp_path / "typed.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert read_curve_csv(tmp_path / "typed.csv").points == plain.points
+
     def test_analysis_identical_after_round_trip(self, tmp_path):
         curve = sample_curve()
         path = tmp_path / "curve.csv"
