@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import resource
 import sys
 import time
 import typing
@@ -267,6 +268,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "duration_seconds": duration,
         "trial_counts": {str(n): len(errs) for n, errs in curve.points},
         "outputs": outputs,
+        # The process's peak resident set so far; Linux reports ru_maxrss in KiB.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"

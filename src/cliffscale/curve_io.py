@@ -209,7 +209,7 @@ def curve_to_json(curve: ScalingCurve) -> str:
 def curve_from_json(text: str) -> ScalingCurve:
     payload = json.loads(text)
     points = tuple(
-        (int(p["n"]), tuple(float(e) for e in p["errors"])) for p in payload["points"]
+        (p["n"], tuple(float(e) for e in p["errors"])) for p in payload["points"]
     )
     return ScalingCurve(points=points, metadata=payload.get("metadata", {}))
 

@@ -47,6 +47,17 @@ class FitError(ValueError):
     """Curve cannot support the requested fit (too few points, zero errors)."""
 
 
+def _median(errs) -> float:
+    """np.median, or a/2 + b/2 of the two middle values where a + b overflows."""
+    with np.errstate(over="ignore"):
+        med = np.median(errs)
+    if math.isfinite(med):
+        return med
+    mid = len(errs) // 2
+    a, b = sorted(errs)[mid - 1 : mid + 1]
+    return a / 2 + b / 2
+
+
 @dataclass(frozen=True)
 class ScalingCurve:
     """Per-n error measurements across trials.
@@ -95,7 +106,7 @@ class ScalingCurve:
 
     def statistic(self, which: str = "median") -> np.ndarray:
         """Per-n summary across trials: 'median', 'mean', 'min' or 'max'."""
-        fns = {"median": np.median, "mean": np.mean, "min": np.min, "max": np.max}
+        fns = {"median": _median, "mean": np.mean, "min": np.min, "max": np.max}
         if which not in fns:
             raise ValueError(f"unknown statistic {which!r}")
         return np.array([fns[which](errs) for _, errs in self.points], dtype=float)
@@ -160,7 +171,13 @@ def aggregate_trials(raw, metadata: dict | None = None) -> ScalingCurve:
     and the first duplicate in (n, trial) order is named. Trial errors are
     stored in trial order.
     """
-    records = sorted(((int(n), int(trial), error) for n, trial, error in raw), key=lambda r: r[:2])
+    records = []
+    for n, trial, error in raw:
+        try:
+            records.append((operator.index(n), operator.index(trial), error))
+        except TypeError:
+            raise CurveError(f"n and trial must be integers, got record {(n, trial, error)!r}") from None
+    records.sort(key=lambda r: r[:2])
     if not records:
         raise CurveError("no records to aggregate")
     points: list[tuple[int, list[float]]] = []
@@ -229,10 +246,9 @@ def _fit_values(curve: ScalingCurve, statistic: str, n_range, floor: float | Non
 
 
 # On extreme curves numpy meets zeros, infinities and overflow along the way
-# (a median of two values near the float maximum, log(0) once E reaches an
-# error, inf * 0 in a prediction). The search scores those candidates as
-# infinite or NaN misfits and a fit that is not finite raises FitError, so
-# the floating-point warnings carry nothing.
+# (log(0) once E reaches an error, inf * 0 in a prediction). The search
+# scores those candidates as infinite or NaN misfits and a fit that is not
+# finite raises FitError, so the floating-point warnings carry nothing.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def fit_power_law(
     curve: ScalingCurve,

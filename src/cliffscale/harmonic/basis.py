@@ -188,7 +188,6 @@ class BandwidthRegularizer:
     d: int
     points: np.ndarray
     lam: float
-    basis: np.ndarray = field(init=False, repr=False)
     span: np.ndarray = field(init=False, repr=False)
     # span cast to the dtype of the last residual call, kept across calls.
     _working_span: np.ndarray = field(init=False, repr=False, compare=False)
@@ -197,9 +196,9 @@ class BandwidthRegularizer:
         if self.lam < 0:
             raise ValueError(f"regularization weight must be >= 0, got {self.lam}")
         self.points = np.asarray(self.points, dtype=float)
-        self.basis = build_basis_matrix(self.B, self.d, self.points)
-        u, sigma, _ = np.linalg.svd(self.basis, full_matrices=False)
-        cutoff = max(self.basis.shape) * np.finfo(float).eps * (sigma[0] if len(sigma) else 0.0)
+        basis = build_basis_matrix(self.B, self.d, self.points)
+        u, sigma, _ = np.linalg.svd(basis, full_matrices=False)
+        cutoff = max(basis.shape) * np.finfo(float).eps * (sigma[0] if len(sigma) else 0.0)
         self.span = np.ascontiguousarray(u[:, sigma > cutoff])
         self._working_span = self.span
 

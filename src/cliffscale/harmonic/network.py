@@ -7,8 +7,9 @@ against finite differences.
 Forward and backward passes write into a ``Workspace``. Given one, the
 returned ``out``, ``cache`` and gradients are views into it, valid until
 its next use; without one, each call builds its own, so the results are
-fresh arrays. A training loop builds one workspace and reuses it every
-step, so no step allocates an (m x width) array.
+fresh arrays. A backward pass writes each delta over its layer's
+activation, spending a cache from its workspace but not ``out``. A
+training loop reuses one workspace, so no step allocates an (m x width) array.
 """
 
 from __future__ import annotations
@@ -76,10 +77,10 @@ def init_mlp(layer_sizes, rng: np.random.Generator, dtype=np.float64) -> MlpMode
 class Workspace:
     """Reusable buffers for forward and backward passes of one model shape.
 
-    Holds, for up to ``rows`` inputs, one activation buffer per layer,
-    two ping-pong delta buffers and a ReLU mask as wide as the widest
-    hidden layer, and gradient arrays shaped like ``model.parameters()``.
-    A pass on fewer rows uses leading-row views of the buffers.
+    Holds, for up to ``rows`` inputs, one activation buffer per layer
+    (each hidden one also takes that layer's backward delta), a ReLU mask
+    as wide as the widest hidden layer, and gradient arrays shaped like
+    ``model.parameters()``. A pass on fewer rows uses leading-row views.
     """
 
     def __init__(self, model: MlpModel, rows: int):
@@ -89,7 +90,6 @@ class Workspace:
         self.dtype = dtype
         self.activations = [np.empty((self.rows, w.shape[1]), dtype=dtype) for w in model.weights]
         hidden = max((w.shape[0] for w in model.weights[1:]), default=0)
-        self._deltas = [np.empty(self.rows * hidden, dtype=dtype) for _ in range(2)]
         self._mask = np.empty(self.rows * hidden, dtype=bool)
         self.grads = [np.empty_like(p) for p in model.parameters()]
 
@@ -101,12 +101,6 @@ class Workspace:
             )
         if rows > self.rows:
             raise ValueError(f"workspace holds {self.rows} rows, got {rows}")
-
-    def _delta(self, which: int, rows: int, cols: int) -> np.ndarray:
-        return self._deltas[which][: rows * cols].reshape(rows, cols)
-
-    def _relu_mask(self, rows: int, cols: int) -> np.ndarray:
-        return self._mask[: rows * cols].reshape(rows, cols)
 
 
 def mlp_forward_batch(model: MlpModel, xs: np.ndarray, work: Workspace | None = None):
@@ -153,7 +147,8 @@ def mlp_backward(
     ``cache`` is the activation list from mlp_forward_batch on the same
     batch; ``dout`` is the loss gradient with respect to the outputs.
     The gradients are views into ``work`` (a fresh workspace when none
-    is given); ``cache`` is only read.
+    is given). Each hidden delta overwrites its layer's activation buffer
+    in ``work``, so a cache from ``work`` is spent; ``out`` is not.
     """
     dout = np.asarray(dout, dtype=model.weights[0].dtype)
     rows = len(cache[0])
@@ -169,14 +164,16 @@ def mlp_backward(
         np.sum(delta, axis=0, out=grads[2 * i + 1])
         np.matmul(cache[i].T, delta, out=grads[2 * i])
         if i > 0:
-            nxt = work._delta(i % 2, rows, w.shape[0])
+            nxt = work.activations[i - 1][:rows]
+            # The mask is taken before nxt, which may be cache[i], is overwritten.
+            mask = np.greater(cache[i], 0, out=work._mask[: nxt.size].reshape(nxt.shape))
             if w.shape[1] == 1:
                 # A product over one column is one rounding per element,
                 # as in the matrix product, without the BLAS call.
                 np.multiply(delta, w.T, out=nxt)
             else:
                 np.matmul(delta, w.T, out=nxt)
-            nxt *= np.greater(cache[i], 0, out=work._relu_mask(rows, w.shape[0]))
+            nxt *= mask
             delta = nxt
     return list(grads)
 

@@ -33,6 +33,7 @@ class TestRun:
         assert manifest["config"]["kind"] == "gaussian"
         assert manifest["trial_counts"]["10"] == 20
         assert set(manifest["outputs"]) == {"curve.csv", "curve.json", "plot.svg"}
+        assert manifest["peak_rss_mb"] > 0
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         args = [

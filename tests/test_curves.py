@@ -64,6 +64,17 @@ class TestScalingCurve:
         assert curve.statistic("max").tolist() == [0.5, 0.1]
         assert curve.percentile(50).tolist() == [0.4, 0.1]
 
+    def test_median_near_the_float_maximum_does_not_overflow(self):
+        # np.median sums the two middle values; where that overflows the
+        # median is a/2 + b/2, and every other median is np.median's.
+        rows = ((1e308, 1e308), (1.7e308, 1.0, 1.7e308, 1e308), (0.5, 0.3), (0.1,), (0.01,))
+        curve = ScalingCurve(points=tuple(zip((2, 3, 5, 8, 13), rows)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            med = curve.statistic("median").tolist()
+            detect_cliffs(curve)
+        assert med == [1e308, 1.7e308 / 2 + 1e308 / 2, 0.4, 0.1, 0.01]
+
 
 class TestAggregateTrials:
     def test_groups_by_n(self):
@@ -79,6 +90,18 @@ class TestAggregateTrials:
     def test_duplicate_key_errors(self):
         with pytest.raises(CurveError, match="duplicate"):
             aggregate_trials([(10, 0, 0.5), (10, 0, 0.6)])
+
+    def test_fractional_n_or_trial_rejected_with_its_record(self):
+        with pytest.raises(CurveError, match=r"\(5\.5, 0, 0\.1\)"):
+            aggregate_trials([(5.5, 0, 0.1), (7, 0.9, 0.2)])
+        with pytest.raises(CurveError, match=r"\(7, 0\.9, 0\.2\)"):
+            aggregate_trials([(5, 0, 0.1), (7, 0.9, 0.2)])
+        with pytest.raises(CurveError, match="integers"):
+            aggregate_trials([(np.float64(7.0), 0, 0.2)])
+
+    def test_numpy_integers_accepted(self):
+        curve = aggregate_trials([(np.int64(5), np.int32(1), 0.1), (np.uint8(5), np.int64(0), 0.2)])
+        assert curve.points == ((5, (0.2, 0.1)),)
 
     def test_order_independent(self):
         records = [(100, 0, 0.1), (10, 1, 0.3), (1000, 0, 0.05), (10, 0, 0.5)]

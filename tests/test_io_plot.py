@@ -238,6 +238,11 @@ class TestJson:
         assert back.points == curve.points
         assert back.metadata == curve.metadata
 
+    @pytest.mark.parametrize("n", [3.7, 3.0])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(CurveError, match="integers"):
+            curve_from_json(json.dumps({"points": [{"n": n, "errors": [0.5]}]}))
+
     def test_fit_payload_fields(self):
         fit = PowerLawFit(A=2.0, alpha=0.7, E=0.05, residual=0.001, n_range=(10, 1000))
         payload = json.loads(fit_to_json(fit))

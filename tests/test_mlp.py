@@ -190,9 +190,12 @@ class TestWorkspace:
         model = init_mlp([2, 8, 8, 1], rng)
         work = Workspace(model, 10)
         out, cache = mlp_forward_batch(model, rng.uniform(size=(10, 2)), work)
+        kept_out = out.copy()
         grads = mlp_backward(model, cache, np.ones(10), work)
         assert all(np.shares_memory(a, b) for a, b in zip(cache[1:], work.activations))
         assert np.shares_memory(out, work.activations[-1])
+        # The backward pass spends the hidden activations but not the output.
+        assert_arrays_equal([out], [kept_out])
         assert all(g is w for g, w in zip(grads, work.grads))
 
     def test_fresh_results_survive_later_calls(self):
@@ -205,6 +208,16 @@ class TestWorkspace:
         _, other_cache = mlp_forward_batch(model, other)
         mlp_backward(model, other_cache, np.full(12, -3.0))
         assert_arrays_equal([out, *cache, *grads], kept)
+
+    def test_backward_without_a_workspace_leaves_the_cache_intact(self):
+        rng = rng_for(35)
+        model = init_mlp([2, 8, 8, 8, 1], rng, dtype=np.float32)
+        out, cache = mlp_forward_batch(model, rng.uniform(size=(12, 2)), Workspace(model, 12))
+        dout = rng.standard_normal(12)
+        kept = [a.copy() for a in (out, *cache)]
+        grads = mlp_backward(model, cache, dout)
+        assert_arrays_equal([out, *cache], kept)
+        assert_arrays_equal(grads, reference_backward(model, kept[1:], dout))
 
     def test_rejects_more_rows_or_another_model(self):
         rng = rng_for(34)

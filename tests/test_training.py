@@ -109,15 +109,17 @@ class TestPinnedResults:
 
 
 class TestAllocations:
-    def test_steps_after_the_first_allocate_no_activation_sized_array(self, monkeypatch):
-        # Every step after the first reuses the workspace built by train(),
-        # so the traced peak above the memory held after step 1 stays below
-        # one (m x width) float32 array; numpy reports its buffers to
-        # tracemalloc.
-        m, width = 2000, 64
+    M, WIDTH, BATCH = 2000, 64, 64
+
+    def traced_steps(self, monkeypatch):
+        """Memory held after step 1, then each later step's peak above it.
+
+        numpy reports its buffers to tracemalloc.
+        """
         h = sample_harmonic(1, 2, rng_for(50))
-        reg = small_regularizer(1, m, 51)
-        cfg = tiny_config(width=width, max_steps=6, eval_every=2, reg_points=m)
+        reg = small_regularizer(1, self.M, 51)
+        cfg = tiny_config(width=self.WIDTH, batch_size=self.BATCH, max_steps=6, eval_every=2,
+                          reg_points=self.M)
         growth = []
 
         def measured_adam_step(state, params, grads):
@@ -137,7 +139,22 @@ class TestAllocations:
         finally:
             tracemalloc.stop()
         assert len(growth) == 6
-        assert max(growth[1:]) < m * width * np.dtype(np.float32).itemsize
+        return growth
+
+    def test_steps_after_the_first_allocate_no_activation_sized_array(self, monkeypatch):
+        # Every step after the first reuses the workspace built by train(),
+        # so the traced peak above the memory held after step 1 stays below
+        # one (m x width) float32 array.
+        growth = self.traced_steps(monkeypatch)
+        assert max(growth[1:]) < self.M * self.WIDTH * np.dtype(np.float32).itemsize
+
+    def test_a_regularized_step_holds_one_buffer_per_hidden_layer(self, monkeypatch):
+        # Three hidden layers, each delta kept in its activation buffer,
+        # plus a bool mask, the k = 1 output and train()'s own inputs: about
+        # 3.9 activation-sized arrays. Two separate delta buffers would add 2.
+        held = self.traced_steps(monkeypatch)[0]
+        activation = (self.BATCH + self.M) * self.WIDTH * np.dtype(np.float32).itemsize
+        assert held < 4.5 * activation
 
 
 class TestRunHarmonicScaling:
