@@ -433,6 +433,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # The configuration asks for an array larger than memory.
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (FitError, DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -16,11 +16,9 @@ from .network import (
     MlpModel,
     adam_step,
     init_mlp,
-    load_model,
     mlp_backward,
     mlp_forward,
     mlp_forward_batch,
-    save_model,
 )
 from .training import (
     DivergenceError,
@@ -43,7 +41,6 @@ __all__ = [
     "eval_harmonic",
     "frequency_lattice",
     "init_mlp",
-    "load_model",
     "mlp_backward",
     "mlp_forward",
     "mlp_forward_batch",
@@ -52,6 +49,5 @@ __all__ = [
     "regularizer_value",
     "run_harmonic_scaling",
     "sample_harmonic",
-    "save_model",
     "train",
 ]

@@ -10,11 +10,20 @@ its next use; without one, each call builds its own, so the results are
 fresh arrays. A backward pass writes each delta over its layer's
 activation, spending a cache from its workspace but not ``out``. A
 training loop reuses one workspace, so no step allocates an (m x width) array.
+
+Where a regularized step's memory goes: one (rows x width) buffer per
+hidden layer, holding its activation and then its backward delta; the
+(rows x 1) output; a boolean ReLU mask of one row block; and the packed
+copy of an operand that the BLAS makes inside a matrix product and keeps
+for the life of the process. Hidden-layer products run in blocks of at
+most ``ROW_BLOCK`` rows, so that copy, like the mask, is bounded by one
+block rather than by the batch. The output layer's width -> 1 product,
+the bias-gradient sums and the weight-gradient products run on the whole
+batch.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,9 +37,23 @@ __all__ = [
     "Workspace",
     "AdamState",
     "adam_step",
-    "save_model",
-    "load_model",
 ]
+
+# Most rows one hidden-layer product, bias add, ReLU or mask handles at once.
+ROW_BLOCK = 4096
+
+
+def _row_blocks(rows: int) -> list[slice]:
+    """Row slices of near-equal blocks, none longer than ROW_BLOCK.
+
+    k = ceil(rows / ROW_BLOCK) blocks with boundaries at rows * j // k.
+    When the rows are split, every block has at least ROW_BLOCK / 2 of
+    them, and the BLAS rounds its products as it rounds the unblocked
+    one; a fixed stride can leave a tail of a few rows, which it rounds
+    differently.
+    """
+    k = max(1, -(-rows // ROW_BLOCK))
+    return [slice(rows * j // k, rows * (j + 1) // k) for j in range(k)]
 
 
 @dataclass
@@ -79,8 +102,10 @@ class Workspace:
 
     Holds, for up to ``rows`` inputs, one activation buffer per layer
     (each hidden one also takes that layer's backward delta), a ReLU mask
-    as wide as the widest hidden layer, and gradient arrays shaped like
+    for one row block (``min(rows, ROW_BLOCK)`` rows, as wide as the
+    widest hidden layer), and gradient arrays shaped like
     ``model.parameters()``. A pass on fewer rows uses leading-row views.
+    The BLAS's packed operand copy, outside numpy, is bounded by one block.
     """
 
     def __init__(self, model: MlpModel, rows: int):
@@ -90,7 +115,7 @@ class Workspace:
         self.dtype = dtype
         self.activations = [np.empty((self.rows, w.shape[1]), dtype=dtype) for w in model.weights]
         hidden = max((w.shape[0] for w in model.weights[1:]), default=0)
-        self._mask = np.empty(self.rows * hidden, dtype=bool)
+        self._mask = np.empty(min(self.rows, ROW_BLOCK) * hidden, dtype=bool)
         self.grads = [np.empty_like(p) for p in model.parameters()]
 
     def _check(self, model: MlpModel, rows: int) -> None:
@@ -120,11 +145,17 @@ def mlp_forward_batch(model: MlpModel, xs: np.ndarray, work: Workspace | None = 
     work._check(model, rows)
     cache = [a]
     last = len(model.weights) - 1
+    blocks = _row_blocks(rows)
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.matmul(a, w, out=work.activations[i][:rows])
-        z += b
-        if i != last:
-            np.maximum(z, 0.0, out=z)
+        z = work.activations[i][:rows]
+        if i == last:
+            np.matmul(a, w, out=z)
+            z += b
+        else:
+            for blk in blocks:
+                zb = np.matmul(a[blk], w, out=z[blk])
+                zb += b
+                np.maximum(zb, 0.0, out=zb)
         cache.append(z)
         a = z
     out = cache.pop()[:, 0]
@@ -158,6 +189,7 @@ def mlp_backward(
         work = Workspace(model, rows)
     work._check(model, rows)
     grads = work.grads
+    blocks = _row_blocks(rows)
     delta = dout[:, None]
     for i in range(len(model.weights) - 1, -1, -1):
         w = model.weights[i]
@@ -165,15 +197,18 @@ def mlp_backward(
         np.matmul(cache[i].T, delta, out=grads[2 * i])
         if i > 0:
             nxt = work.activations[i - 1][:rows]
-            # The mask is taken before nxt, which may be cache[i], is overwritten.
-            mask = np.greater(cache[i], 0, out=work._mask[: nxt.size].reshape(nxt.shape))
-            if w.shape[1] == 1:
-                # A product over one column is one rounding per element,
-                # as in the matrix product, without the BLAS call.
-                np.multiply(delta, w.T, out=nxt)
-            else:
-                np.matmul(delta, w.T, out=nxt)
-            nxt *= mask
+            for blk in blocks:
+                # A block's mask is taken before its rows of nxt, which may
+                # be cache[i], are overwritten.
+                src, dst = cache[i][blk], nxt[blk]
+                mask = np.greater(src, 0, out=work._mask[: src.size].reshape(src.shape))
+                if w.shape[1] == 1:
+                    # A product over one column is one rounding per element,
+                    # as in the matrix product, without the BLAS call.
+                    np.multiply(delta[blk], w.T, out=dst)
+                else:
+                    np.matmul(delta[blk], w.T, out=dst)
+                dst *= mask
             delta = nxt
     return list(grads)
 
@@ -236,35 +271,3 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
         np.sqrt(np.divide(v, correct2, out=den), out=den)
         den += state.eps
         p -= np.divide(num, den, out=num)
-
-
-def save_model(model: MlpModel, path) -> None:
-    """Write a checkpoint: layer sizes, dtype and row-major parameter arrays.
-
-    Values are written as float64, which holds every float32 exactly, so
-    a checkpoint reloads bit for bit in its recorded dtype.
-    """
-    payload = {
-        "layer_sizes": model.layer_sizes,
-        "dtype": model.weights[0].dtype.name,
-        "weights": [w.astype(float).ravel(order="C").tolist() for w in model.weights],
-        "biases": [b.astype(float).tolist() for b in model.biases],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_model(path) -> MlpModel:
-    """Read a save_model checkpoint; one without a dtype loads as float64."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    dtype = np.dtype(payload.get("dtype", "float64"))
-    if dtype.kind != "f":
-        raise ValueError(f"checkpoint dtype must be a float type, got {dtype}")
-    sizes = payload["layer_sizes"]
-    weights = [
-        np.asarray(flat, dtype=dtype).reshape(fan_in, fan_out)
-        for flat, fan_in, fan_out in zip(payload["weights"], sizes[:-1], sizes[1:])
-    ]
-    biases = [np.asarray(b, dtype=dtype) for b in payload["biases"]]
-    return MlpModel(weights=weights, biases=biases)

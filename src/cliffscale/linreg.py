@@ -214,16 +214,6 @@ def nn_test_mse(
     return float(np.mean(resid * resid))
 
 
-def _trial_error(task, data, estimator, lam, n_test, rng_test) -> float:
-    if estimator == "lstsq":
-        return linear_test_mse(task, fit_least_squares(data))
-    if estimator == "ridge":
-        return linear_test_mse(task, fit_ridge(data, lam))
-    if len(data) == 0:
-        raise ValueError("nearest-neighbor estimator needs n >= 1")
-    return nn_test_mse(task, data, n_test, rng_test)
-
-
 def run_linreg_scaling(
     d: int,
     sigma: float,
@@ -250,8 +240,14 @@ def run_linreg_scaling(
         task_key = (streams.TASK, 0) if fix_task else (streams.TASK, trial)
         task = sample_task(d, sigma, streams.stream(seed, *task_key))
         data = sample_dataset(task, n, streams.stream(seed, streams.DATA, trial, n_idx))
-        rng_test = streams.stream(seed, streams.TEST, trial, n_idx)
-        return _trial_error(task, data, estimator, lam, n_test, rng_test)
+        if estimator == "lstsq":
+            return linear_test_mse(task, fit_least_squares(data))
+        if estimator == "ridge":
+            return linear_test_mse(task, fit_ridge(data, lam))
+        if len(data) == 0:
+            raise ValueError("nearest-neighbor estimator needs n >= 1")
+        # Only the NN error is sampled, so only it derives a test stream.
+        return nn_test_mse(task, data, n_test, streams.stream(seed, streams.TEST, trial, n_idx))
 
     meta = {"task": "linreg", "estimator": estimator, "d": d, "sigma": float(sigma), "seed": seed}
     if estimator == "ridge":

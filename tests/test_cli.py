@@ -99,6 +99,16 @@ class TestRun:
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert "zeal" in capsys.readouterr().err
 
+    def test_allocation_larger_than_memory_exits_2(self, tmp_path, capsys):
+        # 10^14 regularizer points are 1.4 PiB of float64, past any address
+        # space, so the allocation is refused at once and touches no memory.
+        assert run_cli(
+            "run", "--kind", "harmonic", "--reg-points", 10**14, "--n-grid", "10,20",
+            "--trials", 1, "--max-steps", 1, "--out", tmp_path / "o",
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: ") and err.count("\n") == 1
+
     def test_import_kind_round_trips(self, tmp_path):
         src = tmp_path / "raw.csv"
         src.write_text("n,trial,error\n10,0,0.5\n10,1,0.3\n100,0,0.1\n")

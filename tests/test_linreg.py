@@ -329,6 +329,21 @@ class TestRunScaling:
         for n, errs in small.points:
             assert big.trial_errors(n)[: len(errs)] == errs
 
+    @pytest.mark.parametrize("estimator", ["lstsq", "ridge", "nn"])
+    def test_only_nn_derives_test_streams(self, monkeypatch, estimator):
+        purposes = []
+        real_stream = streams.stream
+
+        def recording_stream(seed, purpose, *key, **kwargs):
+            purposes.append(purpose)
+            return real_stream(seed, purpose, *key, **kwargs)
+
+        monkeypatch.setattr(streams, "stream", recording_stream)
+        run_linreg_scaling(d=3, sigma=0.1, estimator=estimator, n_grid=[2, 4], trials=3, seed=7,
+                           lam=0.5, n_test=16)
+        assert purposes.count(streams.TEST) == (6 if estimator == "nn" else 0)
+        assert purposes.count(streams.DATA) == 6
+
     def test_ridge_needs_lambda(self):
         with pytest.raises(ValueError):
             run_linreg_scaling(d=3, sigma=0.1, estimator="ridge", n_grid=[2, 4], trials=2, seed=5)

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from cliffscale import streams
+from cliffscale.harmonic import network
 from cliffscale.harmonic.network import (
+    ROW_BLOCK,
     AdamState,
     MlpModel,
     Workspace,
     adam_step,
     init_mlp,
-    load_model,
     mlp_backward,
     mlp_forward,
     mlp_forward_batch,
-    save_model,
 )
 
 
@@ -231,6 +231,38 @@ class TestWorkspace:
             mlp_forward_batch(init_mlp([2, 4, 1], rng), np.zeros((3, 2)), work)
 
 
+class TestRowBlocks:
+    # Totals just past one and two blocks: a fixed ROW_BLOCK stride would
+    # leave 1- to 4-row tails here, which the BLAS rounds differently.
+    BLOCKED_ROWS = [ROW_BLOCK + 1, ROW_BLOCK + 2, ROW_BLOCK + 4, 2 * ROW_BLOCK + 1, 20_060]
+
+    @pytest.mark.parametrize("rows", [0, 1, ROW_BLOCK, *BLOCKED_ROWS])
+    def test_blocks_are_near_equal_and_cover_the_rows(self, rows):
+        blocks = network._row_blocks(rows)
+        sizes = [blk.stop - blk.start for blk in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == rows
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks) == max(1, -(-rows // ROW_BLOCK))
+        assert max(sizes) <= ROW_BLOCK and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", BLOCKED_ROWS)
+    def test_blocked_passes_match_reference(self, rows, dtype):
+        # Inner dimensions 2, 64 and 256 forward, 64 and 256 backward.
+        rng = rng_for(36)
+        model = init_mlp([2, 64, 256, 64, 1], rng, dtype=dtype)
+        xs = rng.uniform(size=(rows, 2))
+        dout = rng.standard_normal(rows)
+        want_out, want_cache = reference_forward(model, xs)
+        want_grads = reference_backward(model, want_cache, dout)
+        work = Workspace(model, rows)
+        assert work._mask.size == ROW_BLOCK * 256
+        for w in (work, None):
+            out, cache = mlp_forward_batch(model, xs, w)
+            assert_arrays_equal([out, *cache], [want_out, *want_cache])
+            assert_arrays_equal(mlp_backward(model, cache, dout, w), want_grads)
+
+
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         model = init_mlp([2, 4, 1], rng_for(10))
@@ -301,33 +333,3 @@ class TestAdam:
             reference_adam(ref, twin.parameters(), grads)
         assert_arrays_equal(model.parameters(), twin.parameters())
         assert_arrays_equal(state.first + state.second, ref.first + ref.second)
-
-
-class TestCheckpointRoundTrip:
-    def test_save_load(self, tmp_path):
-        model = init_mlp([2, 8, 8, 1], rng_for(16))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.layer_sizes == model.layer_sizes
-        xs = rng_for(17).uniform(size=(5, 2))
-        a, _ = mlp_forward_batch(model, xs)
-        b, _ = mlp_forward_batch(loaded, xs)
-        assert np.allclose(a, b)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_round_trip_keeps_dtype_bit_for_bit(self, tmp_path, dtype):
-        model = init_mlp([2, 8, 8, 1], rng_for(21), dtype=dtype)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert_arrays_equal(loaded.parameters(), model.parameters())
-        xs = rng_for(22).uniform(size=(9, 2))
-        assert np.array_equal(mlp_forward_batch(loaded, xs)[0], mlp_forward_batch(model, xs)[0])
-
-    def test_checkpoint_without_dtype_loads_as_float64(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"layer_sizes": [1, 1], "weights": [[0.5]], "biases": [[0.25]]}')
-        loaded = load_model(path)
-        assert [p.dtype for p in loaded.parameters()] == [np.float64, np.float64]
-        assert mlp_forward(loaded, np.array([2.0])) == 1.25

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cliffscale import streams
-from cliffscale.harmonic import training
+from cliffscale.harmonic import network, training
 from cliffscale.harmonic.basis import BandwidthRegularizer, sample_harmonic
 from cliffscale.harmonic.training import DivergenceError, TrainConfig, train, run_harmonic_scaling
 
@@ -155,6 +155,24 @@ class TestAllocations:
         held = self.traced_steps(monkeypatch)[0]
         activation = (self.BATCH + self.M) * self.WIDTH * np.dtype(np.float32).itemsize
         assert held < 4.5 * activation
+
+
+class TestRowBlocks:
+    def test_blocked_training_matches_unblocked(self, monkeypatch):
+        # batch + m = 64 + 2 ROW_BLOCK rows run in three blocks; raising
+        # ROW_BLOCK above that runs every product whole.
+        m = 2 * network.ROW_BLOCK
+        h = sample_harmonic(1, 2, rng_for(60))
+        cfg = tiny_config(width=32, max_steps=8, eval_every=4, reg_points=m)
+
+        def run():
+            reg = small_regularizer(1, m, 61)
+            res = train(h, 100, config=cfg, regularizer=reg, rng=rng_for(62))
+            return res.test_mse.hex(), res.val_mse.hex(), res.reg_value.hex(), res.steps
+
+        blocked = run()
+        monkeypatch.setattr(network, "ROW_BLOCK", cfg.batch_size + m + 1)
+        assert run() == blocked
 
 
 class TestRunHarmonicScaling:
