@@ -34,7 +34,6 @@ from .linreg import (
     fit_least_squares,
     fit_ridge,
     linear_test_mse,
-    nn_predict,
     nn_test_mse,
     run_linreg_scaling,
     sample_dataset,
@@ -62,7 +61,6 @@ __all__ = [
     "linear_test_mse",
     "log_spaced_ns",
     "loglog_second_differences",
-    "nn_predict",
     "nn_test_mse",
     "powerlaw_loglog_convexity",
     "run_gaussian_scaling",

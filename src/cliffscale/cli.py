@@ -45,8 +45,8 @@ from .curve_io import (
     read_curve_csv,
     write_curve_csv,
 )
-from .gaussian import SAMPLERS, GaussianTask, approx_error, run_gaussian_scaling
-from .harmonic.training import ARMS, DivergenceError, TrainConfig, run_harmonic_scaling
+from .gaussian import GaussianTask, approx_error, run_gaussian_scaling
+from .harmonic.training import ARMS, INPUT_DIM, DivergenceError, TrainConfig, run_harmonic_scaling
 from .linreg import ESTIMATORS, run_linreg_scaling
 from .svgplot import Overlay, PlotError, render_svg
 
@@ -61,7 +61,6 @@ EXIT_NUMERIC = 4
 CHOICES = {
     "kind": ("linreg", "gaussian", "harmonic", "import"),
     "estimator": ESTIMATORS,
-    "sampler": SAMPLERS,
     "arm": ARMS,
 }
 
@@ -77,7 +76,6 @@ class ExperimentConfig:
     sigma: float = 0.0
     lam: float = 1.0
     s: float = 1.0
-    sampler: str = "sufficient"
     bandlimit: int = 2
     arm: str = "reg"
     width: int = 256
@@ -89,7 +87,6 @@ class ExperimentConfig:
     trials: int = 50
     seed: int = 0
     workers: int = 1
-    fix_task: bool = False
     max_steps: int = 20_000
     reg_points: int = 20_000
     input: str | None = None
@@ -125,11 +122,11 @@ class ExperimentConfig:
         if self.reg_points < 1:
             raise ConfigError(f"reg_points: must be >= 1, got {self.reg_points}")
         if self.kind == "harmonic" and self.arm == "reg":
-            # Harmonic runs are 2-D: the regularizer projects onto (2B+1)^2
-            # basis columns, and fewer points than that leave no residual.
-            n_basis = (2 * self.bandlimit + 1) ** 2
+            # The regularizer projects onto (2B+1)^INPUT_DIM basis columns,
+            # and fewer points than that leave no residual.
+            n_basis = (2 * self.bandlimit + 1) ** INPUT_DIM
             if self.reg_points < n_basis:
-                raise ConfigError(f"reg_points: the reg arm needs >= (2B+1)^2 = {n_basis}, got {self.reg_points}")
+                raise ConfigError(f"reg_points: the reg arm needs >= (2B+1)^{INPUT_DIM} = {n_basis}, got {self.reg_points}")
         if not 1 <= self.trials <= 2**32:
             # Each trial index is one 32-bit word of its stream key.
             raise ConfigError(f"trials: must be in [1, 2**32], got {self.trials}")
@@ -198,9 +195,12 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _parse_n_grid(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        grid = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ConfigError(f"n_grid: expected comma-separated integers, got {text!r}") from None
+        grid = []
+    if not grid:
+        raise ConfigError(f"n_grid: expected comma-separated integers, got {text!r}")
+    return grid
 
 
 def _dispatch_run(cfg: ExperimentConfig) -> ScalingCurve:
@@ -216,7 +216,6 @@ def _dispatch_run(cfg: ExperimentConfig) -> ScalingCurve:
             trials=cfg.trials,
             seed=cfg.seed,
             lam=cfg.lam if cfg.estimator == "ridge" else None,
-            fix_task=cfg.fix_task,
         )
     if cfg.kind == "gaussian":
         return run_gaussian_scaling(
@@ -225,7 +224,6 @@ def _dispatch_run(cfg: ExperimentConfig) -> ScalingCurve:
             n_grid=grid,
             trials=cfg.trials,
             seed=cfg.seed,
-            sampler=cfg.sampler,
         )
     train_cfg = TrainConfig(width=cfg.width, max_steps=cfg.max_steps, reg_points=cfg.reg_points)
     return run_harmonic_scaling(
@@ -244,11 +242,12 @@ def _sha256(path: Path) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     curve = _dispatch_run(cfg)
     duration = time.time() - started
+    # Made only now, so that a run that fails leaves no empty directory behind.
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     csv_path = out_dir / "curve.csv"
     json_path = out_dir / "curve.json"
@@ -288,7 +287,17 @@ def _analysis_table(curve: ScalingCurve) -> str:
     return "\n".join(lines)
 
 
+def _check_floor(floor: float | None) -> None:
+    if floor is not None and not (math.isfinite(floor) and floor > 0):
+        raise ConfigError(f"floor: must be finite and > 0, got {floor}")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _check_floor(args.floor)
+    if not (math.isfinite(args.threshold) and args.threshold <= 0):
+        raise ConfigError(f"threshold: must be finite and <= 0, got {args.threshold}")
+    if args.min_run < 1:
+        raise ConfigError(f"min-run: must be >= 1, got {args.min_run}")
     curve = read_curve_csv(args.curve)
     print(_analysis_table(curve))
     report: dict = {}
@@ -334,6 +343,8 @@ def _parse_overlays(args, n_lo: int, n_hi: int) -> list[Overlay]:
             raise ConfigError(
                 f"overlay-powerlaw: expected A,alpha,E, got {args.overlay_powerlaw!r}"
             ) from None
+        if not all(map(math.isfinite, (a_, alpha_, e_))):
+            raise ConfigError(f"overlay-powerlaw: A, alpha and E must be finite, got {args.overlay_powerlaw!r}")
         overlays.append(
             Overlay(label=f"A n^-a + E ({a_:g},{alpha_:g},{e_:g})", ns=ns, values=a_ * ns**-alpha_ + e_)
         )
@@ -345,12 +356,15 @@ def _parse_overlays(args, n_lo: int, n_hi: int) -> list[Overlay]:
             raise ConfigError(
                 f"overlay-gaussian: expected d,s, got {args.overlay_gaussian!r}"
             ) from None
+        if not math.isfinite(task.s):
+            raise ConfigError(f"overlay-gaussian: s must be finite, got {args.overlay_gaussian!r}")
         values = np.array([approx_error(task, int(n)) for n in ns])
         overlays.append(Overlay(label=f"closed form (d={task.d}, s={task.s:g})", ns=ns, values=values))
     return overlays
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    _check_floor(args.floor)
     curves = [read_curve_csv(path) for path in args.curves]
     n_lo = min(int(c.ns[0]) for c in curves)
     n_hi = max(int(c.ns[-1]) for c in curves)
@@ -383,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lambda", dest="lam", type=float, help="ridge penalty (linreg)")
     run.add_argument("--estimator", choices=CHOICES["estimator"])
     run.add_argument("--s", type=float, help="signal-to-noise ratio (gaussian)")
-    run.add_argument("--sampler", choices=CHOICES["sampler"], help="gaussian sampler")
     run.add_argument("--bandlimit", type=int, help="harmonic bandlimit B")
     run.add_argument("--arm", choices=CHOICES["arm"], help="harmonic arm")
     run.add_argument("--width", type=int, help="harmonic network width")
@@ -396,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--workers", type=int, help="validated for compatibility; cells always run serially")
-    run.add_argument("--fix-task", action="store_true", default=None)
     run.add_argument("--input", help="CSV to ingest (kind=import)")
     run.add_argument("--out", help="output directory")
     run.set_defaults(func=cmd_run)

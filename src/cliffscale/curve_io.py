@@ -17,7 +17,6 @@ import numpy as np
 from .curves import CliffRegion, CurveError, PowerLawFit, ScalingCurve, aggregate_trials
 
 __all__ = [
-    "curve_records",
     "write_curve_csv",
     "read_curve_csv",
     "curve_to_json",
@@ -34,15 +33,6 @@ MAX_N = 2**63 - 1
 # reprs.
 _CANONICAL_BYTES = b"0123456789,.e+-\n"
 _CANONICAL_COLUMNS = np.dtype([("n", np.int64), ("trial", np.int64), ("error", np.float64)])
-
-
-def curve_records(curve: ScalingCurve) -> list[tuple[int, int, float]]:
-    """Flatten a curve back into (n, trial, error) records."""
-    return [
-        (n, trial, err)
-        for n, errs in curve.points
-        for trial, err in enumerate(errs)
-    ]
 
 
 def write_curve_csv(curve: ScalingCurve, path) -> None:

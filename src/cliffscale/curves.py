@@ -111,12 +111,6 @@ class ScalingCurve:
             raise ValueError(f"unknown statistic {which!r}")
         return np.array([fns[which](errs) for _, errs in self.points], dtype=float)
 
-    def percentile(self, p: float) -> np.ndarray:
-        return np.array([np.percentile(errs, p) for _, errs in self.points], dtype=float)
-
-    def with_metadata(self, **tags) -> "ScalingCurve":
-        return ScalingCurve(points=self.points, metadata={**self.metadata, **tags})
-
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -159,9 +153,6 @@ class CliffRegion:
 
     def contains(self, n: int) -> bool:
         return self.n_start <= n <= self.n_end
-
-    def intersects(self, n_lo: int, n_hi: int) -> bool:
-        return self.n_start <= n_hi and n_lo <= self.n_end
 
 
 def aggregate_trials(raw, metadata: dict | None = None) -> ScalingCurve:

@@ -17,7 +17,6 @@ from .network import (
     adam_step,
     init_mlp,
     mlp_backward,
-    mlp_forward,
     mlp_forward_batch,
 )
 from .training import (
@@ -42,7 +41,6 @@ __all__ = [
     "frequency_lattice",
     "init_mlp",
     "mlp_backward",
-    "mlp_forward",
     "mlp_forward_batch",
     "nneg",
     "regularizer_gradient",

@@ -89,10 +89,6 @@ class HarmonicFunction:
         self._cos_amps = np.array([self.cos_coeffs[v] for v in canon])
         self._sin_amps = np.array([self.sin_coeffs[v] for v in sin_keys])
 
-    @property
-    def coefficient_count(self) -> int:
-        return len(self.cos_coeffs) + len(self.sin_coeffs)
-
     def norm_squared(self) -> float:
         """Exact squared L2 norm over [0,1]^d.
 
@@ -124,31 +120,24 @@ def eval_harmonic(h: HarmonicFunction, x) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def sample_harmonic(
-    B: int,
-    d: int,
-    rng: np.random.Generator,
-    normalize: bool = True,
-) -> HarmonicFunction:
-    """Random target with i.i.d. standard normal coefficients.
+def sample_harmonic(B: int, d: int, rng: np.random.Generator) -> HarmonicFunction:
+    """Random unit-norm target: i.i.d. standard normal coefficients, rescaled.
 
-    With ``normalize`` the coefficients are rescaled so the exact
-    function norm is 1, making errors comparable across draws.
+    The rescaling makes the exact function norm 1, so errors are
+    comparable across draws.
     """
     canon = _canonical_frequencies(B, d)
     zero = (0,) * d
     cos_coeffs = {v: float(rng.standard_normal()) for v in canon}
     sin_coeffs = {v: float(rng.standard_normal()) for v in canon if v != zero}
-    h = HarmonicFunction(B=B, d=d, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs)
-    if normalize:
-        scale = 1.0 / math.sqrt(h.norm_squared())
-        h = HarmonicFunction(
-            B=B,
-            d=d,
-            cos_coeffs={v: a * scale for v, a in cos_coeffs.items()},
-            sin_coeffs={v: b * scale for v, b in sin_coeffs.items()},
-        )
-    return h
+    raw = HarmonicFunction(B=B, d=d, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs)
+    scale = 1.0 / math.sqrt(raw.norm_squared())
+    return HarmonicFunction(
+        B=B,
+        d=d,
+        cos_coeffs={v: a * scale for v, a in cos_coeffs.items()},
+        sin_coeffs={v: b * scale for v, b in sin_coeffs.items()},
+    )
 
 
 def build_basis_matrix(B: int, d: int, points: np.ndarray) -> np.ndarray:
@@ -205,11 +194,6 @@ class BandwidthRegularizer:
     @property
     def m(self) -> int:
         return len(self.points)
-
-    @property
-    def bandlimited_rank(self) -> int:
-        """Rank of the projector onto the sampled basis span."""
-        return self.span.shape[1]
 
     def residual(self, y: np.ndarray) -> np.ndarray:
         """P y, computed through the low-rank complement in O(m k)."""

@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "MlpModel",
     "init_mlp",
-    "mlp_forward",
     "mlp_forward_batch",
     "mlp_backward",
     "Workspace",
@@ -162,12 +161,6 @@ def mlp_forward_batch(model: MlpModel, xs: np.ndarray, work: Workspace | None = 
     if not np.isfinite(out).all():
         raise FloatingPointError("non-finite activations: training diverged")
     return out, cache
-
-
-def mlp_forward(model: MlpModel, x: np.ndarray) -> float:
-    """Scalar prediction at a single input point."""
-    out, _ = mlp_forward_batch(model, np.asarray(x, dtype=float)[None, :])
-    return float(out[0])
 
 
 def mlp_backward(

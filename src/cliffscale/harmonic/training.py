@@ -26,10 +26,21 @@ from .network import (
     mlp_forward_batch,
 )
 
-__all__ = ["TrainConfig", "TrainResult", "DivergenceError", "train", "run_harmonic_scaling", "ARMS"]
+__all__ = [
+    "TrainConfig",
+    "TrainResult",
+    "DivergenceError",
+    "train",
+    "run_harmonic_scaling",
+    "ARMS",
+    "INPUT_DIM",
+]
 
 # The names of run_harmonic_scaling's arms.
 ARMS = ("reg", "noreg")
+
+# The input dimension d of every harmonic run: targets and points lie in [0,1]^2.
+INPUT_DIM = 2
 
 
 class DivergenceError(FloatingPointError):
@@ -199,7 +210,6 @@ def run_harmonic_scaling(
     trials: int,
     seed: int,
     config: TrainConfig = TrainConfig(),
-    d: int = 2,
 ) -> ScalingCurve:
     """Scaling curve for the harmonic task, regularized or not.
 
@@ -212,13 +222,13 @@ def run_harmonic_scaling(
         raise ValueError(f"unknown arm {arm!r} (expected one of {ARMS})")
 
     def cell(n_idx: int, n: int, trial: int) -> float:
-        target = sample_harmonic(B, d, streams.stream(seed, streams.TARGET, trial))
+        target = sample_harmonic(B, INPUT_DIM, streams.stream(seed, streams.TARGET, trial))
         regularizer = None
         if arm == "reg":
             pts = streams.stream(seed, streams.REG_POINTS, trial, n_idx).uniform(
-                size=(config.reg_points, d)
+                size=(config.reg_points, INPUT_DIM)
             )
-            regularizer = BandwidthRegularizer(B=B, d=d, points=pts, lam=config.reg_lambda)
+            regularizer = BandwidthRegularizer(B=B, d=INPUT_DIM, points=pts, lam=config.reg_lambda)
         result = train(
             target,
             n,
@@ -228,5 +238,5 @@ def run_harmonic_scaling(
         )
         return result.test_mse
 
-    meta = {"task": "harmonic", "arm": arm, "B": B, "d": d, "width": config.width, "seed": seed}
+    meta = {"task": "harmonic", "arm": arm, "B": B, "d": INPUT_DIM, "width": config.width, "seed": seed}
     return run_cells(cell, n_grid, trials, meta)

@@ -19,13 +19,11 @@ from .curves import ScalingCurve, aggregate_trials, run_cells
 __all__ = [
     "LinearTask",
     "RegressionDataset",
-    "LinearEstimate",
     "sample_task",
     "sample_dataset",
     "fit_least_squares",
     "fit_ridge",
     "linear_test_mse",
-    "nn_predict",
     "nn_test_mse",
     "run_linreg_scaling",
     "ESTIMATORS",
@@ -82,11 +80,6 @@ class RegressionDataset:
         return len(self.ys)
 
 
-@dataclass(frozen=True)
-class LinearEstimate:
-    v_hat: np.ndarray
-
-
 def sample_task(d: int, sigma: float, rng: np.random.Generator) -> LinearTask:
     """Draw v uniformly on the unit sphere in d dimensions."""
     if d < 1:
@@ -108,37 +101,37 @@ def sample_dataset(task: LinearTask, n: int, rng: np.random.Generator) -> Regres
     return RegressionDataset(xs=xs, ys=ys)
 
 
-def fit_least_squares(data: RegressionDataset) -> LinearEstimate:
-    """Minimum-norm least-squares solution (pseudoinverse).
+def fit_least_squares(data: RegressionDataset) -> np.ndarray:
+    """Minimum-norm least-squares weight vector v_hat (pseudoinverse).
 
     With fewer samples than dimensions the residual-zero solution of
     smallest norm is returned; an empty dataset yields the zero vector.
     """
     if len(data) == 0:
-        return LinearEstimate(v_hat=np.zeros(data.xs.shape[1]))
+        return np.zeros(data.xs.shape[1])
     v_hat, *_ = np.linalg.lstsq(data.xs, data.ys, rcond=None)
-    return LinearEstimate(v_hat=v_hat)
+    return v_hat
 
 
-def fit_ridge(data: RegressionDataset, lam: float) -> LinearEstimate:
-    """Ridge solution (X'X + lam I)^-1 X'y; unique for lam > 0."""
+def fit_ridge(data: RegressionDataset, lam: float) -> np.ndarray:
+    """Ridge weight vector v_hat = (X'X + lam I)^-1 X'y; unique for lam > 0."""
     if lam <= 0:
         raise ValueError(f"ridge penalty must be positive, got {lam}")
     d = data.xs.shape[1]
     gram = data.xs.T @ data.xs + lam * np.eye(d)
     rhs = data.xs.T @ data.ys
-    return LinearEstimate(v_hat=np.linalg.solve(gram, rhs))
+    return np.linalg.solve(gram, rhs)
 
 
-def linear_test_mse(task: LinearTask, est: LinearEstimate) -> float:
-    """Exact test MSE of a linear estimate under x ~ N(0, I_d).
+def linear_test_mse(task: LinearTask, v_hat: np.ndarray) -> float:
+    """Exact test MSE of a linear estimate v_hat under x ~ N(0, I_d).
 
     E[((v_hat - v).x)^2] collapses to |v_hat - v|^2, so linear
     estimators get a zero-variance error measurement.
     """
-    if est.v_hat.shape != task.v.shape:
-        raise ValueError(f"estimate shape {est.v_hat.shape} != task shape {task.v.shape}")
-    diff = est.v_hat - task.v
+    if v_hat.shape != task.v.shape:
+        raise ValueError(f"estimate shape {v_hat.shape} != task shape {task.v.shape}")
+    diff = v_hat - task.v
     return float(diff @ diff)
 
 
@@ -194,11 +187,6 @@ def _nn_predict_batch(data: RegressionDataset, queries: np.ndarray, chunk: int =
     return data.ys[_nn_index_brute(data.xs, queries, chunk)]
 
 
-def nn_predict(data: RegressionDataset, x: np.ndarray) -> float:
-    """Value of the training point nearest to x in Euclidean distance."""
-    return float(_nn_predict_batch(data, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def nn_test_mse(
     task: LinearTask,
     data: RegressionDataset,
@@ -223,13 +211,12 @@ def run_linreg_scaling(
     seed: int,
     lam: float | None = None,
     n_test: int = DEFAULT_NN_TEST_POINTS,
-    fix_task: bool = False,
 ) -> ScalingCurve:
     """Scaling curve of a linear-regression estimator over an n grid.
 
-    Each trial draws a fresh task (unless ``fix_task``) and a fresh
-    dataset per n, all from streams keyed by (seed, trial, n index), so
-    results are independent of trial order.
+    Each trial draws a fresh task and a fresh dataset per n, all from
+    streams keyed by (seed, trial, n index), so results are independent
+    of trial order.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r} (expected one of {ESTIMATORS})")
@@ -237,8 +224,7 @@ def run_linreg_scaling(
         raise ValueError("ridge estimator needs a positive lambda")
 
     def cell(n_idx: int, n: int, trial: int) -> float:
-        task_key = (streams.TASK, 0) if fix_task else (streams.TASK, trial)
-        task = sample_task(d, sigma, streams.stream(seed, *task_key))
+        task = sample_task(d, sigma, streams.stream(seed, streams.TASK, trial))
         data = sample_dataset(task, n, streams.stream(seed, streams.DATA, trial, n_idx))
         if estimator == "lstsq":
             return linear_test_mse(task, fit_least_squares(data))

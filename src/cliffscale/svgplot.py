@@ -85,6 +85,8 @@ def render_svg(
     for ov in overlays:
         ns = np.asarray(ov.ns, dtype=float)
         vals = np.asarray(ov.values, dtype=float)
+        if not (np.isfinite(vals).all() and np.isfinite(ns).all()):
+            raise PlotError(f"overlay {ov.label!r} has non-finite values")
         if np.any(vals <= 0) or np.any(ns <= 0):
             raise PlotError(f"overlay {ov.label!r} has nonpositive values; log axes undefined")
         xs_all.append(ns)

@@ -72,16 +72,16 @@ class TestRun:
             (["--s", "nan"], None, "s"),
             (["--max-steps", -5], None, "max_steps"),
             (["--n-grid", "100,10"], None, "n_grid"),
+            (["--n-grid", ","], None, "n_grid"),
             (["--reg-points", 0], None, "reg_points"),
             (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 3], None, "reg_points"),
             ([], {"estimator": "x"}, "estimator"),
-            ([], {"sampler": "x"}, "sampler"),
             ([], {"arm": "x"}, "arm"),
         ],
         ids=[
             "trials-zero", "trials-above-2**32", "d-string", "trials-bool", "workers-float", "n_grid-float",
             "lambda-nan", "lam-zero-ridge", "s-nan", "max_steps-negative", "n_grid-descending",
-            "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
+            "n_grid-no-integers", "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "arm-unknown",
         ],
     )
     def test_invalid_field_names_offender(self, tmp_path, capsys, argv, config, field):
@@ -94,10 +94,12 @@ class TestRun:
         assert f"config error: {field}:" in capsys.readouterr().err
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
+        # sampler and fix_task were fields once; a config that still sets one is refused.
         cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({"kind": "gaussian", "zeal": 11}))
-        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
-        assert "zeal" in capsys.readouterr().err
+        for key, value in (("zeal", 11), ("sampler", "full"), ("fix_task", True)):
+            cfg.write_text(json.dumps({"kind": "gaussian", key: value}))
+            assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+            assert f"config error: config: unknown field {key!r}" in capsys.readouterr().err
 
     def test_allocation_larger_than_memory_exits_2(self, tmp_path, capsys):
         # 10^14 regularizer points are 1.4 PiB of float64, past any address
@@ -108,6 +110,7 @@ class TestRun:
         ) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: out of memory: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_import_kind_round_trips(self, tmp_path):
         src = tmp_path / "raw.csv"
@@ -200,6 +203,23 @@ class TestAnalyze:
         assert run_cli("analyze", src, "--mode", "fit") == 4
         assert "log" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--threshold", "nan"], "threshold"),
+            (["--threshold", 1], "threshold"),
+            (["--floor", -1], "floor"),
+            (["--min-run", 0], "min-run"),
+        ],
+        ids=["threshold-nan", "threshold-positive", "floor-negative", "min_run-zero"],
+    )
+    def test_bad_numeric_flag_exits_2_naming_it(self, tmp_path, capsys, argv, flag):
+        # NaN found no cliff; the others exited 3 or 4 without naming the flag.
+        src = tmp_path / "pl.csv"
+        src.write_text("n,trial,error\n" + "".join(f"{n},0,{1 / n!r}\n" for n in (1, 2, 4, 8, 16)))
+        assert run_cli("analyze", src, *argv) == 2
+        assert f"config error: {flag}:" in capsys.readouterr().err
+
 
 class TestPlot:
     def test_plot_two_curves_with_overlay(self, tmp_path):
@@ -254,6 +274,24 @@ class TestPlot:
         src = tmp_path / "c.csv"
         src.write_text("n,trial,error\n10,0,0.5\n100,0,0.3\n")
         assert run_cli("plot", src, "--overlay-powerlaw", "nope", "--out", tmp_path / "x.svg") == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--overlay-powerlaw", "1,0.5,inf"], "overlay-powerlaw"),
+            (["--overlay-gaussian", "10,nan"], "overlay-gaussian"),
+            (["--floor", "nan"], "floor"),
+        ],
+        ids=["powerlaw-inf", "gaussian-nan", "floor-nan"],
+    )
+    def test_non_finite_flag_exits_2_naming_it(self, tmp_path, capsys, argv, flag):
+        # Before these were checked: an OverflowError traceback, an SVG with
+        # nan coordinates, and a config error that named no flag.
+        src = tmp_path / "c.csv"
+        src.write_text("n,trial,error\n10,0,0.5\n100,0,0.3\n")
+        assert run_cli("plot", src, *argv, "--out", tmp_path / "x.svg") == 2
+        assert f"config error: {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestBadCurveFiles:

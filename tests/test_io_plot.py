@@ -13,7 +13,6 @@ from cliffscale.curves import CurveError, PowerLawFit, ScalingCurve, aggregate_t
 from cliffscale.curve_io import (
     cliffs_to_json,
     curve_from_json,
-    curve_records,
     curve_to_json,
     fit_to_json,
     read_curve_csv,
@@ -94,10 +93,6 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(CurveError, match="empty"):
             read_curve_csv(path)
-
-    def test_records_flatten_in_trial_order(self):
-        curve = aggregate_trials([(10, 1, 0.2), (10, 0, 0.5)])
-        assert curve_records(curve) == [(10, 0, 0.5), (10, 1, 0.2)]
 
 
 # Replacement bytes for one field of a valid file: raw bytes (invalid
@@ -228,7 +223,7 @@ class TestCsvProperties:
         write_curve_csv(curve, csv_path)
         fast = curve_io._read_canonical(csv_path, {"task": "x"})
         assert fast is not None
-        assert curve_to_json(fast) == curve_to_json(curve.with_metadata(task="x"))
+        assert curve_to_json(fast) == curve_to_json(ScalingCurve(points=curve.points, metadata={"task": "x"}))
 
 
 class TestJson:
@@ -265,7 +260,7 @@ class TestJson:
 def reference_csv(curve) -> bytes:
     """What write_curve_csv writes, as it was first formulated: one f-string per record."""
     lines = [curve_io.CSV_HEADER]
-    lines.extend(f"{n},{t},{repr(e)}" for n, t, e in curve_records(curve))
+    lines.extend(f"{n},{t},{repr(e)}" for n, errs in curve.points for t, e in enumerate(errs))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -347,6 +342,14 @@ class TestRenderSvg:
         assert svg.count("<polyline") == 2
         assert svg.count("<polygon") == 1
         assert "closed form" in svg
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_overlay_rejected(self, bad):
+        # NaN passes a values <= 0 check; inf overflowed the axis ticks.
+        ns = np.array([10.0, 100.0, 1000.0])
+        overlay = Overlay(label="closed form", ns=ns, values=np.array([0.5, bad, 0.1]))
+        with pytest.raises(PlotError, match="non-finite"):
+            render_svg([sample_curve()], overlays=[overlay])
 
     def test_vline_dashed_marker(self):
         svg = render_svg([sample_curve()], vline=100)

@@ -16,7 +16,6 @@ from cliffscale.linreg import (
     fit_least_squares,
     fit_ridge,
     linear_test_mse,
-    nn_predict,
     nn_test_mse,
     run_linreg_scaling,
     sample_dataset,
@@ -74,65 +73,61 @@ class TestSampleDataset:
 class TestLeastSquares:
     def test_minimum_norm_single_point(self):
         data = RegressionDataset(xs=np.array([[1.0, 0.0]]), ys=np.array([3.0]))
-        est = fit_least_squares(data)
-        assert np.allclose(est.v_hat, [3.0, 0.0])
+        assert np.allclose(fit_least_squares(data), [3.0, 0.0])
 
     def test_exact_recovery_at_n_equals_d(self):
         task = sample_task(5, 0.0, rng_for(7))
         data = sample_dataset(task, 5, rng_for(8))
-        est = fit_least_squares(data)
-        assert np.linalg.norm(est.v_hat - task.v) < 1e-8
+        assert np.linalg.norm(fit_least_squares(data) - task.v) < 1e-8
 
     def test_empty_dataset_gives_zero(self):
         data = RegressionDataset(xs=np.zeros((0, 4)), ys=np.zeros(0))
-        assert np.allclose(fit_least_squares(data).v_hat, 0.0)
+        assert np.allclose(fit_least_squares(data), 0.0)
 
     def test_beats_random_perturbations(self):
         rng = rng_for(9)
         task = sample_task(6, 0.3, rng)
         data = sample_dataset(task, 12, rng)
-        est = fit_least_squares(data)
+        v_hat = fit_least_squares(data)
 
         def sq_resid(w):
             r = data.xs @ w - data.ys
             return r @ r
 
-        base = sq_resid(est.v_hat)
+        base = sq_resid(v_hat)
         for _ in range(100):
             delta = 0.1 * rng.standard_normal(6)
-            assert base <= sq_resid(est.v_hat + delta) + 1e-12
+            assert base <= sq_resid(v_hat + delta) + 1e-12
 
     def test_underdetermined_interpolates_in_row_span(self):
         task = sample_task(10, 0.0, rng_for(10))
         data = sample_dataset(task, 4, rng_for(11))
-        est = fit_least_squares(data)
+        v_hat = fit_least_squares(data)
         # zero training residual
-        assert np.allclose(data.xs @ est.v_hat, data.ys, atol=1e-10)
+        assert np.allclose(data.xs @ v_hat, data.ys, atol=1e-10)
         # v_hat lies in the row span of the xs
-        coeffs, *_ = np.linalg.lstsq(data.xs.T, est.v_hat, rcond=None)
-        assert np.linalg.norm(data.xs.T @ coeffs - est.v_hat) < 1e-10
+        coeffs, *_ = np.linalg.lstsq(data.xs.T, v_hat, rcond=None)
+        assert np.linalg.norm(data.xs.T @ coeffs - v_hat) < 1e-10
 
 
 class TestRidge:
     def test_heavy_shrinkage(self):
         task = sample_task(4, 0.0, rng_for(12))
         data = sample_dataset(task, 20, rng_for(13))
-        est = fit_ridge(data, 1e12)
-        assert np.linalg.norm(est.v_hat) < 1e-6
+        assert np.linalg.norm(fit_ridge(data, 1e12)) < 1e-6
 
     def test_small_lambda_matches_lstsq(self):
         task = sample_task(4, 0.0, rng_for(14))
         data = sample_dataset(task, 40, rng_for(15))
         ridge = fit_ridge(data, 1e-10)
         lstsq = fit_least_squares(data)
-        assert np.linalg.norm(ridge.v_hat - lstsq.v_hat) < 1e-6
+        assert np.linalg.norm(ridge - lstsq) < 1e-6
 
     def test_normal_equations_satisfied(self):
         task = sample_task(7, 0.2, rng_for(16))
         data = sample_dataset(task, 30, rng_for(17))
         lam = 2.5
-        est = fit_ridge(data, lam)
-        lhs = (data.xs.T @ data.xs + lam * np.eye(7)) @ est.v_hat
+        lhs = (data.xs.T @ data.xs + lam * np.eye(7)) @ fit_ridge(data, lam)
         rhs = data.xs.T @ data.ys
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(1.0, np.linalg.norm(rhs))
 
@@ -148,45 +143,39 @@ class TestTestMse:
         assert linear_test_mse(task, fit_least_squares(sample_dataset(task, 10, rng_for(19)))) < 1e-16
 
     def test_zero_estimate_gives_one(self):
-        from cliffscale.linreg import LinearEstimate
-
         task = sample_task(6, 0.0, rng_for(20))
-        assert linear_test_mse(task, LinearEstimate(v_hat=np.zeros(6))) == pytest.approx(1.0)
+        assert linear_test_mse(task, np.zeros(6)) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
-        from cliffscale.linreg import LinearEstimate
-
         task = sample_task(3, 0.0, rng_for(21))
         with pytest.raises(ValueError):
-            linear_test_mse(task, LinearEstimate(v_hat=np.zeros(4)))
+            linear_test_mse(task, np.zeros(4))
 
     def test_matches_monte_carlo(self):
-        from cliffscale.linreg import LinearEstimate
-
         rng = rng_for(22)
         task = sample_task(5, 0.0, rng)
-        est = LinearEstimate(v_hat=task.v + 0.3 * rng.standard_normal(5))
-        exact = linear_test_mse(task, est)
+        v_hat = task.v + 0.3 * rng.standard_normal(5)
+        exact = linear_test_mse(task, v_hat)
         xs = rng.standard_normal((1_000_000, 5))
-        mc = np.mean((xs @ est.v_hat - xs @ task.v) ** 2)
+        mc = np.mean((xs @ v_hat - xs @ task.v) ** 2)
         assert mc == pytest.approx(exact, rel=0.01)
 
 
 class TestNearestNeighbor:
     def test_single_training_point(self):
         data = RegressionDataset(xs=np.array([[0.0, 0.0]]), ys=np.array([7.0]))
-        assert nn_predict(data, np.array([5.0, -3.0])) == 7.0
+        assert _nn_predict_batch(data, np.array([[5.0, -3.0]]))[0] == 7.0
 
     def test_exact_hit(self):
         data = RegressionDataset(xs=np.array([[1.0, 2.0], [3.0, 4.0]]), ys=np.array([1.0, 2.0]))
-        assert nn_predict(data, np.array([3.0, 4.0])) == 2.0
+        assert _nn_predict_batch(data, np.array([[3.0, 4.0]]))[0] == 2.0
 
     @SIDES
     def test_tie_goes_to_lowest_index(self, d):
         # All 2d rows +-e_i sit at distance 1 from the origin.
         xs = np.concatenate([np.eye(d), -np.eye(d)])[::-1]
         data = RegressionDataset(xs=xs, ys=10.0 * np.arange(1, 2 * d + 1))
-        assert nn_predict(data, np.zeros(d)) == 10.0
+        assert _nn_predict_batch(data, np.zeros((1, d)))[0] == 10.0
 
     @SIDES
     def test_duplicated_rows_go_to_lowest_index(self, d):
@@ -204,19 +193,19 @@ class TestNearestNeighbor:
         perm = rng.permutation(30)
         shuffled = RegressionDataset(xs=xs[perm], ys=ys[perm])
         for _ in range(20):
-            q = rng.standard_normal(3)
-            assert nn_predict(data, q) == nn_predict(shuffled, q)
+            q = rng.standard_normal((1, 3))
+            assert _nn_predict_batch(data, q)[0] == _nn_predict_batch(shuffled, q)[0]
 
     def test_empty_dataset_rejected(self):
         data = RegressionDataset(xs=np.zeros((0, 2)), ys=np.zeros(0))
         with pytest.raises(ValueError):
-            nn_predict(data, np.zeros(2))
+            _nn_predict_batch(data, np.zeros((1, 2)))
 
     @SIDES
     def test_non_finite_query_rejected(self, d):
         data = RegressionDataset(xs=np.eye(d), ys=np.arange(float(d)))
         with pytest.raises(ValueError, match="non-finite"):
-            nn_predict(data, np.full(d, np.nan))
+            _nn_predict_batch(data, np.full((1, d), np.nan))
 
     def test_origin_point_mse_near_one(self):
         # Single training point at the origin with y=0: prediction is always

@@ -13,7 +13,6 @@ from cliffscale.harmonic.network import (
     adam_step,
     init_mlp,
     mlp_backward,
-    mlp_forward,
     mlp_forward_batch,
 )
 
@@ -80,21 +79,25 @@ class TestForward:
         for w in model.weights:
             w[:] = 0.0
         model.biases[-1][:] = 1.25
-        assert mlp_forward(model, np.array([0.3, 0.9])) == pytest.approx(1.25)
+        out, _ = mlp_forward_batch(model, np.array([[0.3, 0.9]]))
+        assert out.shape == (1,)
+        assert float(out[0]) == pytest.approx(1.25)
 
     def test_single_linear_layer_is_affine(self):
         model = init_mlp([3, 1], rng_for(2))
         w = model.weights[0][:, 0]
         b = model.biases[0][0]
         x = rng_for(3).standard_normal(3)
-        assert mlp_forward(model, x) == pytest.approx(float(x @ w + b))
+        out, _ = mlp_forward_batch(model, x[None, :])
+        assert float(out[0]) == pytest.approx(float(x @ w + b))
 
     def test_batch_matches_single(self):
         model = init_mlp([2, 8, 8, 8, 1], rng_for(4))
         xs = rng_for(5).uniform(size=(10, 2))
         out, _ = mlp_forward_batch(model, xs)
         for x, o in zip(xs, out):
-            assert mlp_forward(model, x) == pytest.approx(float(o))
+            single, _ = mlp_forward_batch(model, x[None, :])
+            assert float(single[0]) == pytest.approx(float(o))
 
     def test_nonfinite_parameters_rejected(self):
         with pytest.raises(ValueError):
