@@ -76,12 +76,14 @@ class TestRun:
             (["--reg-points", 0], None, "reg_points"),
             (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 3], None, "reg_points"),
             ([], {"estimator": "x"}, "estimator"),
+            # sampler is no longer a field, so any value of it is refused as unknown.
+            ([], {"sampler": "x"}, "config"),
             ([], {"arm": "x"}, "arm"),
         ],
         ids=[
             "trials-zero", "trials-above-2**32", "d-string", "trials-bool", "workers-float", "n_grid-float",
             "lambda-nan", "lam-zero-ridge", "s-nan", "max_steps-negative", "n_grid-descending",
-            "n_grid-no-integers", "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "arm-unknown",
+            "n_grid-no-integers", "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
         ],
     )
     def test_invalid_field_names_offender(self, tmp_path, capsys, argv, config, field):
