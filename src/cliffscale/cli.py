@@ -78,7 +78,7 @@ class ExperimentConfig:
     s: float = 1.0
     bandlimit: int = 2
     arm: str = "reg"
-    width: int = 256
+    width: int = TrainConfig.width
     estimator: str = "lstsq"
     n_grid: list[int] = field(default_factory=list)
     n_min: int = 1
@@ -87,8 +87,8 @@ class ExperimentConfig:
     trials: int = 50
     seed: int = 0
     workers: int = 1
-    max_steps: int = 20_000
-    reg_points: int = 20_000
+    max_steps: int = TrainConfig.max_steps
+    reg_points: int = TrainConfig.reg_points
     input: str | None = None
     out: str = "."
 
@@ -298,13 +298,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError(f"threshold: must be finite and <= 0, got {args.threshold}")
     if args.min_run < 1:
         raise ConfigError(f"min-run: must be >= 1, got {args.min_run}")
+    for flag, value in (("n-min", args.n_min), ("n-max", args.n_max)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag}: must be >= 1, got {value}")
+    if args.n_min is not None and args.n_max is not None and args.n_min >= args.n_max:
+        raise ConfigError(f"n-min: must be < n-max = {args.n_max}, got {args.n_min}")
     curve = read_curve_csv(args.curve)
     print(_analysis_table(curve))
     report: dict = {}
     if args.mode in ("fit", "both"):
         n_range = None
         if args.n_min is not None or args.n_max is not None:
-            n_range = (args.n_min or 1, args.n_max or int(curve.ns[-1]))
+            n_max = int(curve.ns[-1]) if args.n_max is None else args.n_max
+            n_range = (1 if args.n_min is None else args.n_min, n_max)
         fit = fit_power_law(curve, n_range=n_range, statistic=args.statistic, floor=args.floor)
         report["fit"] = json.loads(fit_to_json(fit))
         print(
@@ -365,6 +371,8 @@ def _parse_overlays(args, n_lo: int, n_hi: int) -> list[Overlay]:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     _check_floor(args.floor)
+    if args.vline is not None and args.vline < 1:
+        raise ConfigError(f"vline: must be >= 1, got {args.vline}")
     curves = [read_curve_csv(path) for path in args.curves]
     n_lo = min(int(c.ns[0]) for c in curves)
     n_hi = max(int(c.ns[-1]) for c in curves)

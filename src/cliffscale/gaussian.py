@@ -21,7 +21,6 @@ from .curves import ScalingCurve, aggregate_trials, run_cells
 
 __all__ = [
     "GaussianTask",
-    "ClassifierWeights",
     "std_normal_cdf",
     "estimate_weights",
     "exact_error",
@@ -50,15 +49,6 @@ class GaussianTask:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.s < 0:
             raise ValueError(f"signal-to-noise ratio must be >= 0, got {self.s}")
-
-
-@dataclass(frozen=True)
-class ClassifierWeights:
-    w: np.ndarray
-
-    def __post_init__(self):
-        if self.w.ndim != 1 or not np.isfinite(self.w).all():
-            raise ValueError("weights must be a finite vector")
 
 
 @functools.cache
@@ -93,7 +83,7 @@ def std_normal_cdf(x):
     return 0.5 * _erfc()(-np.asarray(x, dtype=float) / _SQRT2)
 
 
-def estimate_weights(xs: np.ndarray, ys: np.ndarray) -> ClassifierWeights:
+def estimate_weights(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Class-mean estimator w = (1/n) sum of y_i * x_i."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -101,14 +91,15 @@ def estimate_weights(xs: np.ndarray, ys: np.ndarray) -> ClassifierWeights:
         raise ValueError(f"inconsistent dataset shapes {xs.shape}, {ys.shape}")
     if len(xs) == 0:
         raise ValueError("need at least one labeled sample")
-    return ClassifierWeights(w=(ys @ xs) / len(xs))
+    return (ys @ xs) / len(xs)
 
 
-def exact_error(task: GaussianTask, weights: ClassifierWeights) -> float:
+def exact_error(task: GaussianTask, w: np.ndarray) -> float:
     """Test error of sign(w.x): Phi(-s * w_1 / |w|)."""
-    w = weights.w
     if w.shape != (task.d,):
         raise ValueError(f"weight shape {w.shape} != ({task.d},)")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     norm = np.linalg.norm(w)
     if norm == 0.0:
         raise ValueError("test error undefined for the zero classifier")
@@ -127,7 +118,7 @@ def simulate_error(task: GaussianTask, n: int, rng: np.random.Generator) -> floa
     xs = rng.standard_normal((n, task.d))
     xs[:, 0] += ys * task.s
     w = estimate_weights(xs, ys)
-    if not np.any(w.w):
+    if not np.any(w):
         warnings.warn("degenerate zero estimate; reporting chance error", RuntimeWarning)
         return 0.5
     return exact_error(task, w)
@@ -168,25 +159,22 @@ def sample_error_sufficient(task: GaussianTask, n: int, rng: np.random.Generator
     return _phi(-margin)
 
 
-def asymptotic_error(task: GaussianTask, n: int, chi2_quantile: float = 0.5) -> float:
+def asymptotic_error(task: GaussianTask, n: int) -> float:
     """Large-n expansion Phi(-s) + exp(-s^2/2)/(sqrt(8 pi) s) * q / n.
 
-    q is the requested quantile of the chi-squared distribution with
-    d - 1 degrees of freedom (median by default). Invalid at s = 0,
-    where the leading term divides by zero.
+    q is the median of the chi-squared distribution with d - 1 degrees
+    of freedom. Invalid at s = 0, where the leading term divides by zero.
     """
     if task.s == 0:
         raise ValueError("asymptotic expansion undefined at s = 0")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not 0.0 < chi2_quantile < 1.0:
-        raise ValueError(f"quantile must lie in (0, 1), got {chi2_quantile}")
     # Imported here: scipy.stats costs most of the package's import time
     # and nothing else needs it.
     from scipy import stats
 
     s = task.s
-    q = 0.0 if task.d == 1 else float(stats.chi2.ppf(chi2_quantile, df=task.d - 1))
+    q = 0.0 if task.d == 1 else float(stats.chi2.median(df=task.d - 1))
     return float(std_normal_cdf(-s) + math.exp(-s * s / 2.0) / (math.sqrt(8.0 * math.pi) * s) * q / n)
 
 

@@ -41,6 +41,11 @@ __all__ = [
 # Most rows one hidden-layer product, bias add, ReLU or mask handles at once.
 ROW_BLOCK = 4096
 
+# Adam's decay rates and denominator offset (Kingma & Ba 2015), fixed for every run.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def _row_blocks(rows: int) -> list[slice]:
     """Row slices of near-equal blocks, none longer than ROW_BLOCK.
@@ -212,25 +217,18 @@ class AdamState:
 
     first: list[np.ndarray]
     second: list[np.ndarray]
+    learning_rate: float
     step: int = 0
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     # Two arrays per parameter for adam_step's intermediate terms, made on first use.
     scratch: list[np.ndarray] = field(default_factory=list, init=False, repr=False, compare=False)
 
     @classmethod
-    def for_model(cls, model: MlpModel, learning_rate: float = 1e-3,
-                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_model(cls, model: MlpModel, learning_rate: float) -> "AdamState":
         params = model.parameters()
         return cls(
             first=[np.zeros_like(p) for p in params],
             second=[np.zeros_like(p) for p in params],
             learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
         )
 
 
@@ -238,7 +236,8 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
     """One bias-corrected Adam update, applied to ``params`` in place.
 
     Per element: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-    p -= (lr / c1) m / (sqrt(v / c2) + eps), evaluated in the parameter
+    p -= (lr / c1) m / (sqrt(v / c2) + eps), where b1, b2 and eps are
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPS. It is evaluated in the parameter
     dtype through the state's scratch arrays, so a step allocates nothing.
     """
     if len(params) != len(state.first) or len(grads) != len(params):
@@ -251,7 +250,7 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
     if not state.scratch:
         state.scratch = [np.empty((2, *m.shape), dtype=m.dtype) for m in state.first]
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     correct1 = 1.0 - b1 ** state.step
     correct2 = 1.0 - b2 ** state.step
     scale = state.learning_rate / correct1
@@ -262,5 +261,5 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
         v += np.multiply(np.multiply(g, g, out=num), 1.0 - b2, out=num)
         np.multiply(m, scale, out=num)
         np.sqrt(np.divide(v, correct2, out=den), out=den)
-        den += state.eps
+        den += ADAM_EPS
         p -= np.divide(num, den, out=num)

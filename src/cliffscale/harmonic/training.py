@@ -15,7 +15,7 @@ import numpy as np
 from .. import streams
 # aggregate_trials is not called here; benchmarks/tracing.py wraps it at this name.
 from ..curves import ScalingCurve, aggregate_trials, run_cells
-from .basis import BandwidthRegularizer, HarmonicFunction, sample_harmonic
+from .basis import BandwidthRegularizer, HarmonicFunction, regularizer_value, sample_harmonic
 from .network import (
     AdamState,
     MlpModel,
@@ -42,6 +42,9 @@ ARMS = ("reg", "noreg")
 # The input dimension d of every harmonic run: targets and points lie in [0,1]^2.
 INPUT_DIM = 2
 
+# The dtype of every harmonic network, its training inputs and its optimizer state.
+DTYPE = np.dtype(np.float32)
+
 
 class DivergenceError(FloatingPointError):
     """Raised when the training loss stops being finite."""
@@ -57,9 +60,6 @@ class TrainConfig:
     hidden_layers: int = 3
     batch_size: int = 256
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_steps: int = 20_000
     patience: int = 1_000
     eval_every: int = 25
@@ -67,7 +67,6 @@ class TrainConfig:
     test_size: int = 4096
     reg_points: int = 20_000
     reg_lambda: float = 1.0
-    dtype: str = "float32"
 
 
 @dataclass
@@ -80,7 +79,7 @@ class TrainResult:
     reg_value: float | None
 
 
-def _mse(model: MlpModel, xs: np.ndarray, targets: np.ndarray, work: Workspace | None = None) -> float:
+def _mse(model: MlpModel, xs: np.ndarray, targets: np.ndarray, work: Workspace) -> float:
     preds, _ = mlp_forward_batch(model, xs, work)
     resid = preds.astype(float) - targets
     return float(resid @ resid) / len(targets)
@@ -107,39 +106,32 @@ def train(
         raise ValueError(f"training-set size must be >= 0, got {n}")
     if n == 0 and regularizer is None:
         raise ValueError("nothing to train on: n = 0 and no regularizer")
-    dtype = np.dtype(config.dtype)
 
     train_x = rng.uniform(size=(n, target.d))
     val_x = rng.uniform(size=(config.val_size, target.d))
     test_x = rng.uniform(size=(config.test_size, target.d))
-    train_y = np.asarray(target(train_x), dtype=dtype) if n else np.zeros(0, dtype=dtype)
+    train_y = np.asarray(target(train_x), dtype=DTYPE) if n else np.zeros(0, dtype=DTYPE)
     val_y = np.asarray(target(val_x), dtype=float)
     test_y = np.asarray(target(test_x), dtype=float)
 
     sizes = [target.d] + [config.width] * config.hidden_layers + [1]
-    model = init_mlp(sizes, rng, dtype=dtype)
-    state = AdamState.for_model(
-        model,
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.adam_eps,
-    )
+    model = init_mlp(sizes, rng, dtype=DTYPE)
+    state = AdamState.for_model(model, config.learning_rate)
     params = model.parameters()
 
-    reg_x = regularizer.points.astype(dtype) if regularizer is not None else None
-    train_x = train_x.astype(dtype)
-    val_x = val_x.astype(dtype)
-    test_xd = test_x.astype(dtype)
+    reg_x = regularizer.points.astype(DTYPE) if regularizer is not None else None
+    train_x = train_x.astype(DTYPE)
+    val_x = val_x.astype(DTYPE)
+    test_xd = test_x.astype(DTYPE)
 
     batch = min(config.batch_size, n) if n else 0
     # One step's inputs are the minibatch rows followed by the fixed
     # regularizer points; every step overwrites all of dout.
     rows = batch + (len(reg_x) if reg_x is not None else 0)
-    xs = np.empty((rows, target.d), dtype=dtype)
+    xs = np.empty((rows, target.d), dtype=DTYPE)
     if reg_x is not None:
         xs[batch:] = reg_x
-    dout = np.empty(rows, dtype=dtype)
+    dout = np.empty(rows, dtype=DTYPE)
     work = Workspace(model, max(rows, len(val_x), len(test_xd)))
     order = np.zeros(0, dtype=np.intp)
     cursor = 0
@@ -191,8 +183,7 @@ def train(
     reg_value = None
     if regularizer is not None:
         preds, _ = mlp_forward_batch(model, reg_x, work)
-        r = regularizer.residual(preds)
-        reg_value = float(r @ r) / regularizer.m
+        reg_value = regularizer_value(regularizer, preds)
     return TrainResult(
         model=model,
         test_mse=test_mse,

@@ -42,6 +42,9 @@ DEFAULT_NN_TEST_POINTS = 10_000
 # d=9 2.0 -> 2.2 s, d=10 2.0 -> 3.0 s (leafsize 32, tie check included).
 NN_TREE_MAX_D = 8
 
+# Queries per distance product in the brute-force scan above NN_TREE_MAX_D.
+NN_QUERY_CHUNK = 512
+
 # Relative gap between the two nearest tree distances below which a
 # query counts as a possible tie and is re-ranked exactly. It only needs
 # to exceed the rounding difference between two summation orders.
@@ -135,15 +138,15 @@ def linear_test_mse(task: LinearTask, v_hat: np.ndarray) -> float:
     return float(diff @ diff)
 
 
-def _nn_index_brute(xs: np.ndarray, queries: np.ndarray, chunk: int) -> np.ndarray:
+def _nn_index_brute(xs: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Nearest-row indices by a chunked scan over |x|^2 - 2 q.x (BLAS-bound)."""
     train_sq = np.einsum("ij,ij->i", xs, xs)
     idx = np.empty(len(queries), dtype=np.intp)
-    for start in range(0, len(queries), chunk):
-        q = queries[start : start + chunk]
+    for start in range(0, len(queries), NN_QUERY_CHUNK):
+        stop = start + NN_QUERY_CHUNK
         # squared distance up to a per-query constant
-        d2 = train_sq[None, :] - 2.0 * (q @ xs.T)
-        idx[start : start + chunk] = np.argmin(d2, axis=1)
+        d2 = train_sq[None, :] - 2.0 * (queries[start:stop] @ xs.T)
+        idx[start:stop] = np.argmin(d2, axis=1)
     return idx
 
 
@@ -168,7 +171,7 @@ def _nn_index_tree(xs: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def _nn_predict_batch(data: RegressionDataset, queries: np.ndarray, chunk: int = 512) -> np.ndarray:
+def _nn_predict_batch(data: RegressionDataset, queries: np.ndarray) -> np.ndarray:
     """1-NN regression values for a batch of queries; ties go to the lowest index.
 
     Up to NN_TREE_MAX_D dimensions a k-d tree finds the row with the
@@ -184,7 +187,7 @@ def _nn_predict_batch(data: RegressionDataset, queries: np.ndarray, chunk: int =
         raise ValueError("nearest-neighbor queries contain non-finite entries")
     if data.xs.shape[1] <= NN_TREE_MAX_D:
         return data.ys[_nn_index_tree(data.xs, queries)]
-    return data.ys[_nn_index_brute(data.xs, queries, chunk)]
+    return data.ys[_nn_index_brute(data.xs, queries)]
 
 
 def nn_test_mse(

@@ -155,13 +155,18 @@ class TestRun:
             assert med < 1e-15 if n >= 5 else med > 1e-2
 
 
+def write_power_law(path):
+    """One trial of 2 n^-0.5 + 0.1 at n = 10, 32, 100, ..., 10000."""
+    rows = ["n,trial,error"]
+    for n in (10, 32, 100, 316, 1000, 3162, 10000):
+        rows.append(f"{n},0,{2.0 * n**-0.5 + 0.1!r}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 class TestAnalyze:
     def test_synthetic_power_law(self, tmp_path, capsys):
-        src = tmp_path / "pl.csv"
-        rows = ["n,trial,error"]
-        for n in (10, 32, 100, 316, 1000, 3162, 10000):
-            rows.append(f"{n},0,{2.0 * n**-0.5 + 0.1!r}")
-        src.write_text("\n".join(rows) + "\n")
+        src = write_power_law(tmp_path / "pl.csv")
         report = tmp_path / "report.json"
         assert run_cli("analyze", src, "--mode", "both", "--out", report) == 0
         payload = json.loads(report.read_text())
@@ -171,6 +176,17 @@ class TestAnalyze:
         assert payload["cliffs"] == []
         table = capsys.readouterr().out
         assert "median" in table and "cliff: none detected" in table
+
+    def test_fit_range_flags_select_the_grid_points_inside(self, tmp_path):
+        src = write_power_law(tmp_path / "pl.csv")
+        report = tmp_path / "report.json"
+        # On grid points and between them: either way the fit spans 32..3162.
+        for lo, hi in ((32, 3162), (20, 5000)):
+            argv = ("analyze", src, "--mode", "fit", "--n-min", lo, "--n-max", hi, "--out", report)
+            assert run_cli(*argv) == 0
+            fit = json.loads(report.read_text())["fit"]
+            assert (fit["n_min"], fit["n_max"]) == (32, 3162)
+            assert fit["alpha"] == pytest.approx(0.5, rel=0.01)
 
     def test_gaussian_closed_form_curve_has_one_cliff(self, tmp_path):
         from cliffscale.curves import log_spaced_ns
@@ -212,11 +228,16 @@ class TestAnalyze:
             (["--threshold", 1], "threshold"),
             (["--floor", -1], "floor"),
             (["--min-run", 0], "min-run"),
+            (["--n-min", 100, "--n-max", 10], "n-min"),
+            (["--n-max", 0, "--mode", "fit"], "n-max"),
+            (["--n-min", -5], "n-min"),
         ],
-        ids=["threshold-nan", "threshold-positive", "floor-negative", "min_run-zero"],
+        ids=["threshold-nan", "threshold-positive", "floor-negative", "min_run-zero",
+             "n_range-inverted", "n_max-zero", "n_min-negative"],
     )
     def test_bad_numeric_flag_exits_2_naming_it(self, tmp_path, capsys, argv, flag):
-        # NaN found no cliff; the others exited 3 or 4 without naming the flag.
+        # NaN found no cliff, n-max 0 fitted the whole curve and n-min -5 was
+        # accepted; the others exited 3 or 4 without naming the flag.
         src = tmp_path / "pl.csv"
         src.write_text("n,trial,error\n" + "".join(f"{n},0,{1 / n!r}\n" for n in (1, 2, 4, 8, 16)))
         assert run_cli("analyze", src, *argv) == 2
@@ -283,12 +304,15 @@ class TestPlot:
             (["--overlay-powerlaw", "1,0.5,inf"], "overlay-powerlaw"),
             (["--overlay-gaussian", "10,nan"], "overlay-gaussian"),
             (["--floor", "nan"], "floor"),
+            (["--vline", 0], "vline"),
+            (["--vline", -3], "vline"),
         ],
-        ids=["powerlaw-inf", "gaussian-nan", "floor-nan"],
+        ids=["powerlaw-inf", "gaussian-nan", "floor-nan", "vline-zero", "vline-negative"],
     )
     def test_non_finite_flag_exits_2_naming_it(self, tmp_path, capsys, argv, flag):
         # Before these were checked: an OverflowError traceback, an SVG with
-        # nan coordinates, and a config error that named no flag.
+        # nan coordinates, a config error that named no flag, and (vline)
+        # a data error.
         src = tmp_path / "c.csv"
         src.write_text("n,trial,error\n10,0,0.5\n100,0,0.3\n")
         assert run_cli("plot", src, *argv, "--out", tmp_path / "x.svg") == 2

@@ -6,7 +6,6 @@ from scipy import stats
 
 from cliffscale import streams
 from cliffscale.gaussian import (
-    ClassifierWeights,
     GaussianTask,
     approx_error,
     asymptotic_error,
@@ -56,16 +55,16 @@ class TestEstimateWeights:
     def test_single_positive_point(self):
         x = np.array([[2.0, -1.0, 0.5]])
         w = estimate_weights(x, np.array([1.0]))
-        assert np.allclose(w.w, x[0])
+        assert np.allclose(w, x[0])
 
     def test_negation_symmetry(self):
         rng = rng_for(2)
         xs = rng.standard_normal((40, 6))
         ys = np.where(rng.uniform(size=40) < 0.5, 1.0, -1.0)
-        base = estimate_weights(xs, ys).w
+        base = estimate_weights(xs, ys)
         xs2 = np.concatenate([xs, -xs])
         ys2 = np.concatenate([ys, -ys])
-        doubled = estimate_weights(xs2, ys2).w
+        doubled = estimate_weights(xs2, ys2)
         assert np.allclose(doubled, base)
 
     def test_law_of_large_numbers(self):
@@ -75,7 +74,7 @@ class TestEstimateWeights:
         ys = rng.integers(0, 2, size=n) * 2.0 - 1.0
         xs = rng.standard_normal((n, task.d))
         xs[:, 0] += ys * task.s
-        w = estimate_weights(xs, ys).w
+        w = estimate_weights(xs, ys)
         target = np.zeros(10)
         target[0] = 2.0
         assert np.linalg.norm(w - target) < 0.01
@@ -88,17 +87,17 @@ class TestEstimateWeights:
 class TestExactError:
     def test_no_signal_is_chance(self):
         task = GaussianTask(d=3, s=0.0)
-        w = ClassifierWeights(w=np.array([1.0, 0.0, 0.0]))
+        w = np.array([1.0, 0.0, 0.0])
         assert exact_error(task, w) == 0.5
 
     def test_orthogonal_classifier_is_chance(self):
         task = GaussianTask(d=3, s=2.0)
-        w = ClassifierWeights(w=np.array([0.0, 1.0, 1.0]))
+        w = np.array([0.0, 1.0, 1.0])
         assert exact_error(task, w) == 0.5
 
     def test_aligned_classifier(self):
         task = GaussianTask(d=4, s=1.0)
-        w = ClassifierWeights(w=np.array([1.0, 0.0, 0.0, 0.0]))
+        w = np.array([1.0, 0.0, 0.0, 0.0])
         assert exact_error(task, w) == pytest.approx(PHI_MINUS_1, abs=1e-14)
 
     def test_scale_invariance(self):
@@ -106,8 +105,8 @@ class TestExactError:
         task = GaussianTask(d=5, s=1.3)
         for _ in range(50):
             w = rng.standard_normal(5)
-            e1 = exact_error(task, ClassifierWeights(w=w))
-            e2 = exact_error(task, ClassifierWeights(w=3.7 * w))
+            e1 = exact_error(task, w)
+            e2 = exact_error(task, 3.7 * w)
             assert e1 == pytest.approx(e2, abs=1e-15)
 
     def test_flip_complement(self):
@@ -115,14 +114,20 @@ class TestExactError:
         task = GaussianTask(d=5, s=0.8)
         for _ in range(50):
             w = rng.standard_normal(5)
-            e = exact_error(task, ClassifierWeights(w=w))
-            ef = exact_error(task, ClassifierWeights(w=-w))
+            e = exact_error(task, w)
+            ef = exact_error(task, -w)
             assert e + ef == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_vector_rejected(self):
         task = GaussianTask(d=2, s=1.0)
         with pytest.raises(ValueError):
-            exact_error(task, ClassifierWeights(w=np.zeros(2)))
+            exact_error(task, np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        task = GaussianTask(d=2, s=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            exact_error(task, np.array([1.0, bad]))
 
 
 class TestSimulateError:

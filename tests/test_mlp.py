@@ -49,7 +49,7 @@ def reference_backward(model, cache, dout):
 def reference_adam(state, params, grads):
     """The plain expression form of adam_step."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = network.ADAM_BETA1, network.ADAM_BETA2
     correct1 = 1.0 - b1 ** state.step
     correct2 = 1.0 - b2 ** state.step
     scale = state.learning_rate / correct1
@@ -58,7 +58,7 @@ def reference_adam(state, params, grads):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p -= scale * m / (np.sqrt(v / correct2) + state.eps)
+        p -= scale * m / (np.sqrt(v / correct2) + network.ADAM_EPS)
 
 
 def assert_arrays_equal(got, want):
@@ -281,7 +281,7 @@ class TestAdam:
 
     def test_zero_gradient_is_a_fixed_point(self):
         model = init_mlp([2, 4, 1], rng_for(12))
-        state = AdamState.for_model(model)
+        state = AdamState.for_model(model, learning_rate=1e-3)
         params = model.parameters()
         before = [p.copy() for p in params]
         for _ in range(5):
@@ -306,7 +306,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         model = init_mlp([2, 4, 1], rng_for(15))
-        state = AdamState.for_model(model)
+        state = AdamState.for_model(model, learning_rate=1e-3)
         params = model.parameters()
         bad = [np.zeros_like(p) for p in params]
         bad[0] = np.zeros((1, 1))
@@ -315,7 +315,7 @@ class TestAdam:
 
     def test_dtype_mismatch_rejected_before_any_update(self):
         model = init_mlp([2, 4, 1], rng_for(18), dtype=np.float32)
-        state = AdamState.for_model(model)
+        state = AdamState.for_model(model, learning_rate=1e-3)
         params = model.parameters()
         before = [p.copy() for p in params]
         grads = [np.ones(p.shape, dtype=np.float64) for p in params]
