@@ -339,9 +339,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_overlays(args, n_lo: int, n_hi: int) -> list[Overlay]:
-    overlays: list[Overlay] = []
-    ns = np.array(log_spaced_ns(max(n_lo, 1), max(n_hi, 2), 40), dtype=float)
+def _parse_overlays(args) -> list[tuple[str, typing.Callable[[np.ndarray], np.ndarray]]]:
+    """Each overlay flag as (label, its values at given n); checked before any curve is read."""
+    overlays = []
     if args.overlay_powerlaw:
         try:
             a_, alpha_, e_ = (float(p) for p in args.overlay_powerlaw.split(","))
@@ -351,9 +351,7 @@ def _parse_overlays(args, n_lo: int, n_hi: int) -> list[Overlay]:
             ) from None
         if not all(map(math.isfinite, (a_, alpha_, e_))):
             raise ConfigError(f"overlay-powerlaw: A, alpha and E must be finite, got {args.overlay_powerlaw!r}")
-        overlays.append(
-            Overlay(label=f"A n^-a + E ({a_:g},{alpha_:g},{e_:g})", ns=ns, values=a_ * ns**-alpha_ + e_)
-        )
+        overlays.append((f"A n^-a + E ({a_:g},{alpha_:g},{e_:g})", lambda ns: a_ * ns**-alpha_ + e_))
     if args.overlay_gaussian:
         try:
             d_, s_ = args.overlay_gaussian.split(",")
@@ -364,8 +362,10 @@ def _parse_overlays(args, n_lo: int, n_hi: int) -> list[Overlay]:
             ) from None
         if not math.isfinite(task.s):
             raise ConfigError(f"overlay-gaussian: s must be finite, got {args.overlay_gaussian!r}")
-        values = np.array([approx_error(task, int(n)) for n in ns])
-        overlays.append(Overlay(label=f"closed form (d={task.d}, s={task.s:g})", ns=ns, values=values))
+        overlays.append((
+            f"closed form (d={task.d}, s={task.s:g})",
+            lambda ns: np.array([approx_error(task, int(n)) for n in ns]),
+        ))
     return overlays
 
 
@@ -373,10 +373,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
     _check_floor(args.floor)
     if args.vline is not None and args.vline < 1:
         raise ConfigError(f"vline: must be >= 1, got {args.vline}")
+    overlay_specs = _parse_overlays(args)
     curves = [read_curve_csv(path) for path in args.curves]
     n_lo = min(int(c.ns[0]) for c in curves)
     n_hi = max(int(c.ns[-1]) for c in curves)
-    overlays = _parse_overlays(args, n_lo, n_hi)
+    ns = np.array(log_spaced_ns(max(n_lo, 1), max(n_hi, 2), 40), dtype=float)
+    overlays = [Overlay(label=label, ns=ns, values=values(ns)) for label, values in overlay_specs]
     svg = render_svg(
         curves,
         overlays=overlays,

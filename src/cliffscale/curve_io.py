@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .curves import CliffRegion, CurveError, PowerLawFit, ScalingCurve, aggregate_trials
+from .curves import MAX_N, CliffRegion, CurveError, PowerLawFit, ScalingCurve, aggregate_trials
 
 __all__ = [
     "write_curve_csv",
@@ -26,8 +26,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "n,trial,error"
-# Curves hold n as int64 (ScalingCurve.ns).
-MAX_N = 2**63 - 1
 # Every byte after the header of a file write_curve_csv emits: decimal
 # digits, commas, newlines, and the ".", "e" and exponent signs of float
 # reprs.

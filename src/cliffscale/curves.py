@@ -34,6 +34,8 @@ __all__ = [
 DEFAULT_ERROR_FLOOR = 1e-20
 DEFAULT_CLIFF_THRESHOLD = -0.05
 DEFAULT_MIN_RUN = 2
+# Curves hold n as int64 (ScalingCurve.ns).
+MAX_N = 2**63 - 1
 
 # Error types a ScalingCurve stores as they are.
 _PLAIN_ERRORS = frozenset((int, float))
@@ -45,6 +47,17 @@ class CurveError(ValueError):
 
 class FitError(ValueError):
     """Curve cannot support the requested fit (too few points, zero errors)."""
+
+
+def _check_n(n) -> int:
+    """n as an int; CurveError unless it is an integer in [1, MAX_N]."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise CurveError(f"n values must be integers, got {n!r}") from None
+    if not 1 <= n <= MAX_N:
+        raise CurveError(f"n values must be in [1, 2**63 - 1], got {n}")
+    return n
 
 
 def _median(errs) -> float:
@@ -75,13 +88,9 @@ class ScalingCurve:
     def __post_init__(self):
         ns: list[int] = []
         for n, errs in self.points:
-            try:
-                n = operator.index(n)
-            except TypeError:
-                raise CurveError(f"n values must be integers, got {n!r}") from None
-            prev = ns[-1] if ns else 0
-            if n <= prev:
-                raise CurveError(f"n values must be strictly increasing positives, got {n} after {prev}")
+            n = _check_n(n)
+            if ns and n <= ns[-1]:
+                raise CurveError(f"n values must be strictly increasing, got {n} after {ns[-1]}")
             if len(errs) == 0:
                 raise CurveError(f"no trial errors recorded at n={n}")
             if not all(map(math.isfinite, errs)) or min(errs) < 0:
@@ -184,9 +193,9 @@ def aggregate_trials(raw, metadata: dict | None = None) -> ScalingCurve:
 
 
 def check_n_grid(n_grid) -> list[int]:
-    """The grid as a list of ints; CurveError unless nonempty, positive and ascending."""
-    grid = [int(n) for n in n_grid]
-    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+    """The grid as a list of ints; CurveError unless nonempty, ascending and in [1, MAX_N]."""
+    grid = [_check_n(n) for n in n_grid]
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise CurveError(f"bad n grid {grid}: need a nonempty ascending list of positive integers")
     return grid
 
@@ -209,8 +218,11 @@ def run_cells(cell, n_grid, trials: int, metadata: dict) -> ScalingCurve:
 
 def log_spaced_ns(n_min: int, n_max: int, points_per_decade: int = 10) -> list[int]:
     """Distinct integer sample counts, log-spaced between n_min and n_max."""
-    if n_min < 1 or n_max <= n_min or points_per_decade < 1:
-        raise CurveError(f"bad grid spec ({n_min}, {n_max}, {points_per_decade})")
+    if not 1 <= n_min < n_max <= MAX_N or points_per_decade < 1:
+        raise CurveError(
+            f"bad grid spec ({n_min}, {n_max}, {points_per_decade}): need 1 <= n_min < n_max <= 2**63 - 1 "
+            "and points per decade >= 1"
+        )
     k = int(math.ceil(points_per_decade * math.log10(n_max / n_min)))
     grid = [int(round(n_min * 10 ** (i / points_per_decade))) for i in range(k + 1)]
     grid.append(n_max)

@@ -4,9 +4,7 @@ from .basis import (
     BandwidthRegularizer,
     HarmonicFunction,
     build_basis_matrix,
-    eval_harmonic,
-    frequency_lattice,
-    nneg,
+    canonical_frequencies,
     regularizer_gradient,
     regularizer_value,
     sample_harmonic,
@@ -37,12 +35,10 @@ __all__ = [
     "TrainResult",
     "adam_step",
     "build_basis_matrix",
-    "eval_harmonic",
-    "frequency_lattice",
+    "canonical_frequencies",
     "init_mlp",
     "mlp_backward",
     "mlp_forward_batch",
-    "nneg",
     "regularizer_gradient",
     "regularizer_value",
     "run_harmonic_scaling",

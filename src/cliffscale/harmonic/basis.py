@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "frequency_lattice",
-    "nneg",
+    "canonical_frequencies",
     "HarmonicFunction",
-    "eval_harmonic",
     "sample_harmonic",
     "build_basis_matrix",
     "BandwidthRegularizer",
@@ -32,62 +30,52 @@ __all__ = [
 FreqVec = tuple[int, ...]
 
 
-def frequency_lattice(B: int, d: int) -> list[FreqVec]:
-    """All integer vectors in [-B, B]^d, in lexicographic order."""
+def canonical_frequencies(B: int, d: int) -> list[FreqVec]:
+    """The canonical half of the lattice [-B, B]^d, in lexicographic order.
+
+    A vector whose first nonzero coordinate is positive is exactly a
+    vector lexicographically above zero; those are kept, and zero itself,
+    which comes first. Exactly one of {v, -v} is kept for every nonzero v.
+    """
     if B < 0 or d < 1:
         raise ValueError(f"need bandlimit >= 0 and dimension >= 1, got B={B}, d={d}")
-    return list(itertools.product(range(-B, B + 1), repeat=d))
+    zero = (0,) * d
+    return [v for v in itertools.product(range(-B, B + 1), repeat=d) if v >= zero]
 
 
-def nneg(vs) -> list[FreqVec]:
-    """Keep the canonical half of a frequency list, preserving order.
+def _basis_blocks(B: int, d: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine block (m, k) and the sine block (m, k - 1) of the basis at m points.
 
-    A vector survives when its first nonzero coordinate is positive;
-    the all-zero vector survives too. Exactly one of {v, -v} is kept
-    for every nonzero v.
+    Cosines run over the canonical frequencies, sines over the same
+    frequencies without zero.
     """
-
-    def include(v) -> bool:
-        for coord in v:
-            if coord != 0:
-                return coord > 0
-        return True
-
-    return [tuple(int(c) for c in v) for v in vs if include(v)]
-
-
-def _canonical_frequencies(B: int, d: int) -> list[FreqVec]:
-    return nneg(frequency_lattice(B, d))
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != d:
+        raise ValueError(f"points must have shape (m, {d}), got {points.shape}")
+    freqs = np.array(canonical_frequencies(B, d), dtype=float)
+    cos = np.cos(2.0 * math.pi * (points @ freqs.T))
+    sin = np.sin(2.0 * math.pi * (points @ freqs[1:].T))
+    return cos, sin
 
 
 @dataclass
 class HarmonicFunction:
-    """Bandlimited target: cos/sin coefficients on the canonical half-lattice.
+    """Bandlimited target: one coefficient per column of build_basis_matrix.
 
-    Treated as immutable; evaluation arrays are precomputed once.
+    ``coeffs`` holds the cosine coefficients over the canonical
+    frequencies, then the sine coefficients over the same frequencies
+    without zero: (2B+1)^d values. Treated as immutable.
     """
 
     B: int
     d: int
-    cos_coeffs: dict[FreqVec, float]
-    sin_coeffs: dict[FreqVec, float]
-    _cos_freqs: np.ndarray = field(init=False, repr=False)
-    _sin_freqs: np.ndarray = field(init=False, repr=False)
-    _cos_amps: np.ndarray = field(init=False, repr=False)
-    _sin_amps: np.ndarray = field(init=False, repr=False)
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        canon = _canonical_frequencies(self.B, self.d)
-        if set(self.cos_coeffs) != set(canon):
-            raise ValueError("cosine coefficients must cover the canonical half-lattice exactly")
-        zero = (0,) * self.d
-        if set(self.sin_coeffs) != set(canon) - {zero}:
-            raise ValueError("sine coefficients must cover the canonical half-lattice minus zero")
-        sin_keys = [v for v in canon if v != zero]
-        self._cos_freqs = np.array(canon, dtype=float).reshape(len(canon), self.d)
-        self._sin_freqs = np.array(sin_keys, dtype=float).reshape(len(sin_keys), self.d)
-        self._cos_amps = np.array([self.cos_coeffs[v] for v in canon])
-        self._sin_amps = np.array([self.sin_coeffs[v] for v in sin_keys])
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        size = 2 * len(canonical_frequencies(self.B, self.d)) - 1
+        if self.coeffs.shape != (size,):
+            raise ValueError(f"need {size} coefficients for B={self.B}, d={self.d}, got {self.coeffs.shape}")
 
     def norm_squared(self) -> float:
         """Exact squared L2 norm over [0,1]^d.
@@ -95,29 +83,17 @@ class HarmonicFunction:
         The constant mode has unit norm while every other basis function
         has norm 1/sqrt(2), hence the half weights.
         """
-        zero = (0,) * self.d
-        a0 = self.cos_coeffs[zero]
-        rest = sum(a * a for v, a in self.cos_coeffs.items() if v != zero)
-        rest += sum(b * b for b in self.sin_coeffs.values())
-        return a0 * a0 + 0.5 * rest
+        k = (len(self.coeffs) + 1) // 2
+        c = self.coeffs.tolist()
+        return c[0] * c[0] + 0.5 * (sum(a * a for a in c[1:k]) + sum(b * b for b in c[k:]))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return eval_harmonic(self, x)
-
-
-def eval_harmonic(h: HarmonicFunction, x) -> float | np.ndarray:
-    """Evaluate h at one point (shape (d,)) or a batch (shape (m, d))."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[1] != h.d:
-        raise ValueError(f"points have dimension {pts.shape[1]}, target has {h.d}")
-    phase_cos = 2.0 * math.pi * (pts @ h._cos_freqs.T)
-    vals = np.cos(phase_cos) @ h._cos_amps
-    if len(h._sin_amps):
-        phase_sin = 2.0 * math.pi * (pts @ h._sin_freqs.T)
-        vals = vals + np.sin(phase_sin) @ h._sin_amps
-    return float(vals[0]) if single else vals
+        """Values at the m points x, shape (m, d)."""
+        cos, sin = _basis_blocks(self.B, self.d, x)
+        k = cos.shape[1]
+        # One product per block: a single product over build_basis_matrix
+        # rounds differently, and pinned training results rest on these bits.
+        return cos @ self.coeffs[:k] + sin @ self.coeffs[k:]
 
 
 def sample_harmonic(B: int, d: int, rng: np.random.Generator) -> HarmonicFunction:
@@ -126,18 +102,9 @@ def sample_harmonic(B: int, d: int, rng: np.random.Generator) -> HarmonicFunctio
     The rescaling makes the exact function norm 1, so errors are
     comparable across draws.
     """
-    canon = _canonical_frequencies(B, d)
-    zero = (0,) * d
-    cos_coeffs = {v: float(rng.standard_normal()) for v in canon}
-    sin_coeffs = {v: float(rng.standard_normal()) for v in canon if v != zero}
-    raw = HarmonicFunction(B=B, d=d, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs)
-    scale = 1.0 / math.sqrt(raw.norm_squared())
-    return HarmonicFunction(
-        B=B,
-        d=d,
-        cos_coeffs={v: a * scale for v, a in cos_coeffs.items()},
-        sin_coeffs={v: b * scale for v, b in sin_coeffs.items()},
-    )
+    h = HarmonicFunction(B=B, d=d, coeffs=rng.standard_normal((2 * B + 1) ** d))
+    h.coeffs *= 1.0 / math.sqrt(h.norm_squared())
+    return h
 
 
 def build_basis_matrix(B: int, d: int, points: np.ndarray) -> np.ndarray:
@@ -147,20 +114,10 @@ def build_basis_matrix(B: int, d: int, points: np.ndarray) -> np.ndarray:
     the canonical half-lattice followed by the sines over the canonical
     half-lattice minus zero, in lattice order.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != d:
-        raise ValueError(f"points must have shape (m, {d}), got {points.shape}")
-    if len(points) < 1:
+    cos, sin = _basis_blocks(B, d, points)
+    if len(cos) < 1:
         raise ValueError("need at least one sample point")
-    canon = _canonical_frequencies(B, d)
-    zero = (0,) * d
-    sin_keys = [v for v in canon if v != zero]
-    cos_phase = 2.0 * math.pi * (points @ np.array(canon, dtype=float).reshape(len(canon), d).T)
-    cols = [np.cos(cos_phase)]
-    if sin_keys:
-        sin_phase = 2.0 * math.pi * (points @ np.array(sin_keys, dtype=float).T)
-        cols.append(np.sin(sin_phase))
-    return np.concatenate(cols, axis=1)
+    return np.concatenate((cos, sin), axis=1)
 
 
 @dataclass

@@ -110,9 +110,9 @@ def train(
     train_x = rng.uniform(size=(n, target.d))
     val_x = rng.uniform(size=(config.val_size, target.d))
     test_x = rng.uniform(size=(config.test_size, target.d))
-    train_y = np.asarray(target(train_x), dtype=DTYPE) if n else np.zeros(0, dtype=DTYPE)
-    val_y = np.asarray(target(val_x), dtype=float)
-    test_y = np.asarray(target(test_x), dtype=float)
+    train_y = target(train_x).astype(DTYPE)
+    val_y = target(val_x)
+    test_y = target(test_x)
 
     sizes = [target.d] + [config.width] * config.hidden_layers + [1]
     model = init_mlp(sizes, rng, dtype=DTYPE)

@@ -73,6 +73,8 @@ class TestRun:
             (["--max-steps", -5], None, "max_steps"),
             (["--n-grid", "100,10"], None, "n_grid"),
             (["--n-grid", ","], None, "n_grid"),
+            (["--n-grid", "10,99999999999999999999"], None, "n_grid"),
+            (["--n-max", "99999999999999999999"], None, "n_grid"),
             (["--reg-points", 0], None, "reg_points"),
             (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 3], None, "reg_points"),
             ([], {"estimator": "x"}, "estimator"),
@@ -83,7 +85,7 @@ class TestRun:
         ids=[
             "trials-zero", "trials-above-2**32", "d-string", "trials-bool", "workers-float", "n_grid-float",
             "lambda-nan", "lam-zero-ridge", "s-nan", "max_steps-negative", "n_grid-descending",
-            "n_grid-no-integers", "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
+            "n_grid-no-integers", "n_grid-above-int64", "n_max-above-int64", "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
         ],
     )
     def test_invalid_field_names_offender(self, tmp_path, capsys, argv, config, field):
@@ -94,6 +96,7 @@ class TestRun:
         code = run_cli("run", "--kind", "gaussian", *argv, "--out", tmp_path / "o")
         assert code == 2
         assert f"config error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         # sampler and fix_task were fields once; a config that still sets one is refused.
@@ -318,6 +321,12 @@ class TestPlot:
         assert run_cli("plot", src, *argv, "--out", tmp_path / "x.svg") == 2
         assert f"config error: {flag}:" in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("flag, spec", [("overlay-powerlaw", "1,0.5,inf"), ("overlay-gaussian", "10,nan")])
+    def test_bad_overlay_is_named_before_any_curve_is_read(self, tmp_path, capsys, flag, spec):
+        # The overlays were parsed after the curves, so a missing file exited 3 first.
+        assert run_cli("plot", tmp_path / "nope.csv", f"--{flag}", spec, "--out", tmp_path / "x.svg") == 2
+        assert f"config error: {flag}:" in capsys.readouterr().err
 
 
 class TestBadCurveFiles:

@@ -15,6 +15,7 @@ from cliffscale.curves import (
     PowerLawFit,
     ScalingCurve,
     aggregate_trials,
+    check_n_grid,
     detect_cliffs,
     fit_power_law,
     log_spaced_ns,
@@ -46,6 +47,13 @@ class TestScalingCurve:
         curve = ScalingCurve(points=((np.int64(3), (0.5,)), (np.uint32(10), (0.25,))))
         assert curve.points == ((3, (0.5,)), (10, (0.25,)))
         assert all(type(n) is int for n, _ in curve.points)
+
+    def test_n_above_int64_rejected(self):
+        # ns holds n as int64; such a curve used to be accepted and then
+        # died with an OverflowError when plotted.
+        ScalingCurve(points=((2**63 - 1, (0.5,)),))
+        with pytest.raises(CurveError, match=r"2\*\*63"):
+            ScalingCurve(points=((10, (0.5,)), (2**63, (0.1,))))
 
     @pytest.mark.parametrize("n", [3.0, np.float64(3.0), 5.5, "3"])
     def test_non_integer_n_rejected(self, n):
@@ -163,6 +171,18 @@ class TestRunCells:
     def test_rejects_a_descending_grid(self):
         with pytest.raises(CurveError, match="grid"):
             run_cells(lambda n_idx, n, trial: 0.0, [7, 3], 1, {})
+
+
+class TestCheckNGrid:
+    # int() truncated 2.5 to 2 and ran the grid at n = 2, and n >= 2**63
+    # passed until the finished curve overflowed its int64 ns.
+    @pytest.mark.parametrize("grid", [[2.5, 10], [np.float64(2.7), 5], [], [0, 5], [5, 5], [10, 2**63]])
+    def test_bad_grid_rejected(self, grid):
+        with pytest.raises(CurveError):
+            check_n_grid(grid)
+
+    def test_int64_bound_accepted(self):
+        assert check_n_grid([np.uint8(10), 2**63 - 1]) == [10, 2**63 - 1]
 
 
 class TestFitPowerLaw:
@@ -351,6 +371,8 @@ class TestLogSpacedNs:
             log_spaced_ns(0, 100, 10)
         with pytest.raises(CurveError):
             log_spaced_ns(100, 100, 10)
+        with pytest.raises(CurveError, match=r"2\*\*63"):
+            log_spaced_ns(10, 2**63, 10)
 
 
 POSITIVE_ERRORS = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)

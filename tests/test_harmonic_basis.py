@@ -1,5 +1,6 @@
 """Tests for the trigonometric basis and the bandwidth regularizer."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +11,7 @@ from cliffscale.harmonic.basis import (
     BandwidthRegularizer,
     HarmonicFunction,
     build_basis_matrix,
-    eval_harmonic,
-    frequency_lattice,
-    nneg,
+    canonical_frequencies,
     regularizer_gradient,
     regularizer_value,
     sample_harmonic,
@@ -23,15 +22,13 @@ def rng_for(*key):
     return streams.stream(777, *key)
 
 
-class TestNneg:
+class TestCanonicalFrequencies:
     def test_b1_d2_lattice(self):
-        kept = nneg(frequency_lattice(1, 2))
-        assert kept == [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
+        assert canonical_frequencies(1, 2) == [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
 
     def test_exactly_one_of_each_sign_pair(self):
-        lattice = frequency_lattice(3, 2)
-        kept = set(nneg(lattice))
-        for v in lattice:
+        kept = set(canonical_frequencies(3, 2))
+        for v in itertools.product(range(-3, 4), repeat=2):
             if any(v):
                 neg = tuple(-c for c in v)
                 assert (v in kept) != (neg in kept)
@@ -40,57 +37,68 @@ class TestNneg:
         for B in range(4):
             for d in (1, 2, 3):
                 size = (2 * B + 1) ** d
-                assert len(nneg(frequency_lattice(B, d))) == (size + 1) // 2
-
-    def test_order_preserving(self):
-        vs = [(1, 0), (0, 1), (-1, 0), (0, 0)]
-        assert nneg(vs) == [(1, 0), (0, 1), (0, 0)]
+                assert len(canonical_frequencies(B, d)) == (size + 1) // 2
 
 
 class TestHarmonicFunction:
     def test_constant(self):
-        h = HarmonicFunction(B=0, d=2, cos_coeffs={(0, 0): 1.0}, sin_coeffs={})
-        rng = rng_for(1)
-        for _ in range(10):
-            assert eval_harmonic(h, rng.uniform(size=2)) == pytest.approx(1.0)
+        h = HarmonicFunction(B=0, d=2, coeffs=[1.0])
+        assert np.allclose(h(rng_for(1).uniform(size=(10, 2))), 1.0)
 
     def test_single_cosine(self):
-        coeffs = {v: 0.0 for v in nneg(frequency_lattice(1, 2))}
-        coeffs[(1, 0)] = 1.0
-        sins = {v: 0.0 for v in nneg(frequency_lattice(1, 2)) if v != (0, 0)}
-        h = HarmonicFunction(B=1, d=2, cos_coeffs=coeffs, sin_coeffs=sins)
-        assert eval_harmonic(h, np.array([0.25, 0.7])) == pytest.approx(0.0, abs=1e-12)
-        assert eval_harmonic(h, np.array([0.0, 0.3])) == pytest.approx(1.0)
+        # Cosines over (0,0), (0,1), (1,-1), (1,0), (1,1), then four sines.
+        coeffs = np.zeros(9)
+        coeffs[3] = 1.0
+        h = HarmonicFunction(B=1, d=2, coeffs=coeffs)
+        vals = h(np.array([[0.25, 0.7], [0.0, 0.3]]))
+        assert vals[0] == pytest.approx(0.0, abs=1e-12)
+        assert vals[1] == pytest.approx(1.0)
 
     def test_periodicity(self):
         h = sample_harmonic(2, 2, rng_for(2))
-        rng = rng_for(3)
-        for _ in range(20):
-            x = rng.uniform(size=2)
-            for axis in range(2):
-                shifted = x.copy()
-                shifted[axis] = shifted[axis] + 1.0
-                assert eval_harmonic(h, shifted) == pytest.approx(eval_harmonic(h, x), abs=1e-12)
+        xs = rng_for(3).uniform(size=(20, 2))
+        for axis in range(2):
+            shifted = xs.copy()
+            shifted[:, axis] += 1.0
+            np.testing.assert_allclose(h(shifted), h(xs), rtol=0, atol=1e-12)
 
     def test_coefficient_count(self):
         h = sample_harmonic(2, 2, rng_for(4))
-        assert len(h.cos_coeffs) + len(h.sin_coeffs) == 25
+        assert h.coeffs.shape == (25,)
 
-    def test_invalid_keys_rejected(self):
-        with pytest.raises(ValueError):
-            HarmonicFunction(B=1, d=1, cos_coeffs={(0,): 1.0}, sin_coeffs={})
+    def test_wrong_coefficient_count_rejected(self):
+        for coeffs in ([1.0], np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(ValueError):
+                HarmonicFunction(B=1, d=1, coeffs=coeffs)
+
+    def test_values_are_the_basis_matrix_times_the_coefficients(self):
+        for B in range(4):
+            for d in (1, 2, 3):
+                h = sample_harmonic(B, d, rng_for(8, B, d))
+                xs = rng_for(9, B, d).uniform(size=(30, d))
+                np.testing.assert_allclose(h(xs), build_basis_matrix(B, d, xs) @ h.coeffs, rtol=0, atol=1e-12)
 
 
 class TestSampleHarmonic:
     def test_b0_single_coefficient(self):
         h = sample_harmonic(0, 2, rng_for(5))
-        assert len(h.cos_coeffs) + len(h.sin_coeffs) == 1
+        assert h.coeffs.shape == (1,)
 
     def test_normalized_monte_carlo_norm(self):
         h = sample_harmonic(2, 2, rng_for(6))
         assert h.norm_squared() == pytest.approx(1.0, abs=1e-12)
         xs = rng_for(7).uniform(size=(1_000_000, 2))
-        assert np.mean(eval_harmonic(h, xs) ** 2) == pytest.approx(1.0, rel=0.01)
+        assert np.mean(h(xs) ** 2) == pytest.approx(1.0, rel=0.01)
+
+    def test_pinned_values(self):
+        # float.hex of a B = 2 target at three points, captured from the
+        # implementation that kept the coefficients in frequency-keyed
+        # dicts; the draw, the normalization and the evaluation keep every bit.
+        h = sample_harmonic(2, 2, rng_for(4))
+        vals = h(np.array([[0.0, 0.0], [0.25, 0.7], [0.9, 0.1]]))
+        assert [float(v).hex() for v in vals] == [
+            "0x1.f7c19e3c41610p-1", "-0x1.bb1e391cbc796p-3", "-0x1.270e60db2d1d2p-2",
+        ]
 
 
 class TestBasisMatrix:

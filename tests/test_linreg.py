@@ -348,8 +348,8 @@ class TestRunScaling:
     )
     @pytest.mark.parametrize(
         "n_grid, trials",
-        [([4, 2], 2), ([], 2), ([2, 4], 0)],
-        ids=["descending", "empty", "no-trials"],
+        [([4, 2], 2), ([], 2), ([2, 4], 0), ([2.7, 5], 2)],
+        ids=["descending", "empty", "no-trials", "fractional"],
     )
     def test_bad_grid_rejected(self, run, n_grid, trials):
         # Every kind shares one grid and trial check, run before any cell.
