@@ -3,7 +3,7 @@
 Subcommands:
   run      simulate a scaling experiment (or import a CSV) and write
            curve.csv, curve.json, plot.svg and manifest.json
-  analyze  fit a power law and/or detect cliffs on a curve file
+  analyze  fit a power law and/or detect cliffs on a curve file's per-n median
   plot     render one or more curve files to SVG
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
@@ -311,7 +311,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.n_min is not None or args.n_max is not None:
             n_max = int(curve.ns[-1]) if args.n_max is None else args.n_max
             n_range = (1 if args.n_min is None else args.n_min, n_max)
-        fit = fit_power_law(curve, n_range=n_range, statistic=args.statistic, floor=args.floor)
+        fit = fit_power_law(curve, n_range=n_range, floor=args.floor)
         report["fit"] = json.loads(fit_to_json(fit))
         print(
             f"power law: A={fit.A:.6g} alpha={fit.alpha:.6g} E={fit.E:.6g} "
@@ -322,7 +322,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             curve,
             threshold=args.threshold,
             min_run=args.min_run,
-            statistic=args.statistic,
             floor=args.floor if args.floor is not None else DEFAULT_ERROR_FLOOR,
         )
         report["cliffs"] = json.loads(cliffs_to_json(regions))
@@ -354,14 +353,18 @@ def _parse_overlays(args) -> list[tuple[str, typing.Callable[[np.ndarray], np.nd
         overlays.append((f"A n^-a + E ({a_:g},{alpha_:g},{e_:g})", lambda ns: a_ * ns**-alpha_ + e_))
     if args.overlay_gaussian:
         try:
-            d_, s_ = args.overlay_gaussian.split(",")
-            task = GaussianTask(d=int(d_), s=float(s_))
+            d_text, s_text = args.overlay_gaussian.split(",")
+            d_, s_ = int(d_text), float(s_text)
         except ValueError:
             raise ConfigError(
                 f"overlay-gaussian: expected d,s, got {args.overlay_gaussian!r}"
             ) from None
-        if not math.isfinite(task.s):
+        if not math.isfinite(s_):
             raise ConfigError(f"overlay-gaussian: s must be finite, got {args.overlay_gaussian!r}")
+        try:
+            task = GaussianTask(d=d_, s=s_)
+        except ValueError as exc:
+            raise ConfigError(f"overlay-gaussian: {exc} in {args.overlay_gaussian!r}") from None
         overlays.append((
             f"closed form (d={task.d}, s={task.s:g})",
             lambda ns: np.array([approx_error(task, int(n)) for n in ns]),
@@ -379,13 +382,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     n_hi = max(int(c.ns[-1]) for c in curves)
     ns = np.array(log_spaced_ns(max(n_lo, 1), max(n_hi, 2), 40), dtype=float)
     overlays = [Overlay(label=label, ns=ns, values=values(ns)) for label, values in overlay_specs]
-    svg = render_svg(
-        curves,
-        overlays=overlays,
-        vline=args.vline,
-        floor=args.floor,
-        title=args.title,
-    )
+    svg = render_svg(curves, overlays=overlays, vline=args.vline, floor=args.floor)
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -426,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="fit and/or detect cliffs on a curve file")
     analyze.add_argument("curve", help="curve CSV file")
     analyze.add_argument("--mode", choices=("fit", "cliffs", "both"), default="both")
-    analyze.add_argument("--statistic", choices=("median", "mean"), default="median")
     analyze.add_argument("--n-min", type=int, help="restrict the fit range")
     analyze.add_argument("--n-max", type=int, help="restrict the fit range")
     analyze.add_argument("--threshold", type=float, default=DEFAULT_CLIFF_THRESHOLD)
@@ -440,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--out", default="plot.svg")
     plot.add_argument("--vline", type=int, help="dashed vertical marker at this n")
     plot.add_argument("--floor", type=float, help="clamp errors up to this before log axes")
-    plot.add_argument("--title")
     plot.add_argument("--overlay-powerlaw", help="overlay A,alpha,E closed form")
     plot.add_argument("--overlay-gaussian", help="overlay the gaussian closed form: d,s")
     plot.set_defaults(func=cmd_plot)

@@ -107,15 +107,9 @@ class ScalingCurve:
     def ns(self) -> np.ndarray:
         return np.array([n for n, _ in self.points], dtype=np.int64)
 
-    def trial_errors(self, n: int) -> tuple[float, ...]:
-        for m, errs in self.points:
-            if m == n:
-                return errs
-        raise KeyError(n)
-
     def statistic(self, which: str = "median") -> np.ndarray:
-        """Per-n summary across trials: 'median', 'mean', 'min' or 'max'."""
-        fns = {"median": _median, "mean": np.mean, "min": np.min, "max": np.max}
+        """Per-n summary across trials: 'median', 'min' or 'max'."""
+        fns = {"median": _median, "min": np.min, "max": np.max}
         if which not in fns:
             raise ValueError(f"unknown statistic {which!r}")
         return np.array([fns[which](errs) for _, errs in self.points], dtype=float)
@@ -159,9 +153,6 @@ class CliffRegion:
             raise CurveError(f"empty cliff region [{self.n_start}, {self.n_end}]")
         if self.strength <= 0:
             raise CurveError("cliff strength must be positive")
-
-    def contains(self, n: int) -> bool:
-        return self.n_start <= n <= self.n_end
 
 
 def aggregate_trials(raw, metadata: dict | None = None) -> ScalingCurve:
@@ -234,9 +225,10 @@ def log_spaced_ns(n_min: int, n_max: int, points_per_decade: int = 10) -> list[i
     return out
 
 
-def _fit_values(curve: ScalingCurve, statistic: str, n_range, floor: float | None):
+def _fit_values(curve: ScalingCurve, n_range, floor: float | None):
+    """The curve's n values and per-n medians, restricted to n_range and clamped up to floor."""
     ns = curve.ns.astype(float)
-    vals = curve.statistic(statistic)
+    vals = curve.statistic("median")
     if n_range is not None:
         lo, hi = n_range
         keep = (ns >= lo) & (ns <= hi)
@@ -256,18 +248,17 @@ def _fit_values(curve: ScalingCurve, statistic: str, n_range, floor: float | Non
 def fit_power_law(
     curve: ScalingCurve,
     n_range: tuple[int, int] | None = None,
-    statistic: str = "median",
     floor: float | None = None,
 ) -> PowerLawFit:
     """Fit ``A * n**-alpha + E`` by least squares on log error.
 
-    The objective is the mean squared log-space misfit of the chosen
-    per-n statistic (median by default). E is located by golden-section
-    search on [0, 0.999 * min error]; for each candidate E the remaining
+    The objective is the mean squared log-space misfit of the per-n
+    median. E is located by golden-section search on
+    [0, 0.999 * min error]; for each candidate E the remaining
     (log A, alpha) problem is ordinary least squares of log(err - E)
     against log n. Deterministic for fixed input.
     """
-    ns, vals = _fit_values(curve, statistic, n_range, floor)
+    ns, vals = _fit_values(curve, n_range, floor)
     if len(ns) < 4:
         raise FitError(f"need at least 4 points to fit, got {len(ns)}")
     if np.any(vals <= 0):
@@ -348,21 +339,20 @@ def powerlaw_loglog_convexity(fit: PowerLawFit, x: float) -> float:
 
 def loglog_second_differences(
     curve: ScalingCurve,
-    statistic: str = "median",
     floor: float | None = DEFAULT_ERROR_FLOOR,
 ) -> list[tuple[int, float]]:
-    """Centered second differences of log error against log n.
+    """Centered second differences of log median error against log n.
 
     Uses the three-point formula for non-uniform grids, so imported
     curves with irregular n spacing are handled exactly. Values at or
     below the floor are clamped up to it before taking logs. Returns one
     (n, value) pair per interior grid point.
     """
-    ns, vals = _fit_values(curve, statistic, None, floor)
+    ns, vals = _fit_values(curve, None, floor)
     if len(ns) < 3:
         raise CurveError(f"need at least 3 points for second differences, got {len(ns)}")
     if np.any(vals <= 0):
-        raise CurveError("nonpositive statistic values; log undefined (set an error floor)")
+        raise CurveError("nonpositive median values; log undefined (set an error floor)")
     x = np.log(ns)
     y = np.log(vals)
     out = []
@@ -379,10 +369,9 @@ def detect_cliffs(
     curve: ScalingCurve,
     threshold: float = DEFAULT_CLIFF_THRESHOLD,
     min_run: int = DEFAULT_MIN_RUN,
-    statistic: str = "median",
     floor: float | None = DEFAULT_ERROR_FLOOR,
 ) -> list[CliffRegion]:
-    """Find maximal runs of log-log concavity below a threshold.
+    """Find maximal runs of log-log concavity of the per-n median below a threshold.
 
     A run of at least ``min_run`` consecutive second differences below
     ``threshold`` becomes a region spanning from the grid point before
@@ -397,7 +386,7 @@ def detect_cliffs(
         raise CurveError(
             f"need at least {min_run + 2} points to detect runs of {min_run}, got {len(curve.points)}"
         )
-    seconds = loglog_second_differences(curve, statistic=statistic, floor=floor)
+    seconds = loglog_second_differences(curve, floor=floor)
     ns = curve.ns
     regions: list[CliffRegion] = []
     i = 0

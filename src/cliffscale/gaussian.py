@@ -67,20 +67,12 @@ def _erfc():
 _SQRT2 = math.sqrt(2.0)
 
 
-def _phi(x: float) -> float:
-    """std_normal_cdf of a float, without its type dispatch."""
-    return 0.5 * float(_erfc()(-x / _SQRT2))
-
-
-def std_normal_cdf(x):
+def std_normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function.
 
-    Accurate to well under 1e-14 absolute over the whole real line;
-    accepts scalars or arrays.
+    Accurate to well under 1e-14 absolute over the whole real line.
     """
-    if np.isscalar(x):
-        return _phi(float(x))
-    return 0.5 * _erfc()(-np.asarray(x, dtype=float) / _SQRT2)
+    return 0.5 * float(_erfc()(-x / _SQRT2))
 
 
 def estimate_weights(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -103,7 +95,7 @@ def exact_error(task: GaussianTask, w: np.ndarray) -> float:
     norm = np.linalg.norm(w)
     if norm == 0.0:
         raise ValueError("test error undefined for the zero classifier")
-    return float(std_normal_cdf(-task.s * w[0] / norm))
+    return std_normal_cdf(-task.s * w[0] / norm)
 
 
 def simulate_error(task: GaussianTask, n: int, rng: np.random.Generator) -> float:
@@ -156,7 +148,7 @@ def sample_error_sufficient(task: GaussianTask, n: int, rng: np.random.Generator
         warnings.warn("degenerate zero estimate; reporting chance error", RuntimeWarning)
         return 0.5
     margin = s * first / math.sqrt(norm_sq)
-    return _phi(-margin)
+    return std_normal_cdf(-margin)
 
 
 def asymptotic_error(task: GaussianTask, n: int) -> float:
@@ -175,7 +167,7 @@ def asymptotic_error(task: GaussianTask, n: int) -> float:
 
     s = task.s
     q = 0.0 if task.d == 1 else float(stats.chi2.median(df=task.d - 1))
-    return float(std_normal_cdf(-s) + math.exp(-s * s / 2.0) / (math.sqrt(8.0 * math.pi) * s) * q / n)
+    return std_normal_cdf(-s) + math.exp(-s * s / 2.0) / (math.sqrt(8.0 * math.pi) * s) * q / n
 
 
 def approx_error(task: GaussianTask, n: int) -> float:
@@ -189,7 +181,7 @@ def approx_error(task: GaussianTask, n: int) -> float:
     if task.s == 0:
         return 0.5
     s = task.s
-    return float(std_normal_cdf(-s / math.sqrt(1.0 + task.d / (n * s * s))))
+    return std_normal_cdf(-s / math.sqrt(1.0 + task.d / (n * s * s)))
 
 
 def run_gaussian_scaling(

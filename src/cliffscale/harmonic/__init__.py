@@ -5,7 +5,6 @@ from .basis import (
     HarmonicFunction,
     build_basis_matrix,
     canonical_frequencies,
-    regularizer_gradient,
     regularizer_value,
     sample_harmonic,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "init_mlp",
     "mlp_backward",
     "mlp_forward_batch",
-    "regularizer_gradient",
     "regularizer_value",
     "run_harmonic_scaling",
     "sample_harmonic",

@@ -24,7 +24,6 @@ __all__ = [
     "build_basis_matrix",
     "BandwidthRegularizer",
     "regularizer_value",
-    "regularizer_gradient",
 ]
 
 FreqVec = tuple[int, ...]
@@ -162,17 +161,8 @@ class BandwidthRegularizer:
         span = self._working_span
         return y - span @ (y @ span)
 
-    def residual_matrix(self) -> np.ndarray:
-        """Dense P = I - V V^+ for small-m diagnostics and tests."""
-        return np.eye(self.m) - self.span @ self.span.T
-
 
 def regularizer_value(reg: BandwidthRegularizer, y: np.ndarray) -> float:
     """(1/m) |P y|^2, the minimum of (1/m) |V z - y|^2 over z."""
     r = reg.residual(y)
     return float(r @ r) / reg.m
-
-
-def regularizer_gradient(reg: BandwidthRegularizer, y: np.ndarray) -> np.ndarray:
-    """Exact gradient (2/m) P y of regularizer_value with respect to y."""
-    return (2.0 / reg.m) * reg.residual(y)

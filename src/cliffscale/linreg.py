@@ -32,7 +32,8 @@ __all__ = [
 # The names of run_linreg_scaling's estimators.
 ESTIMATORS = ("lstsq", "ridge", "nn")
 
-DEFAULT_NN_TEST_POINTS = 10_000
+# Monte-Carlo test queries per NN cell.
+NN_TEST_POINTS = 10_000
 
 # Largest input dimension for which 1-NN uses a k-d tree instead of the
 # brute-force scan; k-d trees degrade as d grows (Friedman, Bentley &
@@ -213,7 +214,6 @@ def run_linreg_scaling(
     trials: int,
     seed: int,
     lam: float | None = None,
-    n_test: int = DEFAULT_NN_TEST_POINTS,
 ) -> ScalingCurve:
     """Scaling curve of a linear-regression estimator over an n grid.
 
@@ -236,7 +236,7 @@ def run_linreg_scaling(
         if len(data) == 0:
             raise ValueError("nearest-neighbor estimator needs n >= 1")
         # Only the NN error is sampled, so only it derives a test stream.
-        return nn_test_mse(task, data, n_test, streams.stream(seed, streams.TEST, trial, n_idx))
+        return nn_test_mse(task, data, NN_TEST_POINTS, streams.stream(seed, streams.TEST, trial, n_idx))
 
     meta = {"task": "linreg", "estimator": estimator, "d": d, "sigma": float(sigma), "seed": seed}
     if estimator == "ridge":

@@ -55,9 +55,11 @@ def render_svg(
     overlays: list[Overlay] | None = None,
     vline: int | None = None,
     floor: float | None = None,
-    title: str | None = None,
 ) -> str:
-    """Render curves (and overlays) to an SVG 1.1 document string."""
+    """Render curves (and overlays) to an SVG 1.1 document string.
+
+    The x axis spans every curve's and overlay's n values, and vline.
+    """
     if not curves:
         raise PlotError("nothing to plot: no curves given")
     overlays = overlays or []
@@ -91,6 +93,10 @@ def render_svg(
             raise PlotError(f"overlay {ov.label!r} has nonpositive values; log axes undefined")
         xs_all.append(ns)
         ys_all.append(vals)
+    if vline is not None:
+        if vline <= 0:
+            raise PlotError(f"vertical marker must be a positive n, got {vline}")
+        xs_all.append(np.array([vline], dtype=float))
 
     x_lo = math.floor(math.log10(min(x.min() for x in xs_all)))
     x_hi = math.ceil(math.log10(max(x.max() for x in xs_all)))
@@ -116,11 +122,6 @@ def render_svg(
         f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
     out.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
-    if title:
-        out.append(
-            f'<text x="{WIDTH / 2:.0f}" y="14" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{_escape(title)}</text>'
-        )
 
     # Axes frame and decade ticks (lines only; polylines are reserved for data).
     ax_color = "#333333"
@@ -155,8 +156,6 @@ def render_svg(
     )
 
     if vline is not None:
-        if vline <= 0:
-            raise PlotError(f"vertical marker must be a positive n, got {vline}")
         x = px(vline)
         out.append(
             f'<line x1="{_fmt(x)}" y1="{y0}" x2="{_fmt(x)}" y2="{y1}" '

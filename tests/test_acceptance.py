@@ -69,7 +69,7 @@ class TestAcceptance:
             d=100, sigma=0.1, estimator="ridge", n_grid=ns, trials=50, seed=7, lam=1.0
         )
         regions = cs.detect_cliffs(ridge)
-        has_cliff = any(r.contains(100) for r in regions)
+        has_cliff = any(r.n_start <= 100 <= r.n_end for r in regions)
         lstsq = cs.run_linreg_scaling(
             d=100, sigma=0.1, estimator="lstsq", n_grid=[50, 100], trials=50, seed=7
         )

@@ -81,17 +81,33 @@ class TestRun:
             # sampler is no longer a field, so any value of it is refused as unknown.
             ([], {"sampler": "x"}, "config"),
             ([], {"arm": "x"}, "arm"),
+            (["--d", 0], None, "d"),
+            (["--sigma", -1], None, "sigma"),
+            (["--s", -1], None, "s"),
+            (["--bandlimit", -1], None, "bandlimit"),
+            (["--width", 0], None, "width"),
+            (["--seed", -1], None, "seed"),
+            (["--seed", 2**64], None, "seed"),
+            (["--workers", 0], None, "workers"),
+            (["--kind", "import"], None, "input"),
+            ([], [1, 2], "config"),
+            ([], "{not json", "config"),
+            # No file can lie below /dev/null, so this config is missing.
+            (["--config", os.path.join(os.devnull, "exp.json")], None, "config"),
         ],
         ids=[
             "trials-zero", "trials-above-2**32", "d-string", "trials-bool", "workers-float", "n_grid-float",
             "lambda-nan", "lam-zero-ridge", "s-nan", "max_steps-negative", "n_grid-descending",
             "n_grid-no-integers", "n_grid-above-int64", "n_max-above-int64", "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
+            "d-zero", "sigma-negative", "s-negative", "bandlimit-negative", "width-zero", "seed-negative",
+            "seed-2**64", "workers-zero", "import-without-input", "config-list", "config-not-json", "config-missing",
         ],
     )
     def test_invalid_field_names_offender(self, tmp_path, capsys, argv, config, field):
         if config is not None:
             cfg = tmp_path / "exp.json"
-            cfg.write_text(json.dumps(config))
+            # A string is written as it is, to make a file that is not JSON.
+            cfg.write_text(config if isinstance(config, str) else json.dumps(config))
             argv = ["--config", cfg, *argv]
         code = run_cli("run", "--kind", "gaussian", *argv, "--out", tmp_path / "o")
         assert code == 2
@@ -105,6 +121,20 @@ class TestRun:
             cfg.write_text(json.dumps({"kind": "gaussian", key: value}))
             assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
             assert f"config error: config: unknown field {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["analyze", "--statistic", "mean"], ["plot", "--title", "x"]], ids=["statistic", "title"]
+    )
+    def test_retired_analysis_flags_rejected(self, tmp_path, capsys, argv):
+        # analyze --statistic and plot --title were options once; argparse now refuses them.
+        src = tmp_path / "c.csv"
+        src.write_text("n,trial,error\n10,0,0.5\n100,0,0.3\n")
+        command, *flags = argv
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, src, *flags, "--out", tmp_path / "x")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_allocation_larger_than_memory_exits_2(self, tmp_path, capsys):
         # 10^14 regularizer points are 1.4 PiB of float64, past any address
@@ -296,10 +326,16 @@ class TestPlot:
         assert "floor" in capsys.readouterr().err
         assert run_cli("plot", src, "--floor", 1e-20, "--out", tmp_path / "x.svg") == 0
 
-    def test_bad_overlay_spec_exits_2(self, tmp_path):
+    def test_bad_overlay_spec_exits_2(self, tmp_path, capsys):
         src = tmp_path / "c.csv"
         src.write_text("n,trial,error\n10,0,0.5\n100,0,0.3\n")
         assert run_cli("plot", src, "--overlay-powerlaw", "nope", "--out", tmp_path / "x.svg") == 2
+        assert "config error: overlay-powerlaw: expected A,alpha,E" in capsys.readouterr().err
+        # Well-formed specs that GaussianTask refuses carry its reason, not a format complaint.
+        for spec, reason in (("5,-1", "signal-to-noise ratio must be >= 0"), ("0,1", "dimension must be >= 1")):
+            assert run_cli("plot", src, "--overlay-gaussian", spec, "--out", tmp_path / "x.svg") == 2
+            assert f"config error: overlay-gaussian: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -88,8 +88,8 @@ class TestAggregateTrials:
     def test_groups_by_n(self):
         curve = aggregate_trials([(10, 0, 0.5), (10, 1, 0.3), (100, 0, 0.1)])
         assert curve.ns.tolist() == [10, 100]
-        assert curve.trial_errors(10) == (0.5, 0.3)
-        assert curve.trial_errors(100) == (0.1,)
+        assert dict(curve.points)[10] == (0.5, 0.3)
+        assert dict(curve.points)[100] == (0.1,)
 
     def test_empty_input_errors(self):
         with pytest.raises(CurveError):
@@ -151,7 +151,7 @@ class TestRunCells:
 
     def test_rows_hold_errors_in_trial_order(self):
         curve = run_cells(lambda n_idx, n, trial: 1.0 / (1 + trial), [5, 50], 4, {})
-        assert curve.trial_errors(5) == curve.trial_errors(50) == (1.0, 0.5, 1 / 3, 0.25)
+        assert dict(curve.points)[5] == dict(curve.points)[50] == (1.0, 0.5, 1 / 3, 0.25)
 
     def test_metadata_values_are_stored_as_str(self):
         meta = {"task": "demo", "d": 3, "s": 0.1, "seed": np.uint64(7)}
@@ -357,6 +357,20 @@ class TestDetectCliffs:
         for a, b in zip(regions, regions[1:]):
             assert a.n_end <= b.n_start
         assert all(r.strength > 0 for r in regions)
+
+    def test_touching_runs_merge_into_one_region(self):
+        # Second differences c * [-1, -1, +1, -1, -1]: the runs at interior
+        # points 1-2 and 4-5 span [1, 1000] and [1000, 10^6], which touch.
+        ns = [10**k for k in range(7)]
+        log_err = [-10.0, -10.0]
+        for d2 in (-1.0, -1.0, 1.0, -1.0, -1.0):
+            log_err.append(2 * log_err[-1] - log_err[-2] + d2)
+        curve = ScalingCurve(points=tuple((n, (math.exp(y),)) for n, y in zip(ns, log_err)))
+        seconds = [v for _, v in loglog_second_differences(curve)]
+        (region,) = detect_cliffs(curve)
+        assert (region.n_start, region.n_end) == (1, 10**6)
+        assert region.strength == pytest.approx(-(seconds[0] + seconds[1]) - (seconds[3] + seconds[4]))
+        assert region.strength == pytest.approx(4 / math.log(10) ** 2)
 
 
 class TestLogSpacedNs:

@@ -41,14 +41,8 @@ class TestStdNormalCdf:
 
     def test_monotone(self):
         xs = np.linspace(-10, 10, 400)
-        vals = std_normal_cdf(xs)
+        vals = [std_normal_cdf(x) for x in xs]
         assert np.all(np.diff(vals) >= 0)
-
-    def test_array_matches_scalar(self):
-        xs = np.array([-2.0, -0.5, 0.3, 4.0])
-        vals = std_normal_cdf(xs)
-        for x, v in zip(xs, vals):
-            assert v == std_normal_cdf(float(x))
 
 
 class TestEstimateWeights:
@@ -273,7 +267,7 @@ class TestRunGaussianScaling:
         assert np.all(big.statistic("min") <= small.statistic("min"))
         assert np.all(big.statistic("max") >= small.statistic("max"))
         for n, errs in small.points:
-            assert big.trial_errors(n)[: len(errs)] == errs
+            assert dict(big.points)[n][: len(errs)] == errs
 
     @pytest.mark.parametrize("sampler", ["sufficient", "full"])
     def test_one_generator_per_run(self, monkeypatch, sampler):

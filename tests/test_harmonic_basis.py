@@ -12,7 +12,6 @@ from cliffscale.harmonic.basis import (
     HarmonicFunction,
     build_basis_matrix,
     canonical_frequencies,
-    regularizer_gradient,
     regularizer_value,
     sample_harmonic,
 )
@@ -177,7 +176,8 @@ class TestRegularizer:
     def test_projector_symmetric_idempotent(self):
         pts = rng_for(18).uniform(size=(120, 2))
         reg = BandwidthRegularizer(B=1, d=2, points=pts, lam=1.0)
-        P = reg.residual_matrix()
+        # Row i is P e_i, so the rows form P^T.
+        P = np.array([reg.residual(e) for e in np.eye(120)])
         assert np.abs(P - P.T).max() <= 1e-10
         assert np.abs(P @ P - P).max() <= 1e-8
         assert reg.span.shape[1] == 9
@@ -192,7 +192,8 @@ class TestRegularizer:
         pts = rng.uniform(size=(80, 2))
         reg = BandwidthRegularizer(B=1, d=2, points=pts, lam=1.0)
         y = rng.standard_normal(80)
-        grad = regularizer_gradient(reg, y)
+        # The gradient train() applies: (2/m) P y.
+        grad = (2.0 / reg.m) * reg.residual(y)
         step = 1e-6
         for _ in range(10):
             direction = rng.standard_normal(80)
@@ -209,14 +210,14 @@ class TestRegularizer:
         reg = BandwidthRegularizer(B=1, d=2, points=pts, lam=1.0)
         V = build_basis_matrix(1, 2, pts)
         y = V @ rng.standard_normal(9)
-        assert np.abs(regularizer_gradient(reg, y)).max() < 1e-10
+        assert np.abs((2.0 / reg.m) * reg.residual(y)).max() < 1e-10
 
     def test_gradient_orthogonal_to_span(self):
         rng = rng_for(22)
         pts = rng.uniform(size=(150, 2))
         reg = BandwidthRegularizer(B=2, d=2, points=pts, lam=1.0)
         y = rng.standard_normal(150)
-        grad = regularizer_gradient(reg, y)
+        grad = (2.0 / reg.m) * reg.residual(y)
         V = build_basis_matrix(2, 2, pts)
         assert np.abs(V.T @ grad).max() <= 1e-8
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from cliffscale.curve_io import (
     read_curve_csv,
     write_curve_csv,
 )
-from cliffscale.svgplot import Overlay, PlotError, render_svg
+from cliffscale.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, Overlay, PlotError, render_svg
 
 
 def sample_curve(trials=3):
@@ -354,6 +355,17 @@ class TestRenderSvg:
     def test_vline_dashed_marker(self):
         svg = render_svg([sample_curve()], vline=100)
         assert "stroke-dasharray" in svg
+
+    @pytest.mark.parametrize("vline", [1, 100, 100_000], ids=["below", "inside", "above"])
+    def test_vline_lies_within_the_frame(self, vline):
+        # The curve spans n in [10, 1000]; a marker outside that range
+        # widens the x axis, so it lands inside the frame too.
+        svg = render_svg([sample_curve()], vline=vline)
+        x1, y1, x2, y2 = map(float, re.search(
+            r'<line x1="([\d.]+)" y1="([\d.]+)" x2="([\d.]+)" y2="([\d.]+)" stroke="#555555"', svg
+        ).groups())
+        assert x1 == x2 and MARGIN_LEFT <= x1 <= WIDTH - MARGIN_RIGHT
+        assert (y1, y2) == (MARGIN_TOP, HEIGHT - MARGIN_BOTTOM)
 
     def test_single_point_curve_rejected(self):
         curve = aggregate_trials([(10, 0, 0.5), (10, 1, 0.4)])

@@ -316,7 +316,7 @@ class TestRunScaling:
         small = run_linreg_scaling(d=3, sigma=0.2, estimator="lstsq", n_grid=[2, 4], trials=3, seed=4)
         big = run_linreg_scaling(d=3, sigma=0.2, estimator="lstsq", n_grid=[2, 4], trials=9, seed=4)
         for n, errs in small.points:
-            assert big.trial_errors(n)[: len(errs)] == errs
+            assert dict(big.points)[n][: len(errs)] == errs
 
     @pytest.mark.parametrize("estimator", ["lstsq", "ridge", "nn"])
     def test_only_nn_derives_test_streams(self, monkeypatch, estimator):
@@ -329,7 +329,7 @@ class TestRunScaling:
 
         monkeypatch.setattr(streams, "stream", recording_stream)
         run_linreg_scaling(d=3, sigma=0.1, estimator=estimator, n_grid=[2, 4], trials=3, seed=7,
-                           lam=0.5, n_test=16)
+                           lam=0.5)
         assert purposes.count(streams.TEST) == (6 if estimator == "nn" else 0)
         assert purposes.count(streams.DATA) == 6
 

@@ -183,7 +183,7 @@ class TestRunHarmonicScaling:
         assert curve.metadata["task"] == "harmonic"
         assert curve.metadata["arm"] == "noreg"
         assert curve.ns.tolist() == [8, 16]
-        assert len(curve.trial_errors(8)) == 2
+        assert len(dict(curve.points)[8]) == 2
 
     def test_deterministic_and_worker_independent(self):
         kwargs = dict(
