@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import resource
 import sys
 import time
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .curves import (
     CurveError,
     FitError,
@@ -240,8 +241,24 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _environment() -> dict:
+    """Interpreter and library versions, CPU count and the BLAS thread count now in effect."""
+    # scipy's top-level package alone: 0.8 MiB and ~15 ms where no cell
+    # imports it, half the cost of reading importlib.metadata.
+    import scipy
+
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": _blas.thread_count(),
+    }
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    environment = _environment()
     started = time.time()
     curve = _dispatch_run(cfg)
     duration = time.time() - started
@@ -264,6 +281,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest = {
         "config": asdict(cfg),
         "version": __version__,
+        "environment": environment,
         "duration_seconds": duration,
         "trial_counts": {str(n): len(errs) for n, errs in curve.points},
         "outputs": outputs,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .. import streams
+from .. import _blas, streams
 # aggregate_trials is not called here; benchmarks/tracing.py wraps it at this name.
 from ..curves import ScalingCurve, aggregate_trials, run_cells
 from .basis import BandwidthRegularizer, HarmonicFunction, regularizer_value, sample_harmonic
@@ -136,54 +136,57 @@ def train(
     order = np.zeros(0, dtype=np.intp)
     cursor = 0
 
-    best_val = np.inf
-    last_improvement = 0
-    step = 0
-    stopped_early = False
-    while step < config.max_steps:
-        step += 1
-        if n:
-            if cursor + batch > len(order):
-                order = rng.permutation(n)
-                cursor = 0
-            idx = order[cursor : cursor + batch]
-            cursor += batch
-            xs[:batch] = train_x[idx]
-            yb = train_y[idx]
+    # A step's largest product is its rows by a width x width layer. The
+    # validation and test forwards run in the same scope.
+    with _blas.threads_for(rows * config.width * config.width):
+        best_val = np.inf
+        last_improvement = 0
+        step = 0
+        stopped_early = False
+        while step < config.max_steps:
+            step += 1
+            if n:
+                if cursor + batch > len(order):
+                    order = rng.permutation(n)
+                    cursor = 0
+                idx = order[cursor : cursor + batch]
+                cursor += batch
+                xs[:batch] = train_x[idx]
+                yb = train_y[idx]
 
-        try:
-            out, cache = mlp_forward_batch(model, xs, work)
-        except FloatingPointError:
-            raise DivergenceError(step) from None
-        loss = 0.0
-        if batch:
-            resid = out[:batch] - yb
-            loss += float(resid @ resid) / batch
-            dout[:batch] = (2.0 / batch) * resid
+            try:
+                out, cache = mlp_forward_batch(model, xs, work)
+            except FloatingPointError:
+                raise DivergenceError(step) from None
+            loss = 0.0
+            if batch:
+                resid = out[:batch] - yb
+                loss += float(resid @ resid) / batch
+                dout[:batch] = (2.0 / batch) * resid
+            if regularizer is not None:
+                r = regularizer.residual(out[batch:])
+                loss += regularizer.lam * float(r @ r) / regularizer.m
+                dout[batch:] = regularizer.lam * (2.0 / regularizer.m) * r
+            if not np.isfinite(loss):
+                raise DivergenceError(step)
+
+            adam_step(state, params, mlp_backward(model, cache, dout, work))
+
+            if step % config.eval_every == 0:
+                val = _mse(model, val_x, val_y, work)
+                if val < best_val:
+                    best_val = val
+                    last_improvement = step
+                elif step - last_improvement >= config.patience:
+                    stopped_early = True
+                    break
+
+        final_val = _mse(model, val_x, val_y, work)
+        test_mse = _mse(model, test_xd, test_y, work)
+        reg_value = None
         if regularizer is not None:
-            r = regularizer.residual(out[batch:])
-            loss += regularizer.lam * float(r @ r) / regularizer.m
-            dout[batch:] = regularizer.lam * (2.0 / regularizer.m) * r
-        if not np.isfinite(loss):
-            raise DivergenceError(step)
-
-        adam_step(state, params, mlp_backward(model, cache, dout, work))
-
-        if step % config.eval_every == 0:
-            val = _mse(model, val_x, val_y, work)
-            if val < best_val:
-                best_val = val
-                last_improvement = step
-            elif step - last_improvement >= config.patience:
-                stopped_early = True
-                break
-
-    final_val = _mse(model, val_x, val_y, work)
-    test_mse = _mse(model, test_xd, test_y, work)
-    reg_value = None
-    if regularizer is not None:
-        preds, _ = mlp_forward_batch(model, reg_x, work)
-        reg_value = regularizer_value(regularizer, preds)
+            preds, _ = mlp_forward_batch(model, reg_x, work)
+            reg_value = regularizer_value(regularizer, preds)
     return TrainResult(
         model=model,
         test_mse=test_mse,

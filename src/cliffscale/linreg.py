@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import streams
+from . import _blas, streams
 # aggregate_trials is not called here; benchmarks/tracing.py wraps it at this name.
 from .curves import ScalingCurve, aggregate_trials, run_cells
 
@@ -206,6 +206,16 @@ def nn_test_mse(
     return float(np.mean(resid * resid))
 
 
+def _largest_product(estimator: str, n: int, d: int) -> int:
+    """m*n*k of the largest matrix product one cell of this estimator makes."""
+    if estimator != "nn":
+        # X'X is d x n by n x d; solving the d x d system costs about d^3.
+        return max(n, d) * d * d
+    if d <= NN_TREE_MAX_D:
+        return NN_TEST_POINTS * d  # the test targets, queries @ v
+    return NN_QUERY_CHUNK * n * d
+
+
 def run_linreg_scaling(
     d: int,
     sigma: float,
@@ -227,16 +237,18 @@ def run_linreg_scaling(
         raise ValueError("ridge estimator needs a positive lambda")
 
     def cell(n_idx: int, n: int, trial: int) -> float:
-        task = sample_task(d, sigma, streams.stream(seed, streams.TASK, trial))
-        data = sample_dataset(task, n, streams.stream(seed, streams.DATA, trial, n_idx))
-        if estimator == "lstsq":
-            return linear_test_mse(task, fit_least_squares(data))
-        if estimator == "ridge":
-            return linear_test_mse(task, fit_ridge(data, lam))
-        if len(data) == 0:
-            raise ValueError("nearest-neighbor estimator needs n >= 1")
-        # Only the NN error is sampled, so only it derives a test stream.
-        return nn_test_mse(task, data, NN_TEST_POINTS, streams.stream(seed, streams.TEST, trial, n_idx))
+        # Decided from this cell's n and d alone, so its bits do not depend on the grid.
+        with _blas.threads_for(_largest_product(estimator, n, d)):
+            task = sample_task(d, sigma, streams.stream(seed, streams.TASK, trial))
+            data = sample_dataset(task, n, streams.stream(seed, streams.DATA, trial, n_idx))
+            if estimator == "lstsq":
+                return linear_test_mse(task, fit_least_squares(data))
+            if estimator == "ridge":
+                return linear_test_mse(task, fit_ridge(data, lam))
+            if len(data) == 0:
+                raise ValueError("nearest-neighbor estimator needs n >= 1")
+            # Only the NN error is sampled, so only it derives a test stream.
+            return nn_test_mse(task, data, NN_TEST_POINTS, streams.stream(seed, streams.TEST, trial, n_idx))
 
     meta = {"task": "linreg", "estimator": estimator, "d": d, "sigma": float(sigma), "seed": seed}
     if estimator == "ridge":

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cliffscale
@@ -34,6 +35,11 @@ class TestRun:
         assert manifest["trial_counts"]["10"] == 20
         assert set(manifest["outputs"]) == {"curve.csv", "curve.json", "plot.svg"}
         assert manifest["peak_rss_mb"] > 0
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "cpu_count", "blas_threads"}
+        assert env["numpy"] == np.__version__
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["blas_threads"] is None or env["blas_threads"] >= 1
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         args = [
