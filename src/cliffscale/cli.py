@@ -40,6 +40,7 @@ from .curves import (
     DEFAULT_MIN_RUN,
 )
 from .curve_io import (
+    _is_decimal,
     cliffs_to_json,
     curve_to_json,
     fit_to_json,
@@ -195,13 +196,12 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _parse_n_grid(text: str) -> list[int]:
-    try:
-        grid = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        grid = []
-    if not grid:
-        raise ConfigError(f"n_grid: expected comma-separated integers, got {text!r}")
-    return grid
+    """``--n-grid``: entries of ASCII decimal digits, as a curve CSV writes n."""
+    parts = [part.strip() for part in text.split(",")]
+    bad = next((part for part in parts if not _is_decimal(part)), None)
+    if bad is not None:
+        raise ConfigError(f"n_grid: expected comma-separated decimal integers, got {bad!r} in {text!r}")
+    return [int(part) for part in parts]
 
 
 def _dispatch_run(cfg: ExperimentConfig) -> ScalingCurve:

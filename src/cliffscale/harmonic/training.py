@@ -137,8 +137,10 @@ def train(
     cursor = 0
 
     # A step's largest product is its rows by a width x width layer. The
-    # validation and test forwards run in the same scope.
-    with _blas.threads_for(rows * config.width * config.width):
+    # validation and test forwards run in the same scope. Overflow and
+    # invalid values raise no numpy warning: a diverging run is caught from
+    # its non-finite outputs and loss, and raises DivergenceError.
+    with _blas.threads_for(rows * config.width * config.width), np.errstate(over="ignore", invalid="ignore"):
         best_val = np.inf
         last_improvement = 0
         step = 0

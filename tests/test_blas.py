@@ -100,14 +100,13 @@ class TestReproducibility:
             one = ridge_errors()
         assert two == one
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_train_restores_the_callers_count(self):
         h = sample_harmonic(1, 2, streams.stream(5, 0))
         cfg = TrainConfig(width=32, batch_size=64, max_steps=40, val_size=128, test_size=256)
         with _blas.blas_threads(2):
             train(h, 100, config=cfg, rng=streams.stream(5, 1))
             assert _blas.thread_count() == 2
-            # The inputs of test_training's divergence test.
+            # A diverging run, as in test_training's divergence test.
             h = sample_harmonic(1, 2, streams.stream(424242, 10))
             cfg = TrainConfig(width=32, batch_size=64, max_steps=50, patience=10**9, eval_every=20,
                               val_size=128, test_size=256, learning_rate=1e18)

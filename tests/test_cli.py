@@ -79,6 +79,10 @@ class TestRun:
             (["--max-steps", -5], None, "max_steps"),
             (["--n-grid", "100,10"], None, "n_grid"),
             (["--n-grid", ","], None, "n_grid"),
+            (["--n-grid", "1_0,20"], None, "n_grid"),
+            (["--n-grid", "\u0663,5"], None, "n_grid"),
+            (["--n-grid", "+5,7"], None, "n_grid"),
+            (["--n-grid", "5,,7"], None, "n_grid"),
             (["--n-grid", "10,99999999999999999999"], None, "n_grid"),
             (["--n-max", "99999999999999999999"], None, "n_grid"),
             (["--reg-points", 0], None, "reg_points"),
@@ -104,7 +108,8 @@ class TestRun:
         ids=[
             "trials-zero", "trials-above-2**32", "d-string", "trials-bool", "workers-float", "n_grid-float",
             "lambda-nan", "lam-zero-ridge", "s-nan", "max_steps-negative", "n_grid-descending",
-            "n_grid-no-integers", "n_grid-above-int64", "n_max-above-int64", "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
+            "n_grid-no-integers", "n_grid-underscore", "n_grid-arabic-indic-digit", "n_grid-plus-sign",
+            "n_grid-empty-entry", "n_grid-above-int64", "n_max-above-int64", "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
             "d-zero", "sigma-negative", "s-negative", "bandlimit-negative", "width-zero", "seed-negative",
             "seed-2**64", "workers-zero", "import-without-input", "config-list", "config-not-json", "config-missing",
         ],

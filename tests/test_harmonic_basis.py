@@ -93,7 +93,10 @@ class TestSampleHarmonic:
         # float.hex of a B = 2 target at three points, captured from the
         # implementation that kept the coefficients in frequency-keyed
         # dicts; the draw, the normalization and the evaluation keep every bit.
-        h = sample_harmonic(2, 2, rng_for(4))
+        # The target is drawn from the generator the package's streams were
+        # before they keyed Philox directly, so the literals pin arithmetic only.
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(777, spawn_key=(4,))))
+        h = sample_harmonic(2, 2, rng)
         vals = h(np.array([[0.0, 0.0], [0.25, 0.7], [0.9, 0.1]]))
         assert [float(v).hex() for v in vals] == [
             "0x1.f7c19e3c41610p-1", "-0x1.bb1e391cbc796p-3", "-0x1.270e60db2d1d2p-2",
@@ -160,11 +163,12 @@ class TestRegularizer:
 
     def test_out_of_band_error_shrinks_with_m(self):
         # Monte-Carlo convergence: quadrupling m should roughly halve the
-        # residual's distance to 1/2. Compare medians across repeats.
+        # residual's distance to 1/2. Compare medians across repeats; with
+        # 80 of them, no seed in 700-739 in place of 777 gave a ratio below 1.8.
         gaps = []
         for m in (500, 2000, 8000):
             vals = []
-            for t in range(20):
+            for t in range(80):
                 pts = rng_for(17, m, t).uniform(size=(m, 2))
                 reg = BandwidthRegularizer(B=2, d=2, points=pts, lam=1.0)
                 tone = np.cos(2 * math.pi * 3.0 * pts[:, 0])

@@ -1,4 +1,4 @@
-"""Streams: keys derived in blocks give numpy's SeedSequence draws exactly."""
+"""Streams: each key goes straight into a Philox key and counter."""
 
 import numpy as np
 import pytest
@@ -9,53 +9,40 @@ from cliffscale import streams
 
 
 def reference(seed, *key):
-    """The generator ``stream`` must reproduce, built the documented way."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+    """The generator ``stream`` must reproduce, built the documented way.
+
+    The key is a uint64 array: numpy reads a tuple holding a seed at or
+    above 2**63 as float64.
+    """
+    counter = (0, *key) + (0,) * (3 - len(key))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, len(key)], dtype=np.uint64), counter=counter))
 
 
 def raw(rng, count=8):
     return rng.bit_generator.random_raw(count)
 
 
-B = streams.BLOCK
-EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
-# Block edges and small trials (every power of two up to 2B, and one either
-# side), plus the last one-word trial and its block.
-EDGE_TRIALS = sorted({t for k in range(12) for t in (2**k - 1, 2**k, 2**k + 1)} | {2**32 - B, 2**32 - 1})
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+EDGE_WORDS = [0, 1, 2**31, 2**32 - 1]
 
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
-words = st.integers(0, 2**32 - 1)
-trials = st.one_of(st.sampled_from(EDGE_TRIALS), words)
-keys = st.one_of(
-    st.tuples(),
-    st.tuples(words),
-    st.tuples(words, trials),
-    st.tuples(words, trials, words),
-    st.tuples(words, trials, words, words),
-)
+words = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**32 - 1))
+keys = st.lists(words, max_size=3).map(tuple)
 
 
 @given(seed=seeds, key=keys)
-def test_draws_match_seed_sequence(seed, key):
+def test_draws_match_the_documented_expression(seed, key):
     np.testing.assert_array_equal(raw(streams.stream(seed, *key)), raw(reference(seed, *key)))
 
 
-@pytest.mark.parametrize("trial", EDGE_TRIALS)
-def test_every_block_edge_matches(trial):
-    for seed in EDGE_SEEDS:
-        key = (streams.DATA, trial, 3)
-        np.testing.assert_array_equal(raw(streams.stream(seed, *key)), raw(reference(seed, *key)))
-
-
-# random_raw(4) of the first generators, recorded from the SeedSequence-based
-# implementation. Identity tests elsewhere compare two runs of the same code,
-# so only these literals catch a change of stream.
+# random_raw(4) of the first generators. Identity tests elsewhere compare
+# two runs of the same code, so only these literals catch a change of stream.
 PINNED = {
-    (0,): [0x0399E5B222B82FA9, 0x41FD08C1F00F3BC5, 0x78B8824162EE4D04, 0x176747919E02739D],
-    (1, 2, 3, 4): [0x707628A0314B8C94, 0xA40D0B15B952A35A, 0xE24BB7E15A9CE818, 0x38E2A59BD5AD2F15],
-    (2**64 - 1, 7, 2**32 - 1, 0): [0xF3E9D495EA1E5035, 0x4B65BE8E67B70611, 0x4C4D5F566D4CBAEF, 0x439B60D46703E315],
-    (2024, 2, 1500, 3): [0xC8E92D7CE850FBE5, 0x0C8EBD6DF3B253FD, 0x6FD0E2908FDA1E76, 0x3EE520F15E4194FB],
-    (2**32, 4, 20): [0x64D472E72689FAC4, 0xDC8968A3D38BAC4A, 0xFB1061D87BF8181F, 0x65E486C4D28DF44F],
+    (0,): [0x02F4BA6408E4D89B, 0x3DD62B0B9CA8C5B2, 0x1C8667A55D902E79, 0x907D7A052FD5B4DC],
+    (1, 2, 3, 4): [0x8E555B0E987355FA, 0x062BBD0F6702293F, 0x30E99B00E2641207, 0xD8FB72B85E18F533],
+    (2**64 - 1, 7, 2**32 - 1, 0): [0x598705CE828B95ED, 0x40E411561B502D93, 0x18B17AB6C16EB756, 0xC4CD03540FCAAB74],
+    (2024, 2, 1500, 3): [0x09C3628B9265FDC9, 0x68919886077E51F6, 0xAD2F10082A634EF0, 0x26B385BDD7FD461C],
+    (2**32, 4, 20): [0x24C0B741F9DCC88B, 0xE6BB5DAE728F0A55, 0x16FF0B2911EFBD69, 0xA2ECB49717DCB7E1],
 }
 
 
@@ -64,7 +51,12 @@ def test_pinned_words(args):
     assert raw(streams.stream(*args), 4).tolist() == PINNED[args]
 
 
-@pytest.mark.parametrize("key", [(streams.DATA, 5, 1), (streams.DATA, B + 7, 1), (streams.TASK,)])
+def test_trailing_zero_words_give_other_streams():
+    draws = {key: raw(streams.stream(3, *key)).tolist() for key in [(), (0,), (0, 0), (0, 0, 0), (5,), (5, 0), (5, 0, 0)]}
+    assert len({tuple(d) for d in draws.values()}) == len(draws)
+
+
+@pytest.mark.parametrize("key", [(streams.DATA, 5, 1), (streams.DATA, 1031, 1), (streams.TASK,)])
 def test_same_key_generators_are_independent(key):
     want = raw(reference(9, *key)).tolist()
     a, b = streams.stream(9, *key), streams.stream(9, *key)
@@ -76,8 +68,8 @@ def test_same_key_generators_are_independent(key):
     assert got_b == want
 
 
-def test_call_order_and_cache_do_not_change_draws():
-    seed, n_trials = 31, B + 80
+def test_call_order_does_not_change_draws():
+    seed, n_trials = 31, 80
     cell_keys = [
         key
         for n_idx in range(2)
@@ -85,28 +77,32 @@ def test_call_order_and_cache_do_not_change_draws():
         for key in ((streams.TASK, trial), (streams.DATA, trial, n_idx), (streams.TEST, trial, n_idx))
     ]
     forward = {key: raw(streams.stream(seed, *key), 2).tolist() for key in cell_keys}
-    streams._key_rows.cache_clear()
-    streams._prefix_pool.cache_clear()
     backward = {key: raw(streams.stream(seed, *key), 2).tolist() for key in reversed(cell_keys)}
     assert backward == forward
-    for key in cell_keys[:: 97]:
+    for key in cell_keys[::37]:
         assert forward[key] == raw(reference(seed, *key), 2).tolist()
 
 
 def test_seed_seq_is_the_derived_key():
     rng = streams.stream(5, streams.TRAIN, 40, 2)
-    want = np.random.SeedSequence(5, spawn_key=(streams.TRAIN, 40, 2)).generate_state(2, np.uint64)
-    np.testing.assert_array_equal(rng.bit_generator.seed_seq.generate_state(2, np.uint64), want)
+    np.testing.assert_array_equal(rng.bit_generator.seed_seq.generate_state(2, np.uint64), [5, 3])
+    np.testing.assert_array_equal(rng.bit_generator.state["state"]["key"], [5, 3])
 
 
 @pytest.mark.parametrize(
     "args",
-    [(-1,), (2**64,), (2**64, 1, 2), (0, -1), (0, 2**32), (0, 1, 2**32), (0, 1, -3), (0, 1, 2, 2**32)],
+    [(-1,), (2**64,), (2**64, 1, 2), (0, -1), (0, 2**32), (0, 1, 2**32), (0, 1, -3), (0, 1, 2, 2**32),
+     (0, 0, 0, 0, 0)],
     ids=str,
 )
 def test_out_of_range_rejected(args):
     with pytest.raises(ValueError):
         streams.stream(*args)
+
+
+def test_four_words_rejected():
+    with pytest.raises(ValueError, match="at most 3 words, got 4"):
+        streams.stream(1, 2, 3, 4, 5)
 
 
 # Ways to use a generator before it is handed back through ``reuse``: 32-bit
@@ -142,14 +138,17 @@ def test_reuse_restarts_the_stream(seed, key, first, use):
                                   want.bit_generator.seed_seq.generate_state(2, np.uint64))
 
 
-@pytest.mark.parametrize("args", [(-1,), (2**64, 1, 2), (0, 2**32), (0, 1, -3)], ids=str)
+@pytest.mark.parametrize("args", [(-1,), (2**64, 1, 2), (0, 2**32), (0, 1, -3), (0, 1, 2, 3, 4)], ids=str)
 def test_reuse_rejects_a_bad_key_like_a_fresh_call(args):
     g = streams.stream(1, 2)
+    before = raw(streams.stream(1, 2, reuse=g))
+    streams.stream(1, 2, reuse=g)
     with pytest.raises(ValueError) as fresh:
         streams.stream(*args)
     with pytest.raises(ValueError) as reused:
         streams.stream(*args, reuse=g)
     assert str(reused.value) == str(fresh.value)
+    np.testing.assert_array_equal(raw(g), before)
 
 
 @pytest.mark.parametrize("other", [np.random.default_rng(0), np.random.Generator(np.random.Philox(0)), "rng"])
@@ -158,42 +157,9 @@ def test_reuse_takes_only_a_generator_from_stream(other):
         streams.stream(1, 2, reuse=other)
 
 
-# A trial word that is a plain int is looked up in the block cache without
-# stream()'s word checks; the block's other words are checked when the block
-# is derived. Each case is rejected at trials 40 and B + 40 on a reused
-# generator with the same message as at trial 3 on a fresh one.
-@pytest.mark.parametrize(
-    "seed, head, tail",
-    [(-1, (1,), (2,)), (2**64, (1,), ()), (0, (2**32,), ()), (0, (1,), (-3,)), (0, (1,), (2, 2**32))],
-    ids=str,
-)
-def test_block_trials_reject_bad_words_like_single_trials(seed, head, tail):
-    streams.stream(0, 1, 40, 2)
-    with pytest.raises(ValueError) as single:
-        streams.stream(seed, *head, 3, *tail)
-    for trial in (40, B + 40):
-        with pytest.raises(ValueError) as block:
-            streams.stream(seed, *head, trial, *tail, reuse=streams.stream(1, 2))
-        assert str(block.value) == str(single.value)
-
-
 def test_word_types_do_not_change_the_stream():
-    # numpy integers take the checked path and plain ints the cached one;
-    # either may fill the cache first.
     typed = (np.uint64(7), np.int32(2), np.uint32(40), np.int64(3))
-    for first, second in [((7, 2, 40, 3), typed), (typed, (7, 2, 40, 3))]:
-        streams._key_rows.cache_clear()
-        a = raw(streams.stream(*first))
-        np.testing.assert_array_equal(raw(streams.stream(*second)), a)
-        np.testing.assert_array_equal(a, raw(reference(7, 2, 40, 3)))
-
-
-def test_a_run_derives_each_block_once():
-    # A linreg cell draws from (TASK, trial), (DATA, trial, n index) and
-    # (TEST, trial, n index): one block for the tasks, then two per grid row.
-    from cliffscale.linreg import run_linreg_scaling
-
-    grid = [2, 4, 8, 16, 32, 64]
-    streams._key_rows.cache_clear()
-    run_linreg_scaling(d=3, sigma=0.1, estimator="ridge", lam=1.0, n_grid=grid, trials=50, seed=9)
-    assert streams._key_rows.cache_info().misses <= 2 * len(grid) + 1
+    a = raw(streams.stream(7, 2, 40, 3))
+    np.testing.assert_array_equal(raw(streams.stream(*typed)), a)
+    np.testing.assert_array_equal(raw(streams.stream(*typed, reuse=streams.stream(1))), a)
+    np.testing.assert_array_equal(a, raw(reference(7, 2, 40, 3)))
