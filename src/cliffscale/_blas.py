@@ -20,7 +20,7 @@ import functools
 # time and doubles the CPU time. Measured on a 2-core x86-64 box
 # (scipy-openblas 0.3.31), wall per call at 1 -> 2 threads, the CPU time
 # at 2 threads being about twice its wall:
-#   ridge fit, float64, max(n, d) * d^2:
+#   ridge fit on n full rows, float64, max(n, d) * d^2:
 #     d=100 n=1000 1.0e7: 0.49-0.54 -> 0.46-1.40 ms
 #     d=200 n=400  1.6e7: 1.32-1.34 -> 1.05-1.27 ms
 #     d=283 n=566  4.5e7: 2.06-2.28 -> 2.12-2.29 ms
@@ -31,7 +31,9 @@ import functools
 #     rows=256  1.7e7: 3.01-3.16 -> 2.80 ms
 #     rows=1024 6.7e7: 8.6-10.8  -> 7.84-7.87 ms
 # 2^24 = 256^3 keeps the default 256-row batch at width 256 threaded,
-# and a float64 ridge fit at d = 200, n = 400 on one thread.
+# and every linreg lstsq or ridge cell up to d = 256 on one thread: such a
+# cell fits at most d rows from n = d on (linreg.sample_dataset_sufficient),
+# so its largest product is d^3 at any n.
 ONE_THREAD_BELOW = 2**24
 
 

@@ -8,6 +8,7 @@ data scales as a slow power law instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "RegressionDataset",
     "sample_task",
     "sample_dataset",
+    "sample_dataset_sufficient",
     "fit_least_squares",
     "fit_ridge",
     "linear_test_mse",
@@ -102,6 +104,43 @@ def sample_dataset(task: LinearTask, n: int, rng: np.random.Generator) -> Regres
     ys = xs @ task.v
     if task.sigma > 0:
         ys = ys + task.sigma * rng.standard_normal(n)
+    return RegressionDataset(xs=xs, ys=ys)
+
+
+@functools.cache
+def _upper_triangle(d: int) -> np.ndarray:
+    """Flat indices of a d x d matrix's entries above the diagonal, row by row."""
+    rows, cols = np.triu_indices(d, 1)
+    flat = rows * d + cols
+    flat.flags.writeable = False  # shared by every call at this d
+    return flat
+
+
+def sample_dataset_sufficient(task: LinearTask, n: int, rng: np.random.Generator) -> RegressionDataset:
+    """A dataset whose X'X and X'y have the joint law of n rows of sample_dataset.
+
+    For n < d this is sample_dataset itself. For n >= d it has d rows:
+    xs = R, the triangular factor of X = QR, and ys = R v + sigma z, since
+    X'y = R'(R v + sigma Q'e). R's entries are independent, N(0, 1) above
+    the diagonal and r_ii^2 ~ chi^2(n - i) for i = 0, ..., d - 1
+    (Bartlett 1933), and z = Q'e ~ N(0, I_d) is independent of R. So
+    fit_least_squares and fit_ridge give fits with the law they have on n
+    rows, from d (d + 1) / 2 + d draws instead of n (d + 1).
+
+    Draw order: the d (d - 1) / 2 normals above the diagonal, row by row;
+    the d chi-squares with n, n - 1, ..., n - d + 1 degrees of freedom,
+    whose square roots are the diagonal; then, if sigma > 0, the d normals z.
+    """
+    d = task.d
+    if n < d:
+        return sample_dataset(task, n, rng)
+    xs = np.zeros((d, d))
+    flat = xs.reshape(-1)
+    flat[_upper_triangle(d)] = rng.standard_normal(d * (d - 1) // 2)
+    flat[:: d + 1] = np.sqrt(rng.chisquare(np.arange(n, n - d, -1)))
+    ys = xs @ task.v
+    if task.sigma > 0:
+        ys = ys + task.sigma * rng.standard_normal(d)
     return RegressionDataset(xs=xs, ys=ys)
 
 
@@ -209,8 +248,9 @@ def nn_test_mse(
 def _largest_product(estimator: str, n: int, d: int) -> int:
     """m*n*k of the largest matrix product one cell of this estimator makes."""
     if estimator != "nn":
-        # X'X is d x n by n x d; solving the d x d system costs about d^3.
-        return max(n, d) * d * d
+        # Below n = d, X'X is d x n by n x d; from n = d on, the data are the
+        # d x d factor of sample_dataset_sufficient. Solving costs about d^3.
+        return d * d * d
     if d <= NN_TREE_MAX_D:
         return NN_TEST_POINTS * d  # the test targets, queries @ v
     return NN_QUERY_CHUNK * n * d
@@ -236,11 +276,14 @@ def run_linreg_scaling(
     if estimator == "ridge" and (lam is None or lam <= 0):
         raise ValueError("ridge estimator needs a positive lambda")
 
+    # Only 1-NN needs the points themselves; the linear fits need X'X and X'y.
+    sample = sample_dataset if estimator == "nn" else sample_dataset_sufficient
+
     def cell(n_idx: int, n: int, trial: int) -> float:
         # Decided from this cell's n and d alone, so its bits do not depend on the grid.
         with _blas.threads_for(_largest_product(estimator, n, d)):
             task = sample_task(d, sigma, streams.stream(seed, streams.TASK, trial))
-            data = sample_dataset(task, n, streams.stream(seed, streams.DATA, trial, n_idx))
+            data = sample(task, n, streams.stream(seed, streams.DATA, trial, n_idx))
             if estimator == "lstsq":
                 return linear_test_mse(task, fit_least_squares(data))
             if estimator == "ridge":

@@ -18,6 +18,8 @@ hands Philox its key; it cannot be spawned.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
@@ -69,14 +71,23 @@ class _FixedKey(ISeedSequence):
 
 
 def _checked(seed: int, key: tuple) -> None:
-    """ValueError unless seed fits 64 bits and key is at most 3 words of 32 bits."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if len(key) > _MAX_WORDS:
-        raise ValueError(f"a stream key has at most {_MAX_WORDS} words, got {len(key)}")
-    if key and not (min(key) >= 0 and max(key) <= _MASK32):
-        bad = next(k for k in key if not 0 <= k <= _MASK32)
-        raise ValueError(f"key entries must be 32-bit unsigned integers, got {bad}")
+    """ValueError unless seed fits 64 bits and key is at most 3 words of 32 bits.
+
+    Every word must be an integer, as ``operator.index`` takes it: Philox
+    would truncate a fraction such as 2.5 to 2 and draw another stream.
+    """
+    try:
+        if not 0 <= index(seed) < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        if len(key) > _MAX_WORDS:
+            raise ValueError(f"a stream key has at most {_MAX_WORDS} words, got {len(key)}")
+        # One loop is cheaper than min() and max() over at most 3 words.
+        for word in key:
+            if not 0 <= index(word) <= _MASK32:
+                raise ValueError(f"key entries must be 32-bit unsigned integers, got {word}")
+    except TypeError:
+        bad = next(w for w in (seed, *key) if not hasattr(type(w), "__index__"))
+        raise ValueError(f"seed and key entries must be integers, got {bad!r}") from None
 
 
 def stream(seed: int, *key: int, reuse: np.random.Generator | None = None) -> np.random.Generator:

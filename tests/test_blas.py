@@ -100,6 +100,15 @@ class TestReproducibility:
             one = ridge_errors()
         assert two == one
 
+    def test_ridge_bits_at_large_n_do_not_depend_on_the_callers_count(self):
+        # From n = d on a cell's largest product is d^3, so d = 100 runs on one thread at any n.
+        grid = [2000, 5000, 10_000]
+        with _blas.blas_threads(2):
+            two = errors("ridge", 100, grid, lam=1.0)
+        with _blas.blas_threads(1):
+            one = errors("ridge", 100, grid, lam=1.0)
+        assert two == one
+
     def test_train_restores_the_callers_count(self):
         h = sample_harmonic(1, 2, streams.stream(5, 0))
         cfg = TrainConfig(width=32, batch_size=64, max_steps=40, val_size=128, test_size=256)

@@ -1,7 +1,10 @@
 """Tests for the linear-regression toy model."""
 
+import time
+
 import numpy as np
 import pytest
+from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -19,6 +22,7 @@ from cliffscale.linreg import (
     nn_test_mse,
     run_linreg_scaling,
     sample_dataset,
+    sample_dataset_sufficient,
     _nn_predict_batch,
     sample_task,
 )
@@ -68,6 +72,74 @@ class TestSampleDataset:
         task = sample_task(8, 0.1, rng_for(5))
         data = sample_dataset(task, 1_000_000, rng_for(6))
         assert np.mean(data.ys**2) == pytest.approx(1.01, abs=0.01)
+
+
+def linear_errors(sampler, n, fit, trials, seed, d=10, sigma=0.1):
+    """Test errors of one fit over trials, each with its own task and dataset."""
+    errs = []
+    for t in range(trials):
+        task = sample_task(d, sigma, streams.stream(seed, streams.TASK, t))
+        errs.append(linear_test_mse(task, fit(sampler(task, n, streams.stream(seed, streams.DATA, t)))))
+    return np.array(errs)
+
+
+def ridge_one(data):
+    return fit_ridge(data, 1.0)
+
+
+class TestSampleDatasetSufficient:
+    """The triangular-factor sampler against n full rows, in the style of criterion 5."""
+
+    def test_below_d_it_is_the_full_sampler(self):
+        task = sample_task(6, 0.1, rng_for(40))
+        a = sample_dataset(task, 5, rng_for(41))
+        b = sample_dataset_sufficient(task, 5, rng_for(41))
+        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_documented_draw_order(self, sigma):
+        d, n = 4, 9
+        task = sample_task(d, sigma, rng_for(42))
+        sampled = rng_for(43)
+        data = sample_dataset_sufficient(task, n, sampled)
+        rng = rng_for(43)
+        r = np.zeros((d, d))
+        for i in range(d):
+            r[i, i + 1 :] = rng.standard_normal(d - 1 - i)
+        for i in range(d):
+            r[i, i] = np.sqrt(rng.chisquare(n - i))
+        ys = r @ task.v + (sigma * rng.standard_normal(d) if sigma else 0.0)
+        assert np.array_equal(data.xs, r) and np.array_equal(data.ys, ys)
+        # Nothing else was drawn.
+        assert sampled.random() == rng.random()
+
+    @pytest.mark.parametrize(
+        "n, fit", [(10, fit_least_squares), (30, fit_least_squares), (30, ridge_one)],
+        ids=["lstsq-n10", "lstsq-n30", "ridge-n30"],
+    )
+    def test_errors_match_the_full_sampler_in_law(self, n, fit):
+        full = linear_errors(sample_dataset, n, fit, 4000, seed=51)
+        sufficient = linear_errors(sample_dataset_sufficient, n, fit, 4000, seed=52)
+        assert stats.ks_2samp(full, sufficient).statistic < 0.04
+
+    @pytest.mark.parametrize("n", [30, 10**9])
+    def test_mean_lstsq_error_is_exact(self, n):
+        # E|v_hat - v|^2 = sigma^2 tr E[(X'X)^-1] = sigma^2 d / (n - d - 1).
+        started = time.perf_counter()
+        errs = linear_errors(sample_dataset_sufficient, n, fit_least_squares, 2000, seed=53)
+        per_trial = (time.perf_counter() - started) / len(errs)
+        exact = 0.1**2 * 10 / (n - 10 - 1)
+        assert abs(errs.mean() - exact) < 3 * errs.std(ddof=1) / np.sqrt(len(errs))
+        assert per_trial < 0.01
+
+    def test_gram_mean_is_n_times_identity(self):
+        d, n, trials = 5, 20, 4000
+        task = sample_task(d, 0.0, rng_for(44))
+        factors = [sample_dataset_sufficient(task, n, rng_for(45, t)).xs for t in range(trials)]
+        grams = np.array([r.T @ r for r in factors])
+        # Var (X'X)_ij = n (1 + [i = j]) for standard normal rows.
+        se = np.sqrt(n * (1 + np.eye(d)) / trials)
+        assert np.all(np.abs(grams.mean(axis=0) - n * np.eye(d)) < 4 * se)
 
 
 class TestLeastSquares:
@@ -332,6 +404,39 @@ class TestRunScaling:
                            lam=0.5)
         assert purposes.count(streams.TEST) == (6 if estimator == "nn" else 0)
         assert purposes.count(streams.DATA) == 6
+
+    @pytest.mark.parametrize(
+        "estimator, kwargs, expected",
+        [
+            ("lstsq", dict(d=6, n_grid=[1, 3, 5]), [
+                (1, (0.9645425903412286, 0.5690748454304821)),
+                (3, (0.38282459478092434, 0.21573079238453063)),
+                (5, (0.16327608472418795, 0.06530067912757055)),
+            ]),
+            ("ridge", dict(d=6, n_grid=[1, 3, 5], lam=0.5), [
+                (1, (0.963677649529535, 0.5677833768037104)),
+                (3, (0.3862101179440398, 0.3823097959191667)),
+                (5, (0.16881617158440848, 0.06534344460891983)),
+            ]),
+            ("nn", dict(d=3, n_grid=[2, 7]), [
+                (2, (1.020904320789877, 5.151347783100036)),
+                (7, (0.5708265053437265, 0.7302593207174919)),
+            ]),
+        ],
+        ids=["lstsq", "ridge", "nn"],
+    )
+    def test_pinned_cells_that_draw_every_row(self, estimator, kwargs, expected):
+        # Linear cells below n = d and every 1-NN cell draw their n full rows,
+        # so the triangular-factor sampler at n >= d must leave these errors as they were.
+        curve = run_linreg_scaling(sigma=0.1, estimator=estimator, trials=2, seed=12, **kwargs)
+        assert [(n, tuple(errs)) for n, errs in curve.points] == expected
+
+    @pytest.mark.parametrize("estimator", ["lstsq", "ridge"])
+    def test_huge_n_draws_no_rows(self, estimator):
+        # n rows of d = 50 would take 400 TB; the triangular factor is 50 x 50.
+        curve = run_linreg_scaling(d=50, sigma=0.1, estimator=estimator, n_grid=[10**12], trials=2, seed=8,
+                                   lam=1.0)
+        assert all(0 < e < 1e-9 for e in curve.points[0][1])
 
     def test_ridge_needs_lambda(self):
         with pytest.raises(ValueError):

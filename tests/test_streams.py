@@ -100,6 +100,15 @@ def test_out_of_range_rejected(args):
         streams.stream(*args)
 
 
+@pytest.mark.parametrize("args", [(1, 2.5), (1.7, 2), (1, 2.0), (1, 2, np.float64(3.0)), (1, "3"), (2.0,)], ids=str)
+def test_fractional_words_rejected(args):
+    # Philox would truncate 2.5 to 2 and silently draw another key's stream.
+    with pytest.raises(ValueError, match="must be integers"):
+        streams.stream(*args)
+    with pytest.raises(ValueError, match="must be integers"):
+        streams.stream(*args, reuse=streams.stream(1, 2))
+
+
 def test_four_words_rejected():
     with pytest.raises(ValueError, match="at most 3 words, got 4"):
         streams.stream(1, 2, 3, 4, 5)
@@ -138,7 +147,8 @@ def test_reuse_restarts_the_stream(seed, key, first, use):
                                   want.bit_generator.seed_seq.generate_state(2, np.uint64))
 
 
-@pytest.mark.parametrize("args", [(-1,), (2**64, 1, 2), (0, 2**32), (0, 1, -3), (0, 1, 2, 3, 4)], ids=str)
+@pytest.mark.parametrize("args", [(-1,), (2**64, 1, 2), (0, 2**32), (0, 1, -3), (0, 1, 2, 3, 4), (1, 2.9)],
+                         ids=str)
 def test_reuse_rejects_a_bad_key_like_a_fresh_call(args):
     g = streams.stream(1, 2)
     before = raw(streams.stream(1, 2, reuse=g))
