@@ -1,10 +1,8 @@
 """Scoped control of the BLAS thread count numpy's products run on.
 
-After a multithreaded product, OpenBLAS keeps its worker threads
-busy-waiting for more work. A serial loop that makes a small product
-every few hundred microseconds therefore keeps every other core
-spinning for the whole run while saving no wall time, so the runners
-make their small products on one thread.
+Which count a block runs on is its runner's decision
+(``linreg.run_linreg_scaling``, ``harmonic.training.train``); this module
+only sets and restores it.
 
 The count is process-wide: nested scopes restore it in order, but two
 threads that scope it at once can restore each other's value.
@@ -14,27 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-
-# The m*n*k of a block's largest product from which it keeps the thread
-# count it was given. Below it a second thread saves little or no wall
-# time and doubles the CPU time. Measured on a 2-core x86-64 box
-# (scipy-openblas 0.3.31), wall per call at 1 -> 2 threads, the CPU time
-# at 2 threads being about twice its wall:
-#   ridge fit on n full rows, float64, max(n, d) * d^2:
-#     d=100 n=1000 1.0e7: 0.49-0.54 -> 0.46-1.40 ms
-#     d=200 n=400  1.6e7: 1.32-1.34 -> 1.05-1.27 ms
-#     d=283 n=566  4.5e7: 2.06-2.28 -> 2.12-2.29 ms
-#     d=400 n=800  1.3e8: 6.65-6.79 -> 4.84-5.52 ms
-#   harmonic train() step, float32, width 256, no regularizer, rows * 256^2:
-#     rows=64   4.2e6: 1.46-1.77 -> 1.49-1.65 ms
-#     rows=128  8.4e6: 1.93-2.30 -> 1.68-2.11 ms
-#     rows=256  1.7e7: 3.01-3.16 -> 2.80 ms
-#     rows=1024 6.7e7: 8.6-10.8  -> 7.84-7.87 ms
-# 2^24 = 256^3 keeps the default 256-row batch at width 256 threaded,
-# and every linreg lstsq or ridge cell up to d = 256 on one thread: such a
-# cell fits at most d rows from n = d on (linreg.sample_dataset_sufficient),
-# so its largest product is d^3 at any n.
-ONE_THREAD_BELOW = 2**24
 
 
 @functools.cache
@@ -88,12 +65,3 @@ def blas_threads(count: int):
     finally:
         set_(previous)
 
-
-def threads_for(largest_product: int):
-    """One BLAS thread for a block whose largest product's m*n*k is below ONE_THREAD_BELOW.
-
-    At or above it the block keeps the thread count it was given.
-    """
-    if largest_product < ONE_THREAD_BELOW:
-        return blas_threads(1)
-    return contextlib.nullcontext()

@@ -396,9 +396,13 @@ def cmd_plot(args: argparse.Namespace) -> int:
         raise ConfigError(f"vline: must be >= 1, got {args.vline}")
     overlay_specs = _parse_overlays(args)
     curves = [read_curve_csv(path) for path in args.curves]
+    for path, curve in zip(args.curves, curves):
+        if len(curve.points) < 2:
+            raise PlotError(f"{path}: cannot draw a scaling line through a single-point curve")
+    # Every curve spans at least two n >= 1, so n_lo < n_hi.
     n_lo = min(int(c.ns[0]) for c in curves)
     n_hi = max(int(c.ns[-1]) for c in curves)
-    ns = np.array(log_spaced_ns(max(n_lo, 1), max(n_hi, 2), 40), dtype=float)
+    ns = np.array(log_spaced_ns(n_lo, n_hi, 40), dtype=float)
     overlays = [Overlay(label=label, ns=ns, values=values(ns)) for label, values in overlay_specs]
     svg = render_svg(curves, overlays=overlays, vline=args.vline, floor=args.floor)
     Path(args.out).write_text(svg, encoding="utf-8")

@@ -30,11 +30,7 @@ __all__ = [
     "approx_error",
     "run_gaussian_scaling",
     "sample_chi_squared",
-    "SAMPLERS",
 ]
-
-# The names of run_gaussian_scaling's samplers.
-SAMPLERS = ("full", "sufficient")
 
 
 @dataclass(frozen=True)
@@ -184,19 +180,12 @@ def approx_error(task: GaussianTask, n: int) -> float:
     return std_normal_cdf(-s / math.sqrt(1.0 + task.d / (n * s * s)))
 
 
-def run_gaussian_scaling(
-    d: int,
-    s: float,
-    n_grid,
-    trials: int,
-    seed: int,
-    sampler: str = "sufficient",
-) -> ScalingCurve:
-    """Scaling curve of simulated classification errors over an n grid."""
-    if sampler not in SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r} (expected one of {SAMPLERS})")
+def run_gaussian_scaling(d: int, s: float, n_grid, trials: int, seed: int) -> ScalingCurve:
+    """Scaling curve of simulated classification errors over an n grid.
+
+    Each cell draws one error through ``sample_error_sufficient``.
+    """
     task = GaussianTask(d=d, s=float(s))
-    draw = simulate_error if sampler == "full" else sample_error_sufficient
     # Cells run one at a time, and each draws from one stream only, so every
     # cell resets the previous cell's generator instead of building its own.
     rng = None
@@ -204,7 +193,8 @@ def run_gaussian_scaling(
     def cell(n_idx: int, n: int, trial: int) -> float:
         nonlocal rng
         rng = streams.stream(seed, streams.DATA, trial, n_idx, reuse=rng)
-        return draw(task, n, rng)
+        return sample_error_sufficient(task, n, rng)
 
-    meta = {"task": "gaussian", "d": d, "s": task.s, "sampler": sampler, "seed": seed}
+    # "sampler" stays so that curve.json reads as earlier versions wrote it.
+    meta = {"task": "gaussian", "d": d, "s": task.s, "sampler": "sufficient", "seed": seed}
     return run_cells(cell, n_grid, trials, meta)

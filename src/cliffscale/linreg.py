@@ -245,17 +245,6 @@ def nn_test_mse(
     return float(np.mean(resid * resid))
 
 
-def _largest_product(estimator: str, n: int, d: int) -> int:
-    """m*n*k of the largest matrix product one cell of this estimator makes."""
-    if estimator != "nn":
-        # Below n = d, X'X is d x n by n x d; from n = d on, the data are the
-        # d x d factor of sample_dataset_sufficient. Solving costs about d^3.
-        return d * d * d
-    if d <= NN_TREE_MAX_D:
-        return NN_TEST_POINTS * d  # the test targets, queries @ v
-    return NN_QUERY_CHUNK * n * d
-
-
 def run_linreg_scaling(
     d: int,
     sigma: float,
@@ -280,20 +269,21 @@ def run_linreg_scaling(
     sample = sample_dataset if estimator == "nn" else sample_dataset_sufficient
 
     def cell(n_idx: int, n: int, trial: int) -> float:
-        # Decided from this cell's n and d alone, so its bits do not depend on the grid.
-        with _blas.threads_for(_largest_product(estimator, n, d)):
-            task = sample_task(d, sigma, streams.stream(seed, streams.TASK, trial))
-            data = sample(task, n, streams.stream(seed, streams.DATA, trial, n_idx))
-            if estimator == "lstsq":
-                return linear_test_mse(task, fit_least_squares(data))
-            if estimator == "ridge":
-                return linear_test_mse(task, fit_ridge(data, lam))
-            if len(data) == 0:
-                raise ValueError("nearest-neighbor estimator needs n >= 1")
-            # Only the NN error is sampled, so only it derives a test stream.
-            return nn_test_mse(task, data, NN_TEST_POINTS, streams.stream(seed, streams.TEST, trial, n_idx))
+        task = sample_task(d, sigma, streams.stream(seed, streams.TASK, trial))
+        data = sample(task, n, streams.stream(seed, streams.DATA, trial, n_idx))
+        if estimator == "lstsq":
+            return linear_test_mse(task, fit_least_squares(data))
+        if estimator == "ridge":
+            return linear_test_mse(task, fit_ridge(data, lam))
+        if len(data) == 0:
+            raise ValueError("nearest-neighbor estimator needs n >= 1")
+        # Only the NN error is sampled, so only it derives a test stream.
+        return nn_test_mse(task, data, NN_TEST_POINTS, streams.stream(seed, streams.TEST, trial, n_idx))
 
     meta = {"task": "linreg", "estimator": estimator, "d": d, "sigma": float(sigma), "seed": seed}
     if estimator == "ridge":
         meta["lambda"] = float(lam)
-    return run_cells(cell, n_grid, trials, meta)
+    # One BLAS thread for every cell, so its bits depend only on the seed and
+    # the BLAS build, never on the thread count or the host.
+    with _blas.blas_threads(1):
+        return run_cells(cell, n_grid, trials, meta)

@@ -87,7 +87,7 @@ class TestAcceptance:
         task = GaussianTask(d=1000, s=1.0)
         curve = cs.run_gaussian_scaling(
             d=1000, s=1.0, n_grid=[10, 100, 1000, 10_000, 100_000],
-            trials=10_000, seed=77, sampler="sufficient",
+            trials=10_000, seed=77,
         )
         med = dict(zip(curve.ns.tolist(), curve.statistic("median")))
         gaps = {n: abs(med[n] - approx_error(task, n)) for n in (10, 100, 1000, 10_000)}

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from cliffscale import _blas, streams
+from cliffscale import _blas, linreg, streams
+from cliffscale.harmonic import training
 from cliffscale.harmonic.basis import sample_harmonic
 from cliffscale.harmonic.training import DivergenceError, TrainConfig, train
 from cliffscale.linreg import run_linreg_scaling
@@ -35,8 +36,8 @@ def fake(monkeypatch):
     return controls
 
 
-def errors(estimator, d, n_grid, **kw):
-    curve = run_linreg_scaling(d=d, sigma=0.1, estimator=estimator, n_grid=n_grid, trials=5, seed=3, **kw)
+def errors(estimator, d, n_grid, trials=5, **kw):
+    curve = run_linreg_scaling(d=d, sigma=0.1, estimator=estimator, n_grid=n_grid, trials=trials, seed=3, **kw)
     return [tuple(errs) for _, errs in curve.points]
 
 
@@ -64,12 +65,31 @@ class TestScope:
         assert (fake.count, fake.sets) == (2, [3, 1, 3, 2])
 
     def test_one_thread_only_below_the_bound(self, fake):
-        with _blas.threads_for(_blas.ONE_THREAD_BELOW):
-            assert fake.count == 2
+        # train() runs on one thread when a step's rows x width^2 is below the
+        # bound, and on the caller's count from it on.
+        h = sample_harmonic(1, 2, streams.stream(5, 0))
+        cfg = TrainConfig(width=64, hidden_layers=1, batch_size=4096, max_steps=1, val_size=8, test_size=8)
+        assert 4096 * 64 * 64 == training.ONE_THREAD_BELOW
+        train(h, 4096, config=cfg, rng=streams.stream(5, 1))
         assert fake.sets == []
-        with _blas.threads_for(_blas.ONE_THREAD_BELOW - 1):
-            assert fake.count == 1
-        assert fake.sets == [1, 2]
+        train(h, 4095, config=cfg, rng=streams.stream(5, 1))
+        assert (fake.count, fake.sets) == (2, [1, 2])
+
+    def test_a_failing_linreg_cell_restores_the_callers_count(self, fake, monkeypatch):
+        calls = []
+        fit = linreg.fit_least_squares
+
+        def failing_on_the_third_call(data):
+            calls.append(data)
+            if len(calls) == 3:
+                raise ZeroDivisionError
+            return fit(data)
+
+        monkeypatch.setattr(linreg, "fit_least_squares", failing_on_the_third_call)
+        with pytest.raises(ZeroDivisionError):
+            errors("lstsq", 5, [3, 10])
+        assert len(calls) == 3
+        assert (fake.count, fake.sets) == (2, [1, 2])
 
     @has_control
     def test_restores_the_real_count(self):
@@ -86,7 +106,7 @@ def test_without_a_control_nothing_changes(monkeypatch):
     expected = errors("lstsq", 5, [3, 10])
     monkeypatch.setattr(_blas, "_controls", lambda: None)
     assert _blas.thread_count() is None
-    with _blas.blas_threads(1), _blas.threads_for(0):
+    with _blas.blas_threads(1):
         assert errors("lstsq", 5, [3, 10]) == expected
 
 
@@ -101,12 +121,25 @@ class TestReproducibility:
         assert two == one
 
     def test_ridge_bits_at_large_n_do_not_depend_on_the_callers_count(self):
-        # From n = d on a cell's largest product is d^3, so d = 100 runs on one thread at any n.
+        # Every linreg cell runs on one thread, at any n.
         grid = [2000, 5000, 10_000]
         with _blas.blas_threads(2):
             two = errors("ridge", 100, grid, lam=1.0)
         with _blas.blas_threads(1):
             one = errors("ridge", 100, grid, lam=1.0)
+        assert two == one
+
+    @pytest.mark.parametrize(
+        "estimator, d, n_grid, kw",
+        [("lstsq", 300, [300, 600], {}), ("ridge", 400, [400, 800], {"lam": 1.0}), ("nn", 20, [2000], {})],
+        ids=["lstsq-d300", "ridge-d400", "nn-d20"],
+    )
+    def test_large_cells_bits_do_not_depend_on_the_callers_count(self, estimator, d, n_grid, kw):
+        # Products this large are split between two threads, which rounds differently.
+        with _blas.blas_threads(2):
+            two = errors(estimator, d, n_grid, trials=2, **kw)
+        with _blas.blas_threads(1):
+            one = errors(estimator, d, n_grid, trials=2, **kw)
         assert two == one
 
     def test_train_restores_the_callers_count(self):

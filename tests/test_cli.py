@@ -325,10 +325,15 @@ class TestPlot:
         assert svg.count("<polyline") == 2  # empirical median + closed form
         assert svg.count("<polygon") == 1  # min-max band
 
-    def test_single_point_curve_exits_3(self, tmp_path):
-        src = tmp_path / "one.csv"
-        src.write_text("n,trial,error\n10,0,0.5\n")
-        assert run_cli("plot", src, "--out", tmp_path / "x.svg") == 3
+    def test_single_point_curve_exits_3(self, tmp_path, capsys):
+        # The check comes before the overlay grid, which needs n_min < n_max, at any n.
+        for n in (1, 5, 10):
+            src = tmp_path / f"one{n}.csv"
+            src.write_text(f"n,trial,error\n{n},0,0.5\n{n},1,0.25\n")
+            assert run_cli("plot", src, "--out", tmp_path / "x.svg") == 3
+            err = capsys.readouterr().err
+            assert f"data error: {src}: cannot draw a scaling line through a single-point curve" in err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_nonpositive_without_floor_exits_3_then_floor_ok(self, tmp_path, capsys):
         src = tmp_path / "zero.csv"

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from cliffscale import streams
+from cliffscale.curves import run_cells
 from cliffscale.gaussian import (
     GaussianTask,
     approx_error,
@@ -241,9 +242,12 @@ class TestApproxError:
 
 class TestRunGaussianScaling:
     def test_medians_match_between_samplers(self):
-        kwargs = dict(d=30, s=1.0, n_grid=[10, 40, 160], trials=10_000, seed=99)
-        full = run_gaussian_scaling(**kwargs, sampler="full")
-        suff = run_gaussian_scaling(**kwargs, sampler="sufficient")
+        task, grid, trials, seed = GaussianTask(d=30, s=1.0), [10, 40, 160], 10_000, 99
+        full = run_cells(
+            lambda n_idx, n, t: simulate_error(task, n, streams.stream(seed, streams.DATA, t, n_idx)),
+            grid, trials, {},
+        )
+        suff = run_gaussian_scaling(d=task.d, s=task.s, n_grid=grid, trials=trials, seed=seed)
         gap = np.abs(full.statistic("median") - suff.statistic("median"))
         assert gap.max() < 0.005
 
@@ -256,10 +260,6 @@ class TestRunGaussianScaling:
         assert curve.metadata["task"] == "gaussian"
         assert curve.metadata["sampler"] == "sufficient"
 
-    def test_unknown_sampler_rejected(self):
-        with pytest.raises(ValueError):
-            run_gaussian_scaling(d=4, s=0.5, n_grid=[5], trials=2, seed=1, sampler="magic")
-
     def test_band_of_longer_run_encloses_subset(self):
         kwargs = dict(d=20, s=1.0, n_grid=[5, 20, 80], seed=31)
         small = run_gaussian_scaling(trials=10, **kwargs)
@@ -269,8 +269,7 @@ class TestRunGaussianScaling:
         for n, errs in small.points:
             assert dict(big.points)[n][: len(errs)] == errs
 
-    @pytest.mark.parametrize("sampler", ["sufficient", "full"])
-    def test_one_generator_per_run(self, monkeypatch, sampler):
+    def test_one_generator_per_run(self, monkeypatch):
         # Each cell resets the previous cell's generator; a fresh Philox per
         # cell costs more than a sufficient-sampler draw.
         built = []
@@ -281,14 +280,13 @@ class TestRunGaussianScaling:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting)
-        run_gaussian_scaling(d=3, s=1.0, n_grid=[2, 5, 9], trials=20, seed=4, sampler=sampler)
+        run_gaussian_scaling(d=3, s=1.0, n_grid=[2, 5, 9], trials=20, seed=4)
         assert len(built) == 1
 
-    @pytest.mark.parametrize("sampler", ["sufficient", "full"])
-    def test_cells_draw_their_own_fresh_stream(self, sampler):
+    @pytest.mark.parametrize("draw", [sample_error_sufficient], ids=["sufficient"])
+    def test_cells_draw_their_own_fresh_stream(self, draw):
         task, grid, seed = GaussianTask(d=3, s=1.0), [2, 5, 9], 4
-        curve = run_gaussian_scaling(d=task.d, s=task.s, n_grid=grid, trials=20, seed=seed, sampler=sampler)
-        draw = sample_error_sufficient if sampler == "sufficient" else simulate_error
+        curve = run_gaussian_scaling(d=task.d, s=task.s, n_grid=grid, trials=20, seed=seed)
         for n_idx, (n, errs) in enumerate(curve.points):
             assert errs == tuple(draw(task, n, streams.stream(seed, streams.DATA, t, n_idx)) for t in range(20))
 
@@ -296,13 +294,12 @@ class TestRunGaussianScaling:
 class TestRows:
     """A gaussian run works a grid row at a time, with the draws of its cells."""
 
-    @pytest.mark.parametrize("sampler", ["sufficient", "full"])
+    @pytest.mark.parametrize("draw", [sample_error_sufficient], ids=["sufficient"])
     @pytest.mark.parametrize("d", [1, 2, 1000])
     @pytest.mark.parametrize("trials", [1, 15, 17, 1025])
-    def test_rows_equal_cells_on_fresh_streams(self, sampler, d, trials):
+    def test_rows_equal_cells_on_fresh_streams(self, draw, d, trials):
         task, grid, seed = GaussianTask(d=d, s=0.7), [1, 6], 12
-        curve = run_gaussian_scaling(d=d, s=task.s, n_grid=grid, trials=trials, seed=seed, sampler=sampler)
-        draw = sample_error_sufficient if sampler == "sufficient" else simulate_error
+        curve = run_gaussian_scaling(d=d, s=task.s, n_grid=grid, trials=trials, seed=seed)
         for n_idx, (n, errs) in enumerate(curve.points):
             want = tuple(draw(task, n, streams.stream(seed, streams.DATA, t, n_idx)) for t in range(trials))
             assert errs == want
