@@ -187,21 +187,32 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     # Every run flag's dest is the name of the field it sets; an unset flag is None.
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name)
-        if f.name == "n_grid":
-            value = _parse_n_grid(value) if value else None
         if value is not None:
             setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 
 
-def _parse_n_grid(text: str) -> list[int]:
-    """``--n-grid``: entries of ASCII decimal digits, as a curve CSV writes n."""
-    parts = [part.strip() for part in text.split(",")]
-    bad = next((part for part in parts if not _is_decimal(part)), None)
-    if bad is not None:
-        raise ConfigError(f"n_grid: expected comma-separated decimal integers, got {bad!r} in {text!r}")
-    return [int(part) for part in parts]
+def _int_flag(text: str) -> int:
+    """An integer flag: ASCII decimal digits, as a curve CSV writes n, after an optional '-'."""
+    if not _is_decimal(text.strip().removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
+    return int(text)
+
+
+def _n_grid_flag(text: str) -> list[int]:
+    """``--n-grid``: comma-separated integer entries; check_n_grid refuses those below 1."""
+    return [_int_flag(part) for part in text.split(",")]
+
+
+def _float_flag(text: str) -> float:
+    """A float flag: ASCII without '_', as a curve CSV's error column; nan and inf parse."""
+    try:
+        if text.isascii() and "_" not in text:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an ASCII number without '_', got {text!r}")
 
 
 def _dispatch_run(cfg: ExperimentConfig) -> ScalingCurve:
@@ -259,9 +270,9 @@ def _environment() -> dict:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     environment = _environment()
-    started = time.time()
+    started = time.perf_counter()
     curve = _dispatch_run(cfg)
-    duration = time.time() - started
+    duration = time.perf_counter() - started
     # Made only now, so that a run that fails leaves no empty directory behind.
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,8 +372,8 @@ def _parse_overlays(args) -> list[tuple[str, typing.Callable[[np.ndarray], np.nd
     overlays = []
     if args.overlay_powerlaw:
         try:
-            a_, alpha_, e_ = (float(p) for p in args.overlay_powerlaw.split(","))
-        except ValueError:
+            a_, alpha_, e_ = (_float_flag(p) for p in args.overlay_powerlaw.split(","))
+        except (ValueError, argparse.ArgumentTypeError):
             raise ConfigError(
                 f"overlay-powerlaw: expected A,alpha,E, got {args.overlay_powerlaw!r}"
             ) from None
@@ -372,13 +383,11 @@ def _parse_overlays(args) -> list[tuple[str, typing.Callable[[np.ndarray], np.nd
     if args.overlay_gaussian:
         try:
             d_text, s_text = args.overlay_gaussian.split(",")
-            d_, s_ = int(d_text), float(s_text)
-        except ValueError:
+            d_, s_ = _int_flag(d_text), _float_flag(s_text)
+        except (ValueError, argparse.ArgumentTypeError):
             raise ConfigError(
                 f"overlay-gaussian: expected d,s, got {args.overlay_gaussian!r}"
             ) from None
-        if not math.isfinite(s_):
-            raise ConfigError(f"overlay-gaussian: s must be finite, got {args.overlay_gaussian!r}")
         try:
             task = GaussianTask(d=d_, s=s_)
         except ValueError as exc:
@@ -421,23 +430,23 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a scaling experiment and write its outputs")
     run.add_argument("--config", help="JSON config file; flags override its fields")
     run.add_argument("--kind", choices=CHOICES["kind"])
-    run.add_argument("--d", type=int, help="task dimension (linreg, gaussian)")
-    run.add_argument("--sigma", type=float, help="observation noise (linreg)")
-    run.add_argument("--lambda", dest="lam", type=float, help="ridge penalty (linreg)")
+    run.add_argument("--d", type=_int_flag, help="task dimension (linreg, gaussian)")
+    run.add_argument("--sigma", type=_float_flag, help="observation noise (linreg)")
+    run.add_argument("--lambda", dest="lam", type=_float_flag, help="ridge penalty (linreg)")
     run.add_argument("--estimator", choices=CHOICES["estimator"])
-    run.add_argument("--s", type=float, help="signal-to-noise ratio (gaussian)")
-    run.add_argument("--bandlimit", type=int, help="harmonic bandlimit B")
+    run.add_argument("--s", type=_float_flag, help="signal-to-noise ratio (gaussian)")
+    run.add_argument("--bandlimit", type=_int_flag, help="harmonic bandlimit B")
     run.add_argument("--arm", choices=CHOICES["arm"], help="harmonic arm")
-    run.add_argument("--width", type=int, help="harmonic network width")
-    run.add_argument("--max-steps", type=int, help="harmonic optimizer step budget")
-    run.add_argument("--reg-points", type=int, help="harmonic regularizer sample count m")
-    run.add_argument("--n-grid", help="explicit comma-separated n values")
-    run.add_argument("--n-min", type=int)
-    run.add_argument("--n-max", type=int)
-    run.add_argument("--points-per-decade", type=int)
-    run.add_argument("--trials", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--workers", type=int, help="validated for compatibility; cells always run serially")
+    run.add_argument("--width", type=_int_flag, help="harmonic network width")
+    run.add_argument("--max-steps", type=_int_flag, help="harmonic optimizer step budget")
+    run.add_argument("--reg-points", type=_int_flag, help="harmonic regularizer sample count m")
+    run.add_argument("--n-grid", type=_n_grid_flag, help="explicit comma-separated n values")
+    run.add_argument("--n-min", type=_int_flag)
+    run.add_argument("--n-max", type=_int_flag)
+    run.add_argument("--points-per-decade", type=_int_flag)
+    run.add_argument("--trials", type=_int_flag)
+    run.add_argument("--seed", type=_int_flag)
+    run.add_argument("--workers", type=_int_flag, help="validated for compatibility; cells always run serially")
     run.add_argument("--input", help="CSV to ingest (kind=import)")
     run.add_argument("--out", help="output directory")
     run.set_defaults(func=cmd_run)
@@ -445,19 +454,19 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="fit and/or detect cliffs on a curve file")
     analyze.add_argument("curve", help="curve CSV file")
     analyze.add_argument("--mode", choices=("fit", "cliffs", "both"), default="both")
-    analyze.add_argument("--n-min", type=int, help="restrict the fit range")
-    analyze.add_argument("--n-max", type=int, help="restrict the fit range")
-    analyze.add_argument("--threshold", type=float, default=DEFAULT_CLIFF_THRESHOLD)
-    analyze.add_argument("--min-run", type=int, default=DEFAULT_MIN_RUN)
-    analyze.add_argument("--floor", type=float, help="clamp errors up to this before logs")
+    analyze.add_argument("--n-min", type=_int_flag, help="restrict the fit range")
+    analyze.add_argument("--n-max", type=_int_flag, help="restrict the fit range")
+    analyze.add_argument("--threshold", type=_float_flag, default=DEFAULT_CLIFF_THRESHOLD)
+    analyze.add_argument("--min-run", type=_int_flag, default=DEFAULT_MIN_RUN)
+    analyze.add_argument("--floor", type=_float_flag, help="clamp errors up to this before logs")
     analyze.add_argument("--out", help="write the analysis JSON here")
     analyze.set_defaults(func=cmd_analyze)
 
     plot = sub.add_parser("plot", help="render curve files to SVG")
     plot.add_argument("curves", nargs="+", help="curve CSV files")
     plot.add_argument("--out", default="plot.svg")
-    plot.add_argument("--vline", type=int, help="dashed vertical marker at this n")
-    plot.add_argument("--floor", type=float, help="clamp errors up to this before log axes")
+    plot.add_argument("--vline", type=_int_flag, help="dashed vertical marker at this n")
+    plot.add_argument("--floor", type=_float_flag, help="clamp errors up to this before log axes")
     plot.add_argument("--overlay-powerlaw", help="overlay A,alpha,E closed form")
     plot.add_argument("--overlay-gaussian", help="overlay the gaussian closed form: d,s")
     plot.set_defaults(func=cmd_plot)

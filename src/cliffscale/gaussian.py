@@ -8,7 +8,6 @@ tightly approximated by a closed-form cliff-shaped curve in n.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,32 +42,21 @@ class GaussianTask:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.s < 0:
-            raise ValueError(f"signal-to-noise ratio must be >= 0, got {self.s}")
-
-
-@functools.cache
-def _erfc():
-    """scipy's erfc, imported on first use.
-
-    Importing scipy.special pulls numpy.f2py, numpy.testing and numpy.ma in
-    with it, about 0.3 s of importing the package; a cached call costs less
-    than an import statement in the function that needs it.
-    """
-    from scipy.special import erfc
-
-    return erfc
+        if not 0 <= self.s < math.inf:
+            raise ValueError(f"signal-to-noise ratio must be >= 0 and finite, got {self.s}")
 
 
 _SQRT2 = math.sqrt(2.0)
 
 
 def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function.
+    """Standard normal CDF via the C library's complementary error function.
 
-    Accurate to well under 1e-14 absolute over the whole real line.
+    Measured against 50-digit mpmath (glibc 2.36, x86-64) on 10^5 uniform
+    x in [-37.5, 8.5]: within 3 ulp of half of erfc(-x / sqrt(2)) at the
+    rounded argument, and within 1 ulp at x = -1, -3, -8, -20 and -37.
     """
-    return 0.5 * float(_erfc()(-x / _SQRT2))
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def estimate_weights(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

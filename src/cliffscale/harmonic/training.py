@@ -105,7 +105,8 @@ def train(
     n: int,
     config: TrainConfig = TrainConfig(),
     regularizer: BandwidthRegularizer | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> TrainResult:
     """Fit an MLP to n uniform samples of the target.
 
@@ -115,8 +116,10 @@ def train(
     after ``patience`` steps without a validation improvement or at
     ``max_steps``, whichever comes first.
     """
-    if rng is None:
-        raise ValueError("a seeded generator is required for reproducible training")
+    # At 0 each of these builds no network, steps on no rows or divides by zero.
+    for name in ("width", "batch_size", "eval_every", "val_size", "test_size"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name}: must be >= 1, got {getattr(config, name)}")
     if n < 0:
         raise ValueError(f"training-set size must be >= 0, got {n}")
     if n == 0 and regularizer is None:

@@ -275,8 +275,6 @@ def run_linreg_scaling(
             return linear_test_mse(task, fit_least_squares(data))
         if estimator == "ridge":
             return linear_test_mse(task, fit_ridge(data, lam))
-        if len(data) == 0:
-            raise ValueError("nearest-neighbor estimator needs n >= 1")
         # Only the NN error is sampled, so only it derives a test stream.
         return nn_test_mse(task, data, NN_TEST_POINTS, streams.stream(seed, streams.TEST, trial, n_idx))
 

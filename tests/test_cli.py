@@ -6,17 +6,41 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cliffscale
+from cliffscale import cli
 from cliffscale.cli import CHOICES, ExperimentConfig, build_parser, main
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def run_cli_exit(*argv):
+    """main's exit code, or argparse's where it refuses a flag's value."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def names(err, name):
+    """Whether stderr names a field or flag: in a config error, or as argparse's --name."""
+    return f"config error: {name}:" in err or f"argument --{name.replace('_', '-')}:" in err
+
+
+def modules_loaded_by(snippet):
+    """The modules in sys.modules after a fresh interpreter runs the snippet."""
+    src = str(Path(cliffscale.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = f"{snippet}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return set(json.loads(out.stdout.splitlines()[-1]))
 
 
 class TestRun:
@@ -52,6 +76,22 @@ class TestRun:
         for name in ("curve.csv", "curve.json", "plot.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_duration_survives_a_clock_stepped_back(self, tmp_path, monkeypatch):
+        # The wall clock steps back an hour while the run computes; the
+        # manifest's duration is read from a monotonic clock.
+        dispatch = cli._dispatch_run
+
+        def dispatch_then_step_back(cfg):
+            curve = dispatch(cfg)
+            wall = time.time
+            monkeypatch.setattr(time, "time", lambda: wall() - 3600.0)
+            return curve
+
+        monkeypatch.setattr(cli, "_dispatch_run", dispatch_then_step_back)
+        out = tmp_path / "g"
+        assert run_cli("run", "--kind", "gaussian", "--n-grid", "10,100", "--trials", 2, "--out", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["duration_seconds"] >= 0
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({
@@ -84,6 +124,11 @@ class TestRun:
             (["--n-grid", "+5,7"], None, "n_grid"),
             (["--n-grid", "5,,7"], None, "n_grid"),
             (["--n-grid", "10,99999999999999999999"], None, "n_grid"),
+            # int() and float() read these as 10, 3, 10 and 1; flags take ASCII digits without '_'.
+            (["--d", "1_0"], None, "d"),
+            (["--trials", "\u0663"], None, "trials"),
+            (["--s", "1_0"], None, "s"),
+            (["--sigma", "\u0661"], None, "sigma"),
             (["--n-max", "99999999999999999999"], None, "n_grid"),
             (["--reg-points", 0], None, "reg_points"),
             (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 3], None, "reg_points"),
@@ -109,7 +154,8 @@ class TestRun:
             "trials-zero", "trials-above-2**32", "d-string", "trials-bool", "workers-float", "n_grid-float",
             "lambda-nan", "lam-zero-ridge", "s-nan", "max_steps-negative", "n_grid-descending",
             "n_grid-no-integers", "n_grid-underscore", "n_grid-arabic-indic-digit", "n_grid-plus-sign",
-            "n_grid-empty-entry", "n_grid-above-int64", "n_max-above-int64", "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
+            "n_grid-empty-entry", "n_grid-above-int64", "d-underscore", "trials-arabic-indic-digit", "s-underscore",
+            "sigma-arabic-indic-digit", "n_max-above-int64", "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
             "d-zero", "sigma-negative", "s-negative", "bandlimit-negative", "width-zero", "seed-negative",
             "seed-2**64", "workers-zero", "import-without-input", "config-list", "config-not-json", "config-missing",
         ],
@@ -120,9 +166,9 @@ class TestRun:
             # A string is written as it is, to make a file that is not JSON.
             cfg.write_text(config if isinstance(config, str) else json.dumps(config))
             argv = ["--config", cfg, *argv]
-        code = run_cli("run", "--kind", "gaussian", *argv, "--out", tmp_path / "o")
+        code = run_cli_exit("run", "--kind", "gaussian", *argv, "--out", tmp_path / "o")
         assert code == 2
-        assert f"config error: {field}:" in capsys.readouterr().err
+        assert names(capsys.readouterr().err, field)
         assert not (tmp_path / "o").exists()
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
@@ -275,17 +321,21 @@ class TestAnalyze:
             (["--n-min", 100, "--n-max", 10], "n-min"),
             (["--n-max", 0, "--mode", "fit"], "n-max"),
             (["--n-min", -5], "n-min"),
+            (["--min-run", "\u0663"], "min-run"),
+            # argparse reads a bare "-0_1" as an option; float() reads it as -1.
+            (["--threshold=-0_1"], "threshold"),
         ],
         ids=["threshold-nan", "threshold-positive", "floor-negative", "min_run-zero",
-             "n_range-inverted", "n_max-zero", "n_min-negative"],
+             "n_range-inverted", "n_max-zero", "n_min-negative", "min_run-arabic-indic-digit",
+             "threshold-underscore"],
     )
     def test_bad_numeric_flag_exits_2_naming_it(self, tmp_path, capsys, argv, flag):
         # NaN found no cliff, n-max 0 fitted the whole curve and n-min -5 was
         # accepted; the others exited 3 or 4 without naming the flag.
         src = tmp_path / "pl.csv"
         src.write_text("n,trial,error\n" + "".join(f"{n},0,{1 / n!r}\n" for n in (1, 2, 4, 8, 16)))
-        assert run_cli("analyze", src, *argv) == 2
-        assert f"config error: {flag}:" in capsys.readouterr().err
+        assert run_cli_exit("analyze", src, *argv) == 2
+        assert names(capsys.readouterr().err, flag)
 
 
 class TestPlot:
@@ -361,8 +411,13 @@ class TestPlot:
             (["--floor", "nan"], "floor"),
             (["--vline", 0], "vline"),
             (["--vline", -3], "vline"),
+            # int() and float() read these as d = 10 and (10, 0.5, 0.01).
+            (["--overlay-gaussian", "1_0,1"], "overlay-gaussian"),
+            (["--overlay-powerlaw", "1_0,0.5,0.0_1"], "overlay-powerlaw"),
+            (["--vline", "1_0"], "vline"),
         ],
-        ids=["powerlaw-inf", "gaussian-nan", "floor-nan", "vline-zero", "vline-negative"],
+        ids=["powerlaw-inf", "gaussian-nan", "floor-nan", "vline-zero", "vline-negative",
+             "gaussian-underscore", "powerlaw-underscore", "vline-underscore"],
     )
     def test_non_finite_flag_exits_2_naming_it(self, tmp_path, capsys, argv, flag):
         # Before these were checked: an OverflowError traceback, an SVG with
@@ -370,8 +425,8 @@ class TestPlot:
         # a data error.
         src = tmp_path / "c.csv"
         src.write_text("n,trial,error\n10,0,0.5\n100,0,0.3\n")
-        assert run_cli("plot", src, *argv, "--out", tmp_path / "x.svg") == 2
-        assert f"config error: {flag}:" in capsys.readouterr().err
+        assert run_cli_exit("plot", src, *argv, "--out", tmp_path / "x.svg") == 2
+        assert names(capsys.readouterr().err, flag)
         assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize("flag, spec", [("overlay-powerlaw", "1,0.5,inf"), ("overlay-gaussian", "10,nan")])
@@ -409,13 +464,22 @@ class TestBadCurveFiles:
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats is most of the import time and only asymptotic_error needs
-    # it; scipy.special, for erfc, pulls in numpy.f2py, numpy.testing and
-    # numpy.ma. Importing the CLI loads no scipy module at all.
-    src = str(Path(cliffscale.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, cliffscale.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    # it. Importing the CLI loads no scipy module at all.
+    loaded = modules_loaded_by("import cliffscale.cli")
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
+def test_gaussian_run_and_overlay_leave_scipy_special_unloaded(tmp_path):
+    # scipy.special, which held the normal CDF's erfc, pulls in numpy.f2py,
+    # numpy.testing and numpy.ma; every gaussian number now comes from math.
+    out = tmp_path / "g"
+    snippet = (
+        "from cliffscale.cli import main\n"
+        f"assert main(['run', '--kind', 'gaussian', '--d', '20', '--n-grid', '10,100', '--trials', '3', '--out', {str(out)!r}]) == 0\n"
+        f"assert main(['plot', {str(out / 'curve.csv')!r}, '--overlay-gaussian', '20,1', '--out', {str(tmp_path / 'o.svg')!r}]) == 0"
+    )
+    loaded = modules_loaded_by(snippet)
+    assert "scipy.special" not in loaded and "numpy.f2py" not in loaded
 
 
 def run_parser_actions():

@@ -1,5 +1,7 @@
 """Tests for the binary Gaussian classification toy model."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -37,13 +39,31 @@ class TestStdNormalCdf:
         for x in rng.uniform(-8, 8, size=200):
             assert abs(std_normal_cdf(x) + std_normal_cdf(-x) - 1.0) <= 1e-14
 
+    # Half of erfc(-x / sqrt(2)) at the rounded argument, from 50-digit mpmath.
+    REFERENCE = {
+        -1.0: 0.15865525393145707,
+        -3.0: 0.0013498980316300957,
+        -8.0: 6.22096057427182e-16,
+        -20.0: 2.7536241186063318e-89,
+        -37.0: 5.725571222525139e-300,
+    }
+
     def test_reference_value(self):
-        assert abs(std_normal_cdf(-1.0) - 0.158655253931) < 1e-10
+        for x, expected in self.REFERENCE.items():
+            assert abs(std_normal_cdf(x) - expected) <= 2 * math.ulp(expected), x
 
     def test_monotone(self):
         xs = np.linspace(-10, 10, 400)
         vals = [std_normal_cdf(x) for x in xs]
         assert np.all(np.diff(vals) >= 0)
+
+
+class TestGaussianTask:
+    @pytest.mark.parametrize("s", [-1.0, math.nan, math.inf])
+    def test_bad_signal_rejected(self, s):
+        # nan and inf were accepted, and every error drawn from them was nan.
+        with pytest.raises(ValueError, match="signal-to-noise ratio must be >= 0 and finite"):
+            GaussianTask(d=3, s=s)
 
 
 class TestEstimateWeights:

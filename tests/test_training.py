@@ -83,9 +83,22 @@ class TestTrain:
             assert res.steps < 300
 
     def test_requires_rng(self):
+        # rng has no default: a run without a seeded generator cannot start.
         h = sample_harmonic(1, 2, rng_for(16))
-        with pytest.raises(ValueError, match="generator"):
+        with pytest.raises(TypeError, match="rng"):
             train(h, 32, config=tiny_config())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_size", 0), ("val_size", 0), ("eval_every", 0), ("test_size", 0), ("width", 0)],
+    )
+    def test_config_that_cannot_train_rejected(self, field, value):
+        # batch_size 0 ran every step on no rows and reported an untrained
+        # model's test MSE; val_size, eval_every and test_size 0 divided by
+        # zero; width 0 was refused without naming the field.
+        h = sample_harmonic(1, 2, rng_for(17))
+        with pytest.raises(ValueError, match=f"^{field}: must be >= 1, got 0"):
+            train(h, 50, config=tiny_config(**{field: value}), rng=rng_for(18))
 
 
 class TestPinnedResults:
