@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import sys
 import time
@@ -38,15 +39,9 @@ from .curves import (
     DEFAULT_CLIFF_THRESHOLD,
     DEFAULT_ERROR_FLOOR,
     DEFAULT_MIN_RUN,
+    MAX_N,
 )
-from .curve_io import (
-    _is_decimal,
-    cliffs_to_json,
-    curve_to_json,
-    fit_to_json,
-    read_curve_csv,
-    write_curve_csv,
-)
+from .curve_io import _is_decimal, curve_to_json, read_curve_csv, write_curve_csv
 from .gaussian import GaussianTask, approx_error, run_gaussian_scaling
 from .harmonic.training import ARMS, INPUT_DIM, DivergenceError, TrainConfig, run_harmonic_scaling
 from .linreg import ESTIMATORS, run_linreg_scaling
@@ -215,6 +210,10 @@ def _float_flag(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected an ASCII number without '_', got {text!r}")
 
 
+# A negative number in decimal or exponent form: -1, -1.5, -.5, -1e-3, -.5E+1.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _dispatch_run(cfg: ExperimentConfig) -> ScalingCurve:
     if cfg.kind == "import":
         return read_curve_csv(cfg.input, metadata={"task": "import", "source": cfg.input})
@@ -336,15 +335,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(_analysis_table(curve))
     report: dict = {}
     if args.mode in ("fit", "both"):
-        n_range = None
-        if args.n_min is not None or args.n_max is not None:
-            n_max = int(curve.ns[-1]) if args.n_max is None else args.n_max
-            n_range = (1 if args.n_min is None else args.n_min, n_max)
-        fit = fit_power_law(curve, n_range=n_range, floor=args.floor)
-        report["fit"] = json.loads(fit_to_json(fit))
+        fit = fit_power_law(curve, n_range=(args.n_min or 1, args.n_max or MAX_N), floor=args.floor)
+        n_min, n_max = fit.n_range
+        report["fit"] = {
+            "A": fit.A, "alpha": fit.alpha, "E": fit.E, "residual": fit.residual, "n_min": n_min, "n_max": n_max
+        }
         print(
             f"power law: A={fit.A:.6g} alpha={fit.alpha:.6g} E={fit.E:.6g} "
-            f"residual={fit.residual:.3g} over n in [{fit.n_range[0]}, {fit.n_range[1]}]"
+            f"residual={fit.residual:.3g} over n in [{n_min}, {n_max}]"
         )
     if args.mode in ("cliffs", "both"):
         regions = detect_cliffs(
@@ -353,7 +351,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             min_run=args.min_run,
             floor=args.floor if args.floor is not None else DEFAULT_ERROR_FLOOR,
         )
-        report["cliffs"] = json.loads(cliffs_to_json(regions))
+        report["cliffs"] = [asdict(r) for r in regions]
         if regions:
             for r in regions:
                 print(f"cliff: n in [{r.n_start}, {r.n_end}], strength {r.strength:.4g}")
@@ -470,6 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--overlay-powerlaw", help="overlay A,alpha,E closed form")
     plot.add_argument("--overlay-gaussian", help="overlay the gaussian closed form: d,s")
     plot.set_defaults(func=cmd_plot)
+    # argparse reads only -12 and -1.5 as negative numbers, and takes any
+    # other word after a dash, such as -1e-3, for an option.
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -1,28 +1,25 @@
-"""File formats for curves, fits and cliff reports.
+"""File formats for curves.
 
 CSV carries raw per-trial records under the header ``n,trial,error``;
-JSON carries the grouped curve, fit parameters and cliff regions. Both
-writers emit byte-deterministic output (shortest round-trip float
-representation, sorted keys), so a run is reproducible bit for bit.
+JSON carries the grouped curve. Both writers emit byte-deterministic
+output (shortest round-trip float representation, sorted keys), so a
+run is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from typing import Iterable
 
 import numpy as np
 
-from .curves import MAX_N, CliffRegion, CurveError, PowerLawFit, ScalingCurve, aggregate_trials
+from .curves import MAX_N, CurveError, ScalingCurve, aggregate_trials
 
 __all__ = [
     "write_curve_csv",
     "read_curve_csv",
     "curve_to_json",
     "curve_from_json",
-    "fit_to_json",
-    "cliffs_to_json",
 ]
 
 CSV_HEADER = "n,trial,error"
@@ -167,10 +164,6 @@ def _read_lines(path, metadata: dict | None) -> ScalingCurve:
         raise CurveError(f"{path}: {exc}") from None
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 # json.dumps(indent=2) puts each error of curve_to_json on its own line, 8
 # spaces deep. Without indent json encodes a list in C, and with these
 # separators its items come out in that layout, formatted as json formats
@@ -179,8 +172,9 @@ _ERROR_LIST = json.JSONEncoder(separators=(",\n        ", ": "))
 
 
 def curve_to_json(curve: ScalingCurve) -> str:
-    """``_dumps({"points": [{"n": n, "errors": [...]}, ...], "metadata": {...}})``, laid out directly.
+    """The text of ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, laid out directly.
 
+    The payload is ``{"points": [{"n": n, "errors": [...]}, ...], "metadata": {...}}``.
     The error lists are most of a large curve, and json's indenting encoder
     formats them one number at a time in Python.
     """
@@ -200,25 +194,3 @@ def curve_from_json(text: str) -> ScalingCurve:
         (p["n"], tuple(float(e) for e in p["errors"])) for p in payload["points"]
     )
     return ScalingCurve(points=points, metadata=payload.get("metadata", {}))
-
-
-def fit_to_json(fit: PowerLawFit) -> str:
-    return _dumps(
-        {
-            "A": fit.A,
-            "alpha": fit.alpha,
-            "E": fit.E,
-            "residual": fit.residual,
-            "n_min": fit.n_range[0],
-            "n_max": fit.n_range[1],
-        }
-    )
-
-
-def cliffs_to_json(regions: Iterable[CliffRegion]) -> str:
-    return _dumps(
-        [
-            {"n_start": r.n_start, "n_end": r.n_end, "strength": r.strength}
-            for r in regions
-        ]
-    )

@@ -9,6 +9,7 @@ are the cliff regions this module detects.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -141,7 +142,9 @@ class CliffRegion:
     """Maximal stretch of log-log concavity on a measured curve.
 
     ``strength`` is the negated sum of the flagged second differences,
-    a measure of how far below every power law the stretch bends.
+    a measure of how far below every power law the stretch bends. It sums
+    one value per grid point, so on the same curve it grows with the grid's
+    density.
     """
 
     n_start: int
@@ -376,7 +379,9 @@ def detect_cliffs(
     A run of at least ``min_run`` consecutive second differences below
     ``threshold`` becomes a region spanning from the grid point before
     the run to the one after it (the full stencil the run rests on).
-    Regions that touch are merged; the result is disjoint and ordered.
+    A run whose region shares a grid point with the previous region
+    joins it, and its strength adds to that region's; the result is
+    disjoint and ordered.
     """
     if threshold > 0:
         raise CurveError(f"threshold must be nonpositive, got {threshold}")
@@ -386,32 +391,19 @@ def detect_cliffs(
         raise CurveError(
             f"need at least {min_run + 2} points to detect runs of {min_run}, got {len(curve.points)}"
         )
-    seconds = loglog_second_differences(curve, floor=floor)
-    ns = curve.ns
+    values = [v for _, v in loglog_second_differences(curve, floor=floor)]
+    ns = [n for n, _ in curve.points]
     regions: list[CliffRegion] = []
-    i = 0
-    while i < len(seconds):
-        if seconds[i][1] < threshold:
-            j = i
-            while j + 1 < len(seconds) and seconds[j + 1][1] < threshold:
-                j += 1
-            if j - i + 1 >= min_run:
-                # seconds[k] sits at grid index k+1; extend one point outward.
-                n_start = int(ns[i])
-                n_end = int(ns[j + 2])
-                strength = -sum(v for _, v in seconds[i : j + 1])
-                regions.append(CliffRegion(n_start=n_start, n_end=n_end, strength=strength))
-            i = j + 1
-        else:
-            i += 1
-    merged: list[CliffRegion] = []
-    for region in regions:
-        if merged and region.n_start <= merged[-1].n_end:
-            prev = merged.pop()
-            region = CliffRegion(
-                n_start=prev.n_start,
-                n_end=max(prev.n_end, region.n_end),
-                strength=prev.strength + region.strength,
-            )
-        merged.append(region)
-    return merged
+    start = 0
+    for flagged, run in itertools.groupby(values, key=lambda v: v < threshold):
+        run = list(run)
+        stop = start + len(run)
+        if flagged and len(run) >= min_run:
+            # values[k] sits at grid index k+1, so the run rests on ns[start : stop + 2].
+            n_start, strength = ns[start], -sum(run)
+            if regions and n_start <= regions[-1].n_end:
+                prev = regions.pop()
+                n_start, strength = prev.n_start, prev.strength + strength
+            regions.append(CliffRegion(n_start=n_start, n_end=ns[stop + 1], strength=strength))
+        start = stop
+    return regions

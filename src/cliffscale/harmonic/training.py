@@ -9,7 +9,7 @@ The checkpoint in effect when training stops is the one reported
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,6 +15,9 @@ import pytest
 import cliffscale
 from cliffscale import cli
 from cliffscale.cli import CHOICES, ExperimentConfig, build_parser, main
+from cliffscale.curve_io import read_curve_csv
+from cliffscale.curves import detect_cliffs, fit_power_law, log_spaced_ns
+from cliffscale.gaussian import GaussianTask, approx_error
 
 
 def run_cli(*argv):
@@ -254,6 +257,16 @@ def write_power_law(path):
     return path
 
 
+def write_closed_form_gaussian(path):
+    """One trial of the gaussian closed form at d=100, s=2, 10 points per decade from 1 to 10^4."""
+    task = GaussianTask(d=100, s=2.0)
+    rows = ["n,trial,error"]
+    for n in log_spaced_ns(1, 10_000, 10):
+        rows.append(f"{n},0,{approx_error(task, n)!r}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 class TestAnalyze:
     def test_synthetic_power_law(self, tmp_path, capsys):
         src = write_power_law(tmp_path / "pl.csv")
@@ -279,15 +292,7 @@ class TestAnalyze:
             assert fit["alpha"] == pytest.approx(0.5, rel=0.01)
 
     def test_gaussian_closed_form_curve_has_one_cliff(self, tmp_path):
-        from cliffscale.curves import log_spaced_ns
-        from cliffscale.gaussian import GaussianTask, approx_error
-
-        task = GaussianTask(d=100, s=2.0)
-        src = tmp_path / "gauss.csv"
-        rows = ["n,trial,error"]
-        for n in log_spaced_ns(1, 10_000, 10):
-            rows.append(f"{n},0,{approx_error(task, n)!r}")
-        src.write_text("\n".join(rows) + "\n")
+        src = write_closed_form_gaussian(tmp_path / "gauss.csv")
         report = tmp_path / "report.json"
         assert run_cli("analyze", src, "--mode", "cliffs", "--out", report) == 0
         cliffs = json.loads(report.read_text())["cliffs"]
@@ -296,6 +301,40 @@ class TestAnalyze:
         assert len(cliffs) == 1
         assert cliffs[0]["n_start"] <= 2
         assert 16 <= cliffs[0]["n_end"] <= 25
+
+    @pytest.mark.parametrize("mode", ["fit", "cliffs", "both"])
+    def test_report_holds_the_library_results(self, tmp_path, mode):
+        src = write_closed_form_gaussian(tmp_path / "gauss.csv")
+        report = tmp_path / "report.json"
+        assert run_cli("analyze", src, "--mode", mode, "--out", report) == 0
+        curve = read_curve_csv(src)
+        expected = {}
+        if mode in ("fit", "both"):
+            fit = fit_power_law(curve)
+            expected["fit"] = {
+                "A": fit.A, "alpha": fit.alpha, "E": fit.E, "residual": fit.residual,
+                "n_min": fit.n_range[0], "n_max": fit.n_range[1],
+            }
+        if mode in ("cliffs", "both"):
+            regions = detect_cliffs(curve)
+            assert regions
+            expected["cliffs"] = [{"n_start": r.n_start, "n_end": r.n_end, "strength": r.strength} for r in regions]
+        payload = json.loads(report.read_text())
+        assert set(payload) == {"fit": {"fit"}, "cliffs": {"cliffs"}, "both": {"fit", "cliffs"}}[mode]
+        if "fit" in payload:
+            assert set(payload["fit"]) == {"A", "alpha", "E", "residual", "n_min", "n_max"}
+        for cliff in payload.get("cliffs", ()):
+            assert set(cliff) == {"n_start", "n_end", "strength"}
+        assert report.read_bytes() == (json.dumps(expected, sort_keys=True, indent=2) + "\n").encode()
+
+    def test_negative_flag_in_exponent_form_is_a_value(self, tmp_path, capsys):
+        # argparse read "-1e-3" after --threshold as an option and exited 2.
+        src = write_closed_form_gaussian(tmp_path / "gauss.csv")
+        outputs = []
+        for argv in (["--threshold", "-1e-3"], ["--threshold=-1e-3"]):
+            assert run_cli_exit("analyze", src, *argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_missing_file_exits_3(self, tmp_path):
         assert run_cli("analyze", tmp_path / "nope.csv") == 3

@@ -358,19 +358,36 @@ class TestDetectCliffs:
             assert a.n_end <= b.n_start
         assert all(r.strength > 0 for r in regions)
 
-    def test_touching_runs_merge_into_one_region(self):
-        # Second differences c * [-1, -1, +1, -1, -1]: the runs at interior
-        # points 1-2 and 4-5 span [1, 1000] and [1000, 10^6], which touch.
-        ns = [10**k for k in range(7)]
+    @pytest.mark.parametrize(
+        "pattern, min_run, spans",
+        [
+            # The runs at interior points 1-2 and 4-5 span [1, 1000] and [1000, 10^6], which touch.
+            ((-1, -1, 1, -1, -1), 2, [(0, 6)]),
+            # Runs two points apart span [1, 1000] and [10^4, 10^7], which do not.
+            ((-1, -1, 1, 1, -1, -1), 2, [(0, 3), (4, 7)]),
+            # The one-point run at 10^4 is too short to count, so it bridges nothing.
+            ((-1, -1, 1, -1, 1, -1, -1), 2, [(0, 3), (5, 8)]),
+            # At min_run 1 it counts, touches both neighbours and joins them.
+            ((-1, -1, 1, -1, 1, -1, -1), 1, [(0, 8)]),
+        ],
+        ids=["touching", "two-apart", "short-run-between", "short-run-bridges"],
+    )
+    def test_touching_runs_merge_into_one_region(self, pattern, min_run, spans):
+        # Second differences c * pattern on the grid n = 10^k, c = 1 / ln(10)^2;
+        # spans are (first, last) grid indices of the expected regions.
+        ns = [10**k for k in range(len(pattern) + 2)]
         log_err = [-10.0, -10.0]
-        for d2 in (-1.0, -1.0, 1.0, -1.0, -1.0):
+        for d2 in pattern:
             log_err.append(2 * log_err[-1] - log_err[-2] + d2)
         curve = ScalingCurve(points=tuple((n, (math.exp(y),)) for n, y in zip(ns, log_err)))
         seconds = [v for _, v in loglog_second_differences(curve)]
-        (region,) = detect_cliffs(curve)
-        assert (region.n_start, region.n_end) == (1, 10**6)
-        assert region.strength == pytest.approx(-(seconds[0] + seconds[1]) - (seconds[3] + seconds[4]))
-        assert region.strength == pytest.approx(4 / math.log(10) ** 2)
+        regions = detect_cliffs(curve, min_run=min_run)
+        assert [(r.n_start, r.n_end) for r in regions] == [(ns[a], ns[b]) for a, b in spans]
+        for region, (a, b) in zip(regions, spans):
+            # seconds[k] sits at grid index k + 1, so a region [a, b] rests on seconds[a : b - 1].
+            flagged = [v for v in seconds[a : b - 1] if v < 0]
+            assert region.strength == pytest.approx(-sum(flagged))
+            assert region.strength == pytest.approx(len(flagged) / math.log(10) ** 2)
 
 
 class TestLogSpacedNs:

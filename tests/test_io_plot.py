@@ -10,15 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cliffscale import curve_io
-from cliffscale.curves import CurveError, PowerLawFit, ScalingCurve, aggregate_trials, fit_power_law
-from cliffscale.curve_io import (
-    cliffs_to_json,
-    curve_from_json,
-    curve_to_json,
-    fit_to_json,
-    read_curve_csv,
-    write_curve_csv,
-)
+from cliffscale.curves import CurveError, ScalingCurve, aggregate_trials, fit_power_law
+from cliffscale.curve_io import curve_from_json, curve_to_json, read_curve_csv, write_curve_csv
 from cliffscale.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, Overlay, PlotError, render_svg
 
 
@@ -238,24 +231,6 @@ class TestJson:
     def test_non_integer_n_rejected(self, n):
         with pytest.raises(CurveError, match="integers"):
             curve_from_json(json.dumps({"points": [{"n": n, "errors": [0.5]}]}))
-
-    def test_fit_payload_fields(self):
-        fit = PowerLawFit(A=2.0, alpha=0.7, E=0.05, residual=0.001, n_range=(10, 1000))
-        payload = json.loads(fit_to_json(fit))
-        assert payload == {
-            "A": 2.0,
-            "alpha": 0.7,
-            "E": 0.05,
-            "residual": 0.001,
-            "n_min": 10,
-            "n_max": 1000,
-        }
-
-    def test_cliffs_payload(self):
-        from cliffscale.curves import CliffRegion
-
-        text = cliffs_to_json([CliffRegion(n_start=5, n_end=20, strength=1.5)])
-        assert json.loads(text) == [{"n_start": 5, "n_end": 20, "strength": 1.5}]
 
 
 def reference_csv(curve) -> bytes:
