@@ -228,9 +228,24 @@ def log_spaced_ns(n_min: int, n_max: int, points_per_decade: int = 10) -> list[i
     return out
 
 
+def _distinct(ns: np.ndarray, keys: np.ndarray, what: str) -> None:
+    """CurveError naming the first neighbouring n whose float64 keys do not increase."""
+    same = np.flatnonzero(np.diff(keys) <= 0)
+    if len(same):
+        i = same[0]
+        raise CurveError(
+            f"n = {ns[i]} and n = {ns[i + 1]} have the same float64 {what}; "
+            "the analysis needs distinct values"
+        )
+
+
 def _fit_values(curve: ScalingCurve, n_range, floor: float | None):
-    """The curve's n values and per-n medians, restricted to n_range and clamped up to floor."""
-    ns = curve.ns.astype(float)
+    """The curve's n values, as integers and as float64, and per-n medians.
+
+    Restricted to n_range and clamped up to floor. CurveError if two of
+    the n kept round to the same float64, which only n above 2**53 can.
+    """
+    ns = curve.ns
     vals = curve.statistic("median")
     if n_range is not None:
         lo, hi = n_range
@@ -240,7 +255,9 @@ def _fit_values(curve: ScalingCurve, n_range, floor: float | None):
         if floor <= 0:
             raise FitError(f"error floor must be positive, got {floor}")
         vals = np.maximum(vals, floor)
-    return ns, vals
+    ns_float = ns.astype(float)
+    _distinct(ns, ns_float, "value")
+    return ns, ns_float, vals
 
 
 # On extreme curves numpy meets zeros, infinities and overflow along the way
@@ -261,7 +278,7 @@ def fit_power_law(
     (log A, alpha) problem is ordinary least squares of log(err - E)
     against log n. Deterministic for fixed input.
     """
-    ns, vals = _fit_values(curve, n_range, floor)
+    ns_int, ns, vals = _fit_values(curve, n_range, floor)
     if len(ns) < 4:
         raise FitError(f"need at least 4 points to fit, got {len(ns)}")
     if np.any(vals <= 0):
@@ -315,7 +332,7 @@ def fit_power_law(
         alpha=alpha,
         E=E,
         residual=math.sqrt(obj),
-        n_range=(int(ns[0]), int(ns[-1])),
+        n_range=(int(ns_int[0]), int(ns_int[-1])),
     )
 
 
@@ -349,14 +366,16 @@ def loglog_second_differences(
     Uses the three-point formula for non-uniform grids, so imported
     curves with irregular n spacing are handled exactly. Values at or
     below the floor are clamped up to it before taking logs. Returns one
-    (n, value) pair per interior grid point.
+    (n, value) pair per interior grid point. CurveError if two neighbouring
+    n have the same float64 log, as n and n + 1 do from about 2**47 on.
     """
-    ns, vals = _fit_values(curve, None, floor)
+    ns_int, ns, vals = _fit_values(curve, None, floor)
     if len(ns) < 3:
         raise CurveError(f"need at least 3 points for second differences, got {len(ns)}")
     if np.any(vals <= 0):
         raise CurveError("nonpositive median values; log undefined (set an error floor)")
     x = np.log(ns)
+    _distinct(ns_int, x, "log")
     y = np.log(vals)
     out = []
     for i in range(1, len(ns) - 1):
@@ -364,7 +383,7 @@ def loglog_second_differences(
         h1 = x[i + 1] - x[i]
         span = x[i + 1] - x[i - 1]
         d2 = 2.0 * (y[i - 1] * h1 - y[i] * span + y[i + 1] * h0) / (h0 * h1 * span)
-        out.append((int(ns[i]), float(d2)))
+        out.append((int(ns_int[i]), float(d2)))
     return out
 
 

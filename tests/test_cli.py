@@ -350,6 +350,14 @@ class TestAnalyze:
         assert run_cli("analyze", src, "--mode", "fit") == 4
         assert "log" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["fit", "cliffs", "both"])
+    def test_n_with_one_float64_value_exits_3_naming_them(self, tmp_path, capsys, mode):
+        # --mode both exited 4 naming n = 2**63, which is not on the curve.
+        src = tmp_path / "top.csv"
+        src.write_text("n,trial,error\n" + "".join(f"{2**63 - k},0,0.5\n" for k in (4, 3, 2, 1)))
+        assert run_cli("analyze", src, "--mode", mode) == 3
+        assert f"data error: n = {2**63 - 4} and n = {2**63 - 3} have the same float64 value" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

@@ -305,6 +305,41 @@ class TestSecondDifferences:
         assert max_gap(40) / max_gap(80) >= 3.0
 
 
+
+class TestNAsFloat64:
+    """The analysis reads n as float64; n it cannot tell apart are refused by name."""
+
+    TOP = [2**63 - 4, 2**63 - 3, 2**63 - 2, 2**63 - 1]  # all round to 2**63
+
+    def test_second_differences_name_n_with_one_float64_value(self):
+        # This was a 0/0 second difference, a NaN that detect_cliffs skipped.
+        curve = curve_from_fn(self.TOP[1:], lambda n: 0.5)
+        with pytest.raises(CurveError, match=f"n = {2**63 - 3} and n = {2**63 - 2} have the same float64 value"):
+            loglog_second_differences(curve)
+
+    def test_second_differences_name_n_with_one_float64_log(self):
+        # Distinct float64 values whose logs round to the same float64.
+        ns = [2**52, 2**52 + 1, 2**52 + 2]
+        assert len(set(map(float, ns))) == 3
+        with pytest.raises(CurveError, match=f"n = {2**52} and n = {2**52 + 1} have the same float64 log"):
+            loglog_second_differences(curve_from_fn(ns, lambda n: 0.5))
+
+    def test_fit_names_n_with_one_float64_value(self):
+        # This was FitError: degenerate fit range (2**63, 2**63), n not on the curve.
+        curve = curve_from_fn(self.TOP, lambda n: 0.5)
+        with pytest.raises(CurveError, match=f"n = {2**63 - 4} and n = {2**63 - 3}"):
+            fit_power_law(curve)
+
+    def test_fit_range_holds_the_curve_own_n(self):
+        ns = [10, 100, 1000, 2**60 + 1]  # 2**60 + 1 rounds to 2**60
+        fit = fit_power_law(curve_from_fn(ns, lambda n: 2.0 * float(n) ** -0.5 + 0.1))
+        assert fit.n_range == (10, 2**60 + 1)
+
+    def test_distinct_logs_pass_up_to_the_largest_n(self):
+        ns = [2**62, 2**62 + 2**20, 2**63 - 1]
+        assert [n for n, _ in loglog_second_differences(curve_from_fn(ns, lambda n: 0.5))] == [2**62 + 2**20]
+
+
 class TestDetectCliffs:
     def test_power_law_curves_are_cliff_free(self):
         rng = np.random.default_rng(11)

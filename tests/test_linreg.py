@@ -1,5 +1,8 @@
 """Tests for the linear-regression toy model."""
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -9,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cliffscale import streams
+from cliffscale import linreg, streams
+from cliffscale.curve_io import curve_to_json
 from cliffscale.gaussian import run_gaussian_scaling
 from cliffscale.harmonic.training import run_harmonic_scaling
 from cliffscale.linreg import (
@@ -182,6 +186,61 @@ class TestLeastSquares:
         assert np.linalg.norm(data.xs.T @ coeffs - v_hat) < 1e-10
 
 
+class TestDirectSolve:
+    """fit_least_squares solves a nonsingular triangular factor directly, and sends the rest to lstsq."""
+
+    @pytest.fixture
+    def lstsq_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.lstsq
+
+        def recording_lstsq(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        return calls
+
+    @pytest.mark.parametrize("d", [1, 10, 100])
+    def test_sampled_factors_agree_with_lstsq(self, d, lstsq_calls):
+        # Both are backward stable, so they differ by at most about
+        # cond(R) d eps relative; 4 d cond(R) eps bounds the largest gap seen
+        # (15.6 cond(R) eps at d = 10 over 200 factors).
+        eps = np.finfo(float).eps
+        for n in (d, d + 1, 2 * d, 10_000):
+            for trial in range(5):
+                task = sample_task(d, 0.1, rng_for(60, trial))
+                data = sample_dataset_sufficient(task, n, rng_for(61, trial, n))
+                direct = fit_least_squares(data)
+                assert not lstsq_calls
+                ref, *_ = np.linalg.lstsq(data.xs, data.ys, rcond=None)
+                lstsq_calls.clear()
+                bound = 4 * d * np.linalg.cond(data.xs) * eps * np.linalg.norm(ref)
+                assert np.linalg.norm(direct - ref) <= bound
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            np.array([[2.0, 1.0, 3.0], [0.0, 0.0, 1.0], [0.0, 0.0, 4.0]]),
+            np.array([[2.0, 1.0, 3.0], [0.0, 1.0, 1.0], [1e-300, 0.0, 4.0]]),
+            np.array([[2.0, 1.0, 3.0], [0.0, 1.0, 1.0]]),
+            np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 0.0]]),
+        ],
+        ids=["zero-on-diagonal", "not-triangular", "wide", "tall"],
+    )
+    def test_other_inputs_go_to_lstsq(self, xs, lstsq_calls):
+        data = RegressionDataset(xs=xs, ys=np.arange(1.0, len(xs) + 1))
+        v_hat = fit_least_squares(data)
+        assert lstsq_calls == [xs.shape]
+        assert np.array_equal(v_hat, np.linalg.lstsq(xs, data.ys, rcond=None)[0])
+
+    def test_singular_factor_keeps_the_minimum_norm_solution(self):
+        # Row 1 is 0 = 2; the pseudoinverse solution has zero weight on x_1.
+        xs = np.array([[1.0, 0.0], [0.0, 0.0]])
+        v_hat = fit_least_squares(RegressionDataset(xs=xs, ys=np.array([3.0, 2.0])))
+        assert np.allclose(v_hat, [3.0, 0.0])
+
+
 class TestRidge:
     def test_heavy_shrinkage(self):
         task = sample_task(4, 0.0, rng_for(12))
@@ -278,6 +337,49 @@ class TestNearestNeighbor:
         data = RegressionDataset(xs=np.eye(d), ys=np.arange(float(d)))
         with pytest.raises(ValueError, match="non-finite"):
             _nn_predict_batch(data, np.full((1, d), np.nan))
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs CPU affinity and at least two usable CPUs",
+    )
+    def test_tree_search_runs_on_every_usable_cpu(self, monkeypatch):
+        import scipy.spatial
+
+        workers = []
+        real = scipy.spatial.cKDTree
+
+        class RecordingTree:
+            def __init__(self, *args, **kwargs):
+                self.tree = real(*args, **kwargs)
+
+            def query(self, *args, **kwargs):
+                workers.append(kwargs.get("workers", 1))
+                return self.tree.query(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+        data = RegressionDataset(xs=rng_for(29).standard_normal((50, 3)), ys=np.arange(50.0))
+        _nn_predict_batch(data, rng_for(30).standard_normal((100, 3)))
+        assert workers == [len(os.sched_getaffinity(0))]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs CPU affinity and at least two usable CPUs",
+    )
+    def test_curve_bits_do_not_depend_on_usable_cpus(self):
+        # The same tree-path curve in a child process pinned to one CPU.
+        kwargs = dict(d=5, sigma=0.0, estimator="nn", n_grid=[20, 300, 3000], trials=2, seed=31)
+        assert kwargs["d"] <= NN_TREE_MAX_D
+        child = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from cliffscale.curve_io import curve_to_json\n"
+            "from cliffscale.linreg import run_linreg_scaling\n"
+            f"sys.stdout.write(curve_to_json(run_linreg_scaling(**{kwargs!r})))\n"
+        )
+        src = os.path.dirname(os.path.dirname(linreg.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        pinned = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
+        assert pinned.stdout == curve_to_json(run_linreg_scaling(**kwargs))
 
     def test_origin_point_mse_near_one(self):
         # Single training point at the origin with y=0: prediction is always
