@@ -61,6 +61,9 @@ CHOICES = {
     "arm": ARMS,
 }
 
+# The least value of each numeric config field; validate checks them in this order.
+LOWER_BOUNDS = {"d": 1, "sigma": 0, "s": 0, "bandlimit": 0, "width": 1, "max_steps": 1, "reg_points": 1, "workers": 1}
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
@@ -102,22 +105,12 @@ class ExperimentConfig:
         for name in ("sigma", "lam", "s"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name}: must be finite, got {getattr(self, name)}")
-        if self.d < 1:
-            raise ConfigError(f"d: must be >= 1, got {self.d}")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma: must be >= 0, got {self.sigma}")
-        if self.s < 0:
-            raise ConfigError(f"s: must be >= 0, got {self.s}")
+        for name, least in LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if not value >= least:
+                raise ConfigError(f"{name}: must be >= {least}, got {value}")
         if self.estimator == "ridge" and self.lam <= 0:
             raise ConfigError(f"lam: ridge needs a positive value, got {self.lam}")
-        if self.bandlimit < 0:
-            raise ConfigError(f"bandlimit: must be >= 0, got {self.bandlimit}")
-        if self.width < 1:
-            raise ConfigError(f"width: must be >= 1, got {self.width}")
-        if self.max_steps < 1:
-            raise ConfigError(f"max_steps: must be >= 1, got {self.max_steps}")
-        if self.reg_points < 1:
-            raise ConfigError(f"reg_points: must be >= 1, got {self.reg_points}")
         if self.kind == "harmonic" and self.arm == "reg":
             # The regularizer projects onto (2B+1)^INPUT_DIM basis columns,
             # and fewer points than that leave no residual.
@@ -129,8 +122,6 @@ class ExperimentConfig:
             raise ConfigError(f"trials: must be in [1, 2**32], got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
-        if self.workers < 1:
-            raise ConfigError(f"workers: must be >= 1, got {self.workers}")
         self.resolve_n_grid()
 
     def resolve_n_grid(self) -> list[int]:
@@ -490,10 +481,7 @@ def main(argv=None) -> int:
     except (FitError, DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CurveError, PlotError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (CurveError, PlotError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

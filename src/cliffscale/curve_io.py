@@ -19,7 +19,6 @@ __all__ = [
     "write_curve_csv",
     "read_curve_csv",
     "curve_to_json",
-    "curve_from_json",
 ]
 
 CSV_HEADER = "n,trial,error"
@@ -187,10 +186,3 @@ def curve_to_json(curve: ScalingCurve) -> str:
     metadata = json.dumps(curve.metadata, sort_keys=True, indent=2).replace("\n", "\n  ")
     return f'{{\n  "metadata": {metadata},\n  "points": {body}\n}}\n'
 
-
-def curve_from_json(text: str) -> ScalingCurve:
-    payload = json.loads(text)
-    points = tuple(
-        (p["n"], tuple(float(e) for e in p["errors"])) for p in payload["points"]
-    )
-    return ScalingCurve(points=points, metadata=payload.get("metadata", {}))

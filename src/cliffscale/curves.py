@@ -252,8 +252,8 @@ def _fit_values(curve: ScalingCurve, n_range, floor: float | None):
         keep = (ns >= lo) & (ns <= hi)
         ns, vals = ns[keep], vals[keep]
     if floor is not None:
-        if floor <= 0:
-            raise FitError(f"error floor must be positive, got {floor}")
+        if not 0 < floor < math.inf:
+            raise FitError(f"floor: must be finite and positive, got {floor}")
         vals = np.maximum(vals, floor)
     ns_float = ns.astype(float)
     _distinct(ns, ns_float, "value")
@@ -402,8 +402,8 @@ def detect_cliffs(
     joins it, and its strength adds to that region's; the result is
     disjoint and ordered.
     """
-    if threshold > 0:
-        raise CurveError(f"threshold must be nonpositive, got {threshold}")
+    if not -math.inf < threshold <= 0:
+        raise CurveError(f"threshold: must be finite and nonpositive, got {threshold}")
     if min_run < 1:
         raise CurveError(f"min_run must be >= 1, got {min_run}")
     if len(curve.points) < min_run + 2:

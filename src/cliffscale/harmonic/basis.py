@@ -132,18 +132,19 @@ class BandwidthRegularizer:
     B: int
     d: int
     points: np.ndarray
-    lam: float
     span: np.ndarray = field(init=False, repr=False)
     # span cast to the dtype of the last residual call, kept across calls.
     _working_span: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"regularization weight must be >= 0, got {self.lam}")
         self.points = np.asarray(self.points, dtype=float)
         basis = build_basis_matrix(self.B, self.d, self.points)
+        m, k = basis.shape
+        if m < k:
+            # The basis columns then span all of R^m, and every y has P y ~ 0.
+            raise ValueError(f"need at least one point per basis column: {k} columns, got {m} points")
         u, sigma, _ = np.linalg.svd(basis, full_matrices=False)
-        cutoff = max(basis.shape) * np.finfo(float).eps * (sigma[0] if len(sigma) else 0.0)
+        cutoff = max(m, k) * np.finfo(float).eps * sigma[0]
         self.span = np.ascontiguousarray(u[:, sigma > cutoff])
         self._working_span = self.span
 

@@ -81,7 +81,6 @@ class TrainConfig:
     val_size: int = 512
     test_size: int = 4096
     reg_points: int = 20_000
-    reg_lambda: float = 1.0
 
 
 @dataclass
@@ -111,8 +110,8 @@ def train(
     """Fit an MLP to n uniform samples of the target.
 
     Draws training, validation and test points from ``rng`` (uniform on
-    the unit cube), then runs Adam on the minibatch MSE, adding
-    ``lam * penalty`` from the regularizer when one is supplied. Stops
+    the unit cube), then runs Adam on the minibatch MSE plus, when a
+    regularizer is supplied, its penalty (1/m) |P y|^2 with weight 1. Stops
     after ``patience`` steps without a validation improvement or at
     ``max_steps``, whichever comes first.
     """
@@ -187,8 +186,8 @@ def train(
                 dout[:batch] = (2.0 / batch) * resid
             if regularizer is not None:
                 r = regularizer.residual(out[batch:])
-                loss += regularizer.lam * float(r @ r) / regularizer.m
-                dout[batch:] = regularizer.lam * (2.0 / regularizer.m) * r
+                loss += float(r @ r) / regularizer.m
+                dout[batch:] = (2.0 / regularizer.m) * r
             if not np.isfinite(loss):
                 raise DivergenceError(step)
 
@@ -244,7 +243,7 @@ def run_harmonic_scaling(
             pts = streams.stream(seed, streams.REG_POINTS, trial, n_idx).uniform(
                 size=(config.reg_points, INPUT_DIM)
             )
-            regularizer = BandwidthRegularizer(B=B, d=INPUT_DIM, points=pts, lam=config.reg_lambda)
+            regularizer = BandwidthRegularizer(B=B, d=INPUT_DIM, points=pts)
         result = train(
             target,
             n,

@@ -41,15 +41,14 @@ NN_TEST_POINTS = 10_000
 # Largest input dimension for which 1-NN uses a k-d tree instead of the
 # brute-force scan; k-d trees degrade as d grows (Friedman, Bentley &
 # Finkel 1977). Measured on a 2-core x86-64 box, one NN curve over 21
-# log-spaced n in [100, 10 000] with 10 000 queries per n, wall time
-# brute -> tree: d=5 1.9 -> 0.7 s, d=7 1.9 -> 1.3 s, d=8 2.1 -> 1.6 s,
-# d=9 2.0 -> 2.2 s, d=10 2.0 -> 3.0 s (leafsize 32, tie check included).
-# Re-measured with the brute scan on one BLAS thread and the tree on both
-# cores (median of 3, wall / CPU): d=5 2.34 / 2.33 -> 0.42 / 0.57 s,
-# d=7 2.35 / 2.35 -> 0.83 / 1.37 s, d=8 2.21 / 2.20 -> 1.05 / 1.76 s,
-# d=9 2.18 / 2.18 -> 1.27 / 2.11 s, d=10 2.53 / 2.52 -> 1.77 / 3.05 s.
-# The tree now wins on wall time through d = 10, and on CPU through
-# d = 9; raising the bound would change the bits of those curves.
+# log-spaced n in [100, 10 000] with 10 000 queries per n (leafsize 32,
+# tie check included), the brute scan on one BLAS thread and the tree on
+# both cores, brute -> tree (median of 3, wall / CPU):
+# d=5 2.34 / 2.33 -> 0.42 / 0.57 s, d=7 2.35 / 2.35 -> 0.83 / 1.37 s,
+# d=8 2.21 / 2.20 -> 1.05 / 1.76 s, d=9 2.18 / 2.18 -> 1.27 / 2.11 s,
+# d=10 2.53 / 2.52 -> 1.77 / 3.05 s. The tree wins on wall time through
+# d = 10, and on CPU through d = 9; raising the bound would change the
+# bits of those curves.
 NN_TREE_MAX_D = 8
 
 # Queries per distance product in the brute-force scan above NN_TREE_MAX_D.
@@ -74,8 +73,8 @@ class LinearTask:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.v.shape != (self.d,):
             raise ValueError(f"weight vector shape {self.v.shape} != ({self.d},)")
-        if self.sigma < 0:
-            raise ValueError(f"noise level must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma: noise level must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -178,8 +177,8 @@ def fit_least_squares(data: RegressionDataset) -> np.ndarray:
 
 def fit_ridge(data: RegressionDataset, lam: float) -> np.ndarray:
     """Ridge weight vector v_hat = (X'X + lam I)^-1 X'y; unique for lam > 0."""
-    if lam <= 0:
-        raise ValueError(f"ridge penalty must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam: ridge penalty must be finite and positive, got {lam}")
     d = data.xs.shape[1]
     gram = data.xs.T @ data.xs + lam * np.eye(d)
     rhs = data.xs.T @ data.ys
@@ -292,8 +291,8 @@ def run_linreg_scaling(
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r} (expected one of {ESTIMATORS})")
-    if estimator == "ridge" and (lam is None or lam <= 0):
-        raise ValueError("ridge estimator needs a positive lambda")
+    if estimator == "ridge" and (lam is None or not 0 < lam < np.inf):
+        raise ValueError(f"lam: the ridge estimator needs a finite, positive penalty, got {lam}")
 
     # Only 1-NN needs the points themselves; the linear fits need X'X and X'y.
     sample = sample_dataset if estimator == "nn" else sample_dataset_sufficient

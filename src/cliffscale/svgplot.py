@@ -62,6 +62,8 @@ def render_svg(
     """
     if not curves:
         raise PlotError("nothing to plot: no curves given")
+    if floor is not None and not math.isfinite(floor):
+        raise PlotError(f"floor: must be finite, got {floor}")
     overlays = overlays or []
 
     xs_all: list[np.ndarray] = []

@@ -149,7 +149,7 @@ class TestAcceptance:
 
         started = time.time()
         pts = streams.stream(707, 1).uniform(size=(20_000, 2))
-        reg = BandwidthRegularizer(B=2, d=2, points=pts, lam=1.0)
+        reg = BandwidthRegularizer(B=2, d=2, points=pts)
         worst = 0.0
         for t in range(100):
             h = sample_harmonic(2, 2, streams.stream(707, 2, t))
@@ -170,7 +170,7 @@ class TestAcceptance:
         started = time.time()
         rng = streams.stream(909, 1)
         pts = rng.uniform(size=(200, 2))
-        reg = BandwidthRegularizer(B=1, d=2, points=pts, lam=1.0)
+        reg = BandwidthRegularizer(B=1, d=2, points=pts)
         model = init_mlp([2, 8, 8, 8, 1], rng)
         xs = rng.uniform(0.05, 0.95, size=(16, 2))
         ys = rng.standard_normal(16)
@@ -179,12 +179,12 @@ class TestAcceptance:
             out, _ = mlp_forward_batch(model, np.concatenate([xs, pts]))
             resid = out[:16] - ys
             r = reg.residual(out[16:])
-            return float(resid @ resid) / 16 + reg.lam * float(r @ r) / reg.m
+            return float(resid @ resid) / 16 + float(r @ r) / reg.m
 
         out, cache = mlp_forward_batch(model, np.concatenate([xs, pts]))
         dout = np.zeros(216)
         dout[:16] = 2.0 / 16 * (out[:16] - ys)
-        dout[16:] = reg.lam * 2.0 / reg.m * reg.residual(out[16:])
+        dout[16:] = 2.0 / reg.m * reg.residual(out[16:])
         grads = mlp_backward(model, cache, dout)
         params = model.parameters()
 

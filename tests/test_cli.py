@@ -4,6 +4,8 @@ import argparse
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -542,3 +544,20 @@ def test_run_flags_set_the_config_fields_by_name():
 def test_run_flag_choices_come_from_the_choice_table():
     with_choices = {a.dest: a.choices for a in run_parser_actions() if a.choices is not None}
     assert with_choices == CHOICES
+
+
+def test_readme_commands_and_flags_exist():
+    # A flag or command retired from the CLI must leave README in the same change.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    commands = [
+        line for block in blocks for line in block.replace("\\\n", " ").splitlines() if line.startswith("cliffscale ")
+    ]
+    assert len(commands) >= 4
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command, comments=True)[1:])
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {flag for subparser in sub.choices.values() for flag in subparser._option_string_actions}
+    named = set(re.findall(r"--[a-z][a-z-]*", text)) - {"--no-build-isolation"}
+    assert named - options == set()

@@ -375,6 +375,23 @@ class TestDetectCliffs:
         with pytest.raises(CurveError, match="nonpositive"):
             detect_cliffs(curve, threshold=0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, value):
+        # A NaN threshold used to flag nothing on this one-cliff curve.
+        task = GaussianTask(d=100, s=2.0)
+        curve = curve_from_fn(log_spaced_ns(1, 10_000, 10), lambda n: approx_error(task, n))
+        with pytest.raises(CurveError, match="threshold"):
+            detect_cliffs(curve, threshold=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_floor_rejected(self, value):
+        # A NaN floor used to make every second difference NaN, so no cliff was flagged.
+        task = GaussianTask(d=100, s=2.0)
+        curve = curve_from_fn(log_spaced_ns(1, 10_000, 10), lambda n: approx_error(task, n))
+        for analysis in (detect_cliffs, loglog_second_differences, fit_power_law):
+            with pytest.raises(FitError, match="floor"):
+                analysis(curve, floor=value)
+
     def test_needs_enough_points(self):
         curve = curve_from_fn([1, 2, 4], lambda n: 1.0 / n)
         with pytest.raises(CurveError, match="points"):

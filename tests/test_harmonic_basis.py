@@ -138,26 +138,26 @@ class TestRegularizer:
     def test_in_span_values_give_zero(self):
         rng = rng_for(12)
         pts = rng.uniform(size=(400, 2))
-        reg = BandwidthRegularizer(B=2, d=2, points=pts, lam=1.0)
+        reg = BandwidthRegularizer(B=2, d=2, points=pts)
         V = build_basis_matrix(2, 2, pts)
         z = rng.standard_normal(V.shape[1])
         y = V @ z
         assert regularizer_value(reg, y) <= 1e-10 * max(1.0, float(y @ y) / len(y))
 
     def test_zero_vector(self):
-        reg = BandwidthRegularizer(B=1, d=2, points=rng_for(13).uniform(size=(50, 2)), lam=1.0)
+        reg = BandwidthRegularizer(B=1, d=2, points=rng_for(13).uniform(size=(50, 2)))
         assert regularizer_value(reg, np.zeros(50)) == 0.0
 
     def test_bandlimited_targets_are_annihilated(self):
         pts = rng_for(14).uniform(size=(500, 2))
-        reg = BandwidthRegularizer(B=2, d=2, points=pts, lam=1.0)
+        reg = BandwidthRegularizer(B=2, d=2, points=pts)
         for t in range(20):
             h = sample_harmonic(2, 2, rng_for(15, t))
             assert regularizer_value(reg, h(pts)) <= 1e-8
 
     def test_out_of_band_tone_calibration(self):
         pts = rng_for(16).uniform(size=(20_000, 2))
-        reg = BandwidthRegularizer(B=2, d=2, points=pts, lam=1.0)
+        reg = BandwidthRegularizer(B=2, d=2, points=pts)
         tone = np.cos(2 * math.pi * 3.0 * pts[:, 0])
         assert regularizer_value(reg, tone) == pytest.approx(0.5, abs=0.02)
 
@@ -170,7 +170,7 @@ class TestRegularizer:
             vals = []
             for t in range(80):
                 pts = rng_for(17, m, t).uniform(size=(m, 2))
-                reg = BandwidthRegularizer(B=2, d=2, points=pts, lam=1.0)
+                reg = BandwidthRegularizer(B=2, d=2, points=pts)
                 tone = np.cos(2 * math.pi * 3.0 * pts[:, 0])
                 vals.append(abs(regularizer_value(reg, tone) - 0.5))
             gaps.append(np.median(vals))
@@ -179,7 +179,7 @@ class TestRegularizer:
 
     def test_projector_symmetric_idempotent(self):
         pts = rng_for(18).uniform(size=(120, 2))
-        reg = BandwidthRegularizer(B=1, d=2, points=pts, lam=1.0)
+        reg = BandwidthRegularizer(B=1, d=2, points=pts)
         # Row i is P e_i, so the rows form P^T.
         P = np.array([reg.residual(e) for e in np.eye(120)])
         assert np.abs(P - P.T).max() <= 1e-10
@@ -188,13 +188,13 @@ class TestRegularizer:
 
     def test_full_rank_when_oversampled(self):
         pts = rng_for(19).uniform(size=(2000, 2))
-        reg = BandwidthRegularizer(B=2, d=2, points=pts, lam=1.0)
+        reg = BandwidthRegularizer(B=2, d=2, points=pts)
         assert reg.span.shape[1] == 25
 
     def test_gradient_matches_finite_differences(self):
         rng = rng_for(20)
         pts = rng.uniform(size=(80, 2))
-        reg = BandwidthRegularizer(B=1, d=2, points=pts, lam=1.0)
+        reg = BandwidthRegularizer(B=1, d=2, points=pts)
         y = rng.standard_normal(80)
         # The gradient train() applies: (2/m) P y.
         grad = (2.0 / reg.m) * reg.residual(y)
@@ -211,7 +211,7 @@ class TestRegularizer:
     def test_gradient_zero_in_span(self):
         rng = rng_for(21)
         pts = rng.uniform(size=(100, 2))
-        reg = BandwidthRegularizer(B=1, d=2, points=pts, lam=1.0)
+        reg = BandwidthRegularizer(B=1, d=2, points=pts)
         V = build_basis_matrix(1, 2, pts)
         y = V @ rng.standard_normal(9)
         assert np.abs((2.0 / reg.m) * reg.residual(y)).max() < 1e-10
@@ -219,21 +219,27 @@ class TestRegularizer:
     def test_gradient_orthogonal_to_span(self):
         rng = rng_for(22)
         pts = rng.uniform(size=(150, 2))
-        reg = BandwidthRegularizer(B=2, d=2, points=pts, lam=1.0)
+        reg = BandwidthRegularizer(B=2, d=2, points=pts)
         y = rng.standard_normal(150)
         grad = (2.0 / reg.m) * reg.residual(y)
         V = build_basis_matrix(2, 2, pts)
         assert np.abs(V.T @ grad).max() <= 1e-8
 
     def test_length_mismatch_rejected(self):
-        reg = BandwidthRegularizer(B=1, d=2, points=rng_for(23).uniform(size=(40, 2)), lam=1.0)
+        reg = BandwidthRegularizer(B=1, d=2, points=rng_for(23).uniform(size=(40, 2)))
         with pytest.raises(ValueError):
             regularizer_value(reg, np.zeros(41))
+
+    @pytest.mark.parametrize("B, m", [(2, 10), (2, 24), (1, 8)])
+    def test_fewer_points_than_basis_columns_rejected(self, B, m):
+        # The (2B+1)^2 columns would span all of R^m: P y ~ 0 for every y.
+        with pytest.raises(ValueError, match=f"{(2 * B + 1) ** 2} columns, got {m} points"):
+            BandwidthRegularizer(B=B, d=2, points=rng_for(26, m).uniform(size=(m, 2)))
 
     def test_residual_in_each_working_dtype_matches_a_fresh_cast(self):
         # The span is cast once per working dtype and kept; alternating
         # dtypes must give what casting it afresh on every call gives.
-        reg = BandwidthRegularizer(B=1, d=2, points=rng_for(24).uniform(size=(70, 2)), lam=1.0)
+        reg = BandwidthRegularizer(B=1, d=2, points=rng_for(24).uniform(size=(70, 2)))
         y = rng_for(25).standard_normal(70)
         for dtype in (np.float32, np.float64, np.float32):
             yd = y.astype(dtype)

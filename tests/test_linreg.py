@@ -54,6 +54,14 @@ class TestSampleTask:
         with pytest.raises(ValueError):
             sample_task(0, 0.0, rng_for(0))
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.5])
+    def test_bad_sigma_rejected(self, sigma):
+        # Both samplers add noise only when sigma > 0, so a NaN sigma used to give noiseless data.
+        with pytest.raises(ValueError, match="sigma"):
+            LinearTask(d=2, v=np.array([1.0, 0.0]), sigma=sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            run_linreg_scaling(d=5, sigma=sigma, estimator="lstsq", n_grid=[10, 20, 40], trials=5, seed=1)
+
     def test_fig_2a_configuration(self):
         task = sample_task(5, 0.0, rng_for(1))
         assert task.d == 5 and task.sigma == 0.0
@@ -266,6 +274,12 @@ class TestRidge:
         data = RegressionDataset(xs=np.eye(2), ys=np.ones(2))
         with pytest.raises(ValueError):
             fit_ridge(data, 0.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        data = RegressionDataset(xs=np.eye(2), ys=np.ones(2))
+        with pytest.raises(ValueError, match="lam"):
+            fit_ridge(data, lam)
 
 
 class TestTestMse:
@@ -543,6 +557,12 @@ class TestRunScaling:
     def test_ridge_needs_lambda(self):
         with pytest.raises(ValueError):
             run_linreg_scaling(d=3, sigma=0.1, estimator="ridge", n_grid=[2, 4], trials=2, seed=5)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0])
+    def test_bad_lambda_rejected_before_any_cell(self, monkeypatch, lam):
+        monkeypatch.setattr(linreg, "sample_task", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match="lam"):
+            run_linreg_scaling(d=3, sigma=0.1, estimator="ridge", n_grid=[2, 4], trials=2, seed=5, lam=lam)
 
     @pytest.mark.parametrize(
         "run",

@@ -31,9 +31,9 @@ def tiny_config(**overrides):
     return TrainConfig(**base)
 
 
-def small_regularizer(B, m, *key, lam=1.0):
+def small_regularizer(B, m, *key):
     pts = rng_for(*key).uniform(size=(m, 2))
-    return BandwidthRegularizer(B=B, d=2, points=pts, lam=lam)
+    return BandwidthRegularizer(B=B, d=2, points=pts)
 
 
 class TestTrain:
@@ -126,7 +126,7 @@ class TestPinnedResults:
     def test_matches_pinned_values(self, arm):
         h = sample_harmonic(1, 2, self.seed_sequence_rng(40))
         pts = self.seed_sequence_rng(41).uniform(size=(60, 2))
-        reg = BandwidthRegularizer(B=1, d=2, points=pts, lam=1.0) if arm == "reg" else None
+        reg = BandwidthRegularizer(B=1, d=2, points=pts) if arm == "reg" else None
         cfg = tiny_config(width=16, max_steps=60, reg_points=60)
         res = train(h, 300, config=cfg, regularizer=reg, rng=self.seed_sequence_rng(42))
         reg_value = None if res.reg_value is None else res.reg_value.hex()
