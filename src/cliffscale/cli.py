@@ -45,7 +45,7 @@ from .curve_io import _is_decimal, curve_to_json, read_curve_csv, write_curve_cs
 from .gaussian import GaussianTask, approx_error, run_gaussian_scaling
 from .harmonic.training import ARMS, INPUT_DIM, DivergenceError, TrainConfig, run_harmonic_scaling
 from .linreg import ESTIMATORS, run_linreg_scaling
-from .svgplot import Overlay, PlotError, render_svg
+from .svgplot import PlotError, render_svg
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -113,10 +113,10 @@ class ExperimentConfig:
             raise ConfigError(f"lam: ridge needs a positive value, got {self.lam}")
         if self.kind == "harmonic" and self.arm == "reg":
             # The regularizer projects onto (2B+1)^INPUT_DIM basis columns,
-            # and fewer points than that leave no residual.
+            # and no more points than that leave no residual.
             n_basis = (2 * self.bandlimit + 1) ** INPUT_DIM
-            if self.reg_points < n_basis:
-                raise ConfigError(f"reg_points: the reg arm needs >= (2B+1)^{INPUT_DIM} = {n_basis}, got {self.reg_points}")
+            if self.reg_points <= n_basis:
+                raise ConfigError(f"reg_points: the reg arm needs > (2B+1)^{INPUT_DIM} = {n_basis}, got {self.reg_points}")
         if not 1 <= self.trials <= 2**32:
             # Each trial index is one 32-bit word of its stream key.
             raise ConfigError(f"trials: must be in [1, 2**32], got {self.trials}")
@@ -400,8 +400,16 @@ def cmd_plot(args: argparse.Namespace) -> int:
     # Every curve spans at least two n >= 1, so n_lo < n_hi.
     n_lo = min(int(c.ns[0]) for c in curves)
     n_hi = max(int(c.ns[-1]) for c in curves)
-    ns = np.array(log_spaced_ns(n_lo, n_hi, 40), dtype=float)
-    overlays = [Overlay(label=label, ns=ns, values=values(ns)) for label, values in overlay_specs]
+    ns = log_spaced_ns(n_lo, n_hi, 40)
+    overlays = []
+    for label, values in overlay_specs:
+        # A closed form that overflows gives inf, which the curve refuses below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = values(np.array(ns, dtype=float))
+        try:
+            overlays.append(ScalingCurve(points=tuple((n, (y,)) for n, y in zip(ns, ys)), metadata={"task": label}))
+        except CurveError as exc:
+            raise PlotError(f"overlay {label!r}: {exc}") from None
     svg = render_svg(curves, overlays=overlays, vline=args.vline, floor=args.floor)
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")

@@ -159,11 +159,12 @@ class CliffRegion:
 
 
 def aggregate_trials(raw, metadata: dict | None = None) -> ScalingCurve:
-    """Group (n, trial, error) records into a ScalingCurve, losslessly.
+    """Group (n, trial, error) records into a ScalingCurve.
 
     Records may arrive in any order; each (n, trial) pair must be unique,
     and the first duplicate in (n, trial) order is named. Trial errors are
-    stored in trial order.
+    stored in trial order; the trial labels themselves are not kept, so
+    trials 3 and 7 at one n are written out as trials 0 and 1.
     """
     records = []
     for n, trial, error in raw:

@@ -140,9 +140,9 @@ class BandwidthRegularizer:
         self.points = np.asarray(self.points, dtype=float)
         basis = build_basis_matrix(self.B, self.d, self.points)
         m, k = basis.shape
-        if m < k:
-            # The basis columns then span all of R^m, and every y has P y ~ 0.
-            raise ValueError(f"need at least one point per basis column: {k} columns, got {m} points")
+        if m <= k:
+            # The k columns can then span all of R^m, and every y has P y ~ 0.
+            raise ValueError(f"need more points than basis columns: {k} columns, got {m} points")
         u, sigma, _ = np.linalg.svd(basis, full_matrices=False)
         cutoff = max(m, k) * np.finfo(float).eps * sigma[0]
         self.span = np.ascontiguousarray(u[:, sigma > cutoff])

@@ -9,6 +9,7 @@ The checkpoint in effect when training stops is the one reported
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,10 +116,14 @@ def train(
     after ``patience`` steps without a validation improvement or at
     ``max_steps``, whichever comes first.
     """
-    # At 0 each of these builds no network, steps on no rows or divides by zero.
-    for name in ("width", "batch_size", "eval_every", "val_size", "test_size"):
+    # At 0 each of these builds no network, steps on no rows, divides by
+    # zero, takes no step or stops without waiting.
+    for name in ("width", "batch_size", "eval_every", "val_size", "test_size", "max_steps", "patience"):
         if getattr(config, name) < 1:
             raise ValueError(f"{name}: must be >= 1, got {getattr(config, name)}")
+    # Adam descends only with a positive step size.
+    if not (math.isfinite(config.learning_rate) and config.learning_rate > 0):
+        raise ValueError(f"learning_rate: must be finite and > 0, got {config.learning_rate}")
     if n < 0:
         raise ValueError(f"training-set size must be >= 0, got {n}")
     if n == 0 and regularizer is None:

@@ -2,7 +2,8 @@
 
 Log-log axes, one median polyline per curve with a translucent min-max
 band, an optional dashed vertical marker (for thresholds like n = d),
-and optional closed-form overlay curves. Output bytes depend only on
+and optional overlay curves, such as closed forms as one-trial curves,
+each a dashed polyline through its medians. Output bytes depend only on
 the inputs: data polylines are the only ``<polyline>`` elements and
 bands the only ``<polygon>`` elements, so plots are easy to check
 structurally.
@@ -11,13 +12,12 @@ structurally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import ScalingCurve
 
-__all__ = ["PlotError", "Overlay", "render_svg"]
+__all__ = ["PlotError", "render_svg"]
 
 PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2"]
 
@@ -27,15 +27,6 @@ MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 64, 18, 20, 46
 
 class PlotError(ValueError):
     """Inputs cannot be drawn (too few points, nonpositive values on log axes)."""
-
-
-@dataclass(frozen=True)
-class Overlay:
-    """Closed-form reference curve: label plus sampled (n, value) arrays."""
-
-    label: str
-    ns: np.ndarray
-    values: np.ndarray
 
 
 def _fmt(v: float) -> str:
@@ -52,24 +43,26 @@ def _curve_label(curve: ScalingCurve, index: int) -> str:
 
 def render_svg(
     curves: list[ScalingCurve],
-    overlays: list[Overlay] | None = None,
+    overlays: list[ScalingCurve] | None = None,
     vline: int | None = None,
     floor: float | None = None,
 ) -> str:
     """Render curves (and overlays) to an SVG 1.1 document string.
 
-    The x axis spans every curve's and overlay's n values, and vline.
+    Every line is read the same way, floor clamp and checks included; an
+    overlay is drawn dashed through its medians, with no band. The x axis
+    spans every curve's and overlay's n values, and vline.
     """
     if not curves:
         raise PlotError("nothing to plot: no curves given")
     if floor is not None and not math.isfinite(floor):
         raise PlotError(f"floor: must be finite, got {floor}")
-    overlays = overlays or []
+    lines = curves + (overlays or [])
 
     xs_all: list[np.ndarray] = []
     ys_all: list[np.ndarray] = []
     prepared = []
-    for curve in curves:
+    for i, curve in enumerate(lines):
         if len(curve.points) < 2:
             raise PlotError("cannot draw a scaling line through a single-point curve")
         ns = curve.ns.astype(float)
@@ -80,21 +73,12 @@ def render_svg(
             med, lo, hi = (np.maximum(v, floor) for v in (med, lo, hi))
         if np.any(lo <= 0):
             raise PlotError(
-                "curve has nonpositive error values; log axes undefined "
+                f"{_curve_label(curve, i)!r} has nonpositive error values; log axes undefined "
                 "(rerun with an error floor, e.g. --floor 1e-20)"
             )
         prepared.append((ns, med, lo, hi))
         xs_all.append(ns)
         ys_all.extend([lo, hi])
-    for ov in overlays:
-        ns = np.asarray(ov.ns, dtype=float)
-        vals = np.asarray(ov.values, dtype=float)
-        if not (np.isfinite(vals).all() and np.isfinite(ns).all()):
-            raise PlotError(f"overlay {ov.label!r} has non-finite values")
-        if np.any(vals <= 0) or np.any(ns <= 0):
-            raise PlotError(f"overlay {ov.label!r} has nonpositive values; log axes undefined")
-        xs_all.append(ns)
-        ys_all.append(vals)
     if vline is not None:
         if vline <= 0:
             raise PlotError(f"vertical marker must be a positive n, got {vline}")
@@ -165,26 +149,22 @@ def render_svg(
         )
 
     legend: list[tuple[str, str]] = []
-    for i, (curve, (ns, med, lo, hi)) in enumerate(zip(curves, prepared)):
+    for i, (curve, (ns, med, lo, hi)) in enumerate(zip(lines, prepared)):
         color = PALETTE[i % len(PALETTE)]
-        band = " ".join(f"{_fmt(px(n))},{_fmt(py(v))}" for n, v in zip(ns, lo))
-        band += " " + " ".join(
-            f"{_fmt(px(n))},{_fmt(py(v))}" for n, v in zip(ns[::-1], hi[::-1])
-        )
-        out.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.18" stroke="none"/>')
         line = " ".join(f"{_fmt(px(n))},{_fmt(py(v))}" for n, v in zip(ns, med))
-        out.append(f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.8"/>')
+        if i < len(curves):
+            band = " ".join(f"{_fmt(px(n))},{_fmt(py(v))}" for n, v in zip(ns, lo))
+            band += " " + " ".join(
+                f"{_fmt(px(n))},{_fmt(py(v))}" for n, v in zip(ns[::-1], hi[::-1])
+            )
+            out.append(f'<polygon points="{band}" fill="{color}" fill-opacity="0.18" stroke="none"/>')
+            out.append(f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.8"/>')
+        else:
+            out.append(
+                f'<polyline points="{line}" fill="none" stroke="{color}" '
+                f'stroke-width="1.4" stroke-dasharray="7,3"/>'
+            )
         legend.append((_curve_label(curve, i), color))
-    for j, ov in enumerate(overlays):
-        color = PALETTE[(len(curves) + j) % len(PALETTE)]
-        line = " ".join(
-            f"{_fmt(px(n))},{_fmt(py(v))}" for n, v in zip(np.asarray(ov.ns, float), np.asarray(ov.values, float))
-        )
-        out.append(
-            f'<polyline points="{line}" fill="none" stroke="{color}" '
-            f'stroke-width="1.4" stroke-dasharray="7,3"/>'
-        )
-        legend.append((ov.label, color))
 
     ly = MARGIN_TOP + 12
     for label, color in legend:

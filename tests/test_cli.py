@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,7 @@ class TestRun:
             (["--n-max", "99999999999999999999"], None, "n_grid"),
             (["--reg-points", 0], None, "reg_points"),
             (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 3], None, "reg_points"),
+            (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 9], None, "reg_points"),
             ([], {"estimator": "x"}, "estimator"),
             # sampler is no longer a field, so any value of it is refused as unknown.
             ([], {"sampler": "x"}, "config"),
@@ -160,7 +162,8 @@ class TestRun:
             "lambda-nan", "lam-zero-ridge", "s-nan", "max_steps-negative", "n_grid-descending",
             "n_grid-no-integers", "n_grid-underscore", "n_grid-arabic-indic-digit", "n_grid-plus-sign",
             "n_grid-empty-entry", "n_grid-above-int64", "d-underscore", "trials-arabic-indic-digit", "s-underscore",
-            "sigma-arabic-indic-digit", "n_max-above-int64", "reg_points-zero", "reg_points-below-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
+            "sigma-arabic-indic-digit", "n_max-above-int64", "reg_points-zero", "reg_points-below-basis",
+            "reg_points-at-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
             "d-zero", "sigma-negative", "s-negative", "bandlimit-negative", "width-zero", "seed-negative",
             "seed-2**64", "workers-zero", "import-without-input", "config-list", "config-not-json", "config-missing",
         ],
@@ -216,6 +219,16 @@ class TestRun:
         assert run_cli("run", "--kind", "import", "--input", src, "--out", out) == 0
         assert (out / "curve.csv").read_text().splitlines()[1:] == [
             "10,0,0.5", "10,1,0.3", "100,0,0.1",
+        ]
+
+    def test_import_renumbers_trials_in_order(self, tmp_path):
+        # A curve keeps each n's errors in trial order, not the trial labels.
+        src = tmp_path / "raw.csv"
+        src.write_text("n,trial,error\n10,7,0.5\n10,3,0.3\n100,0,0.1\n")
+        out = tmp_path / "imported"
+        assert run_cli("run", "--kind", "import", "--input", src, "--out", out) == 0
+        assert (out / "curve.csv").read_text().splitlines()[1:] == [
+            "10,0,0.3", "10,1,0.5", "100,0,0.1",
         ]
 
     def test_import_ignores_the_simulation_choices(self, tmp_path):
@@ -478,6 +491,18 @@ class TestPlot:
         assert names(capsys.readouterr().err, flag)
         assert not (tmp_path / "x.svg").exists()
 
+    def test_overflowing_overlay_exits_3_naming_it(self, tmp_path, capsys):
+        # n^1000 overflows to inf: numpy's overflow warning escaped main
+        # where warnings are errors, and was printed above the data error.
+        src = tmp_path / "c.csv"
+        src.write_text("n,trial,error\n10,0,0.5\n100,0,0.3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("plot", src, "--overlay-powerlaw", "1,-1000,0", "--out", tmp_path / "x.svg") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: overlay 'A n^-a + E (1,-1000,0)': error values must be finite")
+        assert not (tmp_path / "x.svg").exists()
+
     @pytest.mark.parametrize("flag, spec", [("overlay-powerlaw", "1,0.5,inf"), ("overlay-gaussian", "10,nan")])
     def test_bad_overlay_is_named_before_any_curve_is_read(self, tmp_path, capsys, flag, spec):
         # The overlays were parsed after the curves, so a missing file exited 3 first.
@@ -561,3 +586,17 @@ def test_readme_commands_and_flags_exist():
     options = {flag for subparser in sub.choices.values() for flag in subparser._option_string_actions}
     named = set(re.findall(r"--[a-z][a-z-]*", text)) - {"--no-build-isolation"}
     assert named - options == set()
+
+
+def test_readme_analysis_json_keys_match_the_report(tmp_path):
+    # A field added to the report, such as a cliff region's, must reach README in the same change.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullet = re.search(r"^- \*\*`analysis\.json`\*\*.*?`(\{.*?\})`", text, flags=re.M | re.S).group(1)
+    documented = re.findall(r'"(\w+)"', bullet)
+    src = write_closed_form_gaussian(tmp_path / "gauss.csv")
+    report = tmp_path / "report.json"
+    assert run_cli("analyze", src, "--mode", "both", "--out", report) == 0
+    payload = json.loads(report.read_text())
+    assert payload["cliffs"]
+    written = [*payload, *payload["fit"], *payload["cliffs"][0]]
+    assert sorted(documented) == sorted(written)

@@ -42,6 +42,8 @@ class TestScalingCurve:
             ScalingCurve(points=((10, (-0.1,)),))
         with pytest.raises(CurveError):
             ScalingCurve(points=((10, (float("nan"),)),))
+        with pytest.raises(CurveError):
+            ScalingCurve(points=((10, (float("inf"),)),))
 
     def test_numpy_integer_n_is_stored_as_int(self):
         curve = ScalingCurve(points=((np.int64(3), (0.5,)), (np.uint32(10), (0.25,))))

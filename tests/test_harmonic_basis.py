@@ -230,9 +230,10 @@ class TestRegularizer:
         with pytest.raises(ValueError):
             regularizer_value(reg, np.zeros(41))
 
-    @pytest.mark.parametrize("B, m", [(2, 10), (2, 24), (1, 8)])
+    @pytest.mark.parametrize("B, m", [(2, 10), (2, 24), (1, 8), (2, 25), (1, 9)])
     def test_fewer_points_than_basis_columns_rejected(self, B, m):
         # The (2B+1)^2 columns would span all of R^m: P y ~ 0 for every y.
+        # At m = (2B+1)^2 exactly, the penalty read ~1e-30 for every y.
         with pytest.raises(ValueError, match=f"{(2 * B + 1) ** 2} columns, got {m} points"):
             BandwidthRegularizer(B=B, d=2, points=rng_for(26, m).uniform(size=(m, 2)))
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cliffscale import curve_io
 from cliffscale.curves import CurveError, ScalingCurve, aggregate_trials, fit_power_law
 from cliffscale.curve_io import curve_to_json, read_curve_csv, write_curve_csv
-from cliffscale.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, Overlay, PlotError, render_svg
+from cliffscale.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, PlotError, render_svg
 
 
 def sample_curve(trials=3):
@@ -311,20 +311,18 @@ class TestRenderSvg:
 
     def test_overlay_adds_polyline_only(self):
         curve = sample_curve()
-        ns = np.array([10.0, 100.0, 1000.0])
-        overlay = Overlay(label="closed form", ns=ns, values=2.0 * ns**-0.7 + 0.05)
+        overlay = aggregate_trials(
+            [(n, 0, 2.0 * n**-0.7 + 0.05) for n in (10, 100, 1000)], metadata={"task": "closed form"}
+        )
         svg = render_svg([curve], overlays=[overlay])
         assert svg.count("<polyline") == 2
         assert svg.count("<polygon") == 1
         assert "closed form" in svg
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
-    def test_non_finite_overlay_rejected(self, bad):
-        # NaN passes a values <= 0 check; inf overflowed the axis ticks.
-        ns = np.array([10.0, 100.0, 1000.0])
-        overlay = Overlay(label="closed form", ns=ns, values=np.array([0.5, bad, 0.1]))
-        with pytest.raises(PlotError, match="non-finite"):
-            render_svg([sample_curve()], overlays=[overlay])
+        # An overlay is clamped up to the floor, as a curve is.
+        zero = aggregate_trials([(10, 0, 0.5), (100, 0, 0.0)], metadata={"task": "closed form"})
+        with pytest.raises(PlotError, match="^'closed form' has nonpositive"):
+            render_svg([curve], overlays=[zero])
+        assert render_svg([curve], overlays=[zero], floor=1e-20).count("<polyline") == 2
 
     def test_vline_dashed_marker(self):
         svg = render_svg([sample_curve()], vline=100)

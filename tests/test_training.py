@@ -1,5 +1,7 @@
 """Tests for the harmonic training loop and scaling runner."""
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -90,14 +92,22 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("batch_size", 0), ("val_size", 0), ("eval_every", 0), ("test_size", 0), ("width", 0)],
+        [
+            ("batch_size", 0), ("val_size", 0), ("eval_every", 0), ("test_size", 0), ("width", 0),
+            ("max_steps", 0), ("patience", 0), ("learning_rate", -1e-3), ("learning_rate", 0.0),
+            ("learning_rate", math.nan),
+        ],
     )
     def test_config_that_cannot_train_rejected(self, field, value):
         # batch_size 0 ran every step on no rows and reported an untrained
         # model's test MSE; val_size, eval_every and test_size 0 divided by
-        # zero; width 0 was refused without naming the field.
+        # zero; width 0 was refused without naming the field. max_steps 0
+        # returned an untrained model, patience 0 was taken as given, and a
+        # negative, zero or NaN learning rate climbed the loss, left the
+        # model untrained or diverged.
         h = sample_harmonic(1, 2, rng_for(17))
-        with pytest.raises(ValueError, match=f"^{field}: must be >= 1, got 0"):
+        rule = "must be finite and > 0" if field == "learning_rate" else "must be >= 1"
+        with pytest.raises(ValueError, match=f"^{field}: {rule}, got {re.escape(str(value))}$"):
             train(h, 50, config=tiny_config(**{field: value}), rng=rng_for(18))
 
 
