@@ -52,11 +52,24 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# The fields every simulated kind reads. workers selects nothing; it is still
+# accepted and checked.
+SIMULATION_FIELDS = ("n_grid", "n_min", "n_max", "points_per_decade", "trials", "seed", "workers")
+
+# The config fields each kind reads. ExperimentConfig.validate refuses any
+# other field that a config file or flag sets, and the manifest echoes only these.
+KIND_FIELDS = {
+    "linreg": ("kind", "out", "d", "sigma", "lam", "estimator", *SIMULATION_FIELDS),
+    "gaussian": ("kind", "out", "d", "s", *SIMULATION_FIELDS),
+    "harmonic": ("kind", "out", "bandlimit", "arm", "width", "max_steps", "reg_points", *SIMULATION_FIELDS),
+    "import": ("kind", "out", "input"),
+}
+
 # The allowed values of the config fields that name a choice; the parser and
 # ExperimentConfig.validate both read them here. Each runner's choices are
 # named by the module that implements them.
 CHOICES = {
-    "kind": ("linreg", "gaussian", "harmonic", "import"),
+    "kind": tuple(KIND_FIELDS),
     "estimator": ESTIMATORS,
     "arm": ARMS,
 }
@@ -92,16 +105,26 @@ class ExperimentConfig:
     input: str | None = None
     out: str = "."
 
-    def validate(self) -> None:
-        # kind is checked first; an import run reads a CSV and uses no other choice.
-        for name in ("kind",) if self.kind == "import" else CHOICES:
+    def validate(self, given) -> None:
+        """Check every field; ``given`` names the fields a config file or flag set.
+
+        A field that the kind does not read may not be given, so it keeps its
+        default, which passes every check below.
+        """
+        # kind is checked first, so that KIND_FIELDS has an entry for it.
+        for name, allowed in CHOICES.items():
             value = getattr(self, name)
-            if value not in CHOICES[name]:
-                raise ConfigError(f"{name}: expected one of {CHOICES[name]}, got {value!r}")
-        if self.kind == "import":
-            if not self.input:
-                raise ConfigError("input: import runs need an input CSV path")
-            return
+            if value not in allowed:
+                raise ConfigError(f"{name}: expected one of {allowed}, got {value!r}")
+        for name in given:
+            if name not in KIND_FIELDS[self.kind]:
+                raise ConfigError(f"{name}: not read by kind {self.kind}")
+        if "n_grid" in given:
+            for name in ("n_min", "n_max", "points_per_decade"):
+                if name in given:
+                    raise ConfigError(f"{name}: not read when n_grid is set")
+        if self.kind == "import" and not self.input:
+            raise ConfigError("input: import runs need an input CSV path")
         for name in ("sigma", "lam", "s"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name}: must be finite, got {getattr(self, name)}")
@@ -111,7 +134,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: must be >= {least}, got {value}")
         if self.estimator == "ridge" and self.lam <= 0:
             raise ConfigError(f"lam: ridge needs a positive value, got {self.lam}")
-        if self.kind == "harmonic" and self.arm == "reg":
+        if self.arm == "reg":
             # The regularizer projects onto (2B+1)^INPUT_DIM basis columns,
             # and no more points than that leave no residual.
             n_basis = (2 * self.bandlimit + 1) ** INPUT_DIM
@@ -166,16 +189,14 @@ def _fits_annotation(value, hint) -> bool:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config:
-        for key, value in _load_config_file(args.config).items():
-            setattr(cfg, key, value)
+    given = _load_config_file(args.config) if args.config else {}
     # Every run flag's dest is the name of the field it sets; an unset flag is None.
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name)
         if value is not None:
-            setattr(cfg, f.name, value)
-    cfg.validate()
+            given[f.name] = value
+    cfg = ExperimentConfig(**given)
+    cfg.validate(given)
     return cfg
 
 
@@ -217,7 +238,7 @@ def _dispatch_run(cfg: ExperimentConfig) -> ScalingCurve:
             n_grid=grid,
             trials=cfg.trials,
             seed=cfg.seed,
-            lam=cfg.lam if cfg.estimator == "ridge" else None,
+            lam=cfg.lam,
         )
     if cfg.kind == "gaussian":
         return run_gaussian_scaling(
@@ -280,7 +301,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         outputs["plot.svg"] = _sha256(svg_path)
 
     manifest = {
-        "config": asdict(cfg),
+        "config": {name: getattr(cfg, name) for name in KIND_FIELDS[cfg.kind]},
         "version": __version__,
         "environment": environment,
         "duration_seconds": duration,
@@ -311,11 +332,19 @@ def _check_floor(floor: float | None) -> None:
         raise ConfigError(f"floor: must be finite and > 0, got {floor}")
 
 
+# The analyze flags that only one mode reads; --mode both reads them all.
+MODE_FLAGS = {"fit": ("n_min", "n_max"), "cliffs": ("threshold", "min_run")}
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
+    for mode, dests in MODE_FLAGS.items():
+        for dest in dests:
+            if args.mode not in (mode, "both") and getattr(args, dest) is not None:
+                raise ConfigError(f"{dest.replace('_', '-')}: not read by --mode {args.mode}")
     _check_floor(args.floor)
-    if not (math.isfinite(args.threshold) and args.threshold <= 0):
+    if args.threshold is not None and not (math.isfinite(args.threshold) and args.threshold <= 0):
         raise ConfigError(f"threshold: must be finite and <= 0, got {args.threshold}")
-    if args.min_run < 1:
+    if args.min_run is not None and args.min_run < 1:
         raise ConfigError(f"min-run: must be >= 1, got {args.min_run}")
     for flag, value in (("n-min", args.n_min), ("n-max", args.n_max)):
         if value is not None and value < 1:
@@ -338,8 +367,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.mode in ("cliffs", "both"):
         regions = detect_cliffs(
             curve,
-            threshold=args.threshold,
-            min_run=args.min_run,
+            threshold=DEFAULT_CLIFF_THRESHOLD if args.threshold is None else args.threshold,
+            min_run=DEFAULT_MIN_RUN if args.min_run is None else args.min_run,
             floor=args.floor if args.floor is not None else DEFAULT_ERROR_FLOOR,
         )
         report["cliffs"] = [asdict(r) for r in regions]
@@ -427,16 +456,16 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a scaling experiment and write its outputs")
     run.add_argument("--config", help="JSON config file; flags override its fields")
     run.add_argument("--kind", choices=CHOICES["kind"])
-    run.add_argument("--d", type=_int_flag, help="task dimension (linreg, gaussian)")
-    run.add_argument("--sigma", type=_float_flag, help="observation noise (linreg)")
-    run.add_argument("--lambda", dest="lam", type=_float_flag, help="ridge penalty (linreg)")
+    run.add_argument("--d", type=_int_flag, help="task dimension")
+    run.add_argument("--sigma", type=_float_flag, help="observation noise")
+    run.add_argument("--lambda", dest="lam", type=_float_flag, help="ridge penalty")
     run.add_argument("--estimator", choices=CHOICES["estimator"])
-    run.add_argument("--s", type=_float_flag, help="signal-to-noise ratio (gaussian)")
-    run.add_argument("--bandlimit", type=_int_flag, help="harmonic bandlimit B")
-    run.add_argument("--arm", choices=CHOICES["arm"], help="harmonic arm")
-    run.add_argument("--width", type=_int_flag, help="harmonic network width")
-    run.add_argument("--max-steps", type=_int_flag, help="harmonic optimizer step budget")
-    run.add_argument("--reg-points", type=_int_flag, help="harmonic regularizer sample count m")
+    run.add_argument("--s", type=_float_flag, help="signal-to-noise ratio")
+    run.add_argument("--bandlimit", type=_int_flag, help="bandlimit B")
+    run.add_argument("--arm", choices=CHOICES["arm"], help="regularized or not")
+    run.add_argument("--width", type=_int_flag, help="network width")
+    run.add_argument("--max-steps", type=_int_flag, help="optimizer step budget")
+    run.add_argument("--reg-points", type=_int_flag, help="regularizer sample count m")
     run.add_argument("--n-grid", type=_n_grid_flag, help="explicit comma-separated n values")
     run.add_argument("--n-min", type=_int_flag)
     run.add_argument("--n-max", type=_int_flag)
@@ -444,8 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=_int_flag)
     run.add_argument("--seed", type=_int_flag)
     run.add_argument("--workers", type=_int_flag, help="validated for compatibility; cells always run serially")
-    run.add_argument("--input", help="CSV to ingest (kind=import)")
+    run.add_argument("--input", help="CSV to ingest")
     run.add_argument("--out", help="output directory")
+    for action in run._actions:
+        kinds = [kind for kind, names in KIND_FIELDS.items() if action.dest in names]
+        if 0 < len(kinds) < len(KIND_FIELDS):
+            action.help = f"{action.help or ''} (kind {', '.join(kinds)})".lstrip()
     run.set_defaults(func=cmd_run)
 
     analyze = sub.add_parser("analyze", help="fit and/or detect cliffs on a curve file")
@@ -453,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--mode", choices=("fit", "cliffs", "both"), default="both")
     analyze.add_argument("--n-min", type=_int_flag, help="restrict the fit range")
     analyze.add_argument("--n-max", type=_int_flag, help="restrict the fit range")
-    analyze.add_argument("--threshold", type=_float_flag, default=DEFAULT_CLIFF_THRESHOLD)
-    analyze.add_argument("--min-run", type=_int_flag, default=DEFAULT_MIN_RUN)
+    analyze.add_argument("--threshold", type=_float_flag, help=f"cliff threshold (default {DEFAULT_CLIFF_THRESHOLD})")
+    analyze.add_argument("--min-run", type=_int_flag, help=f"least cliff length (default {DEFAULT_MIN_RUN})")
     analyze.add_argument("--floor", type=_float_flag, help="clamp errors up to this before logs")
     analyze.add_argument("--out", help="write the analysis JSON here")
     analyze.set_defaults(func=cmd_analyze)

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -19,7 +20,7 @@ import cliffscale
 from cliffscale import cli
 from cliffscale.cli import CHOICES, ExperimentConfig, build_parser, main
 from cliffscale.curve_io import read_curve_csv
-from cliffscale.curves import detect_cliffs, fit_power_law, log_spaced_ns
+from cliffscale.curves import DEFAULT_CLIFF_THRESHOLD, DEFAULT_MIN_RUN, detect_cliffs, fit_power_law, log_spaced_ns
 from cliffscale.gaussian import GaussianTask, approx_error
 
 
@@ -61,7 +62,10 @@ class TestRun:
         assert (out / "curve.json").exists()
         assert (out / "plot.svg").exists()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["kind"] == "gaussian"
+        assert manifest["config"] == {
+            "kind": "gaussian", "out": str(out), "d": 50, "s": 1.0, "n_grid": [10, 100, 1000], "n_min": 1,
+            "n_max": 1000, "points_per_decade": 10, "trials": 20, "seed": 7, "workers": 1,
+        }
         assert manifest["trial_counts"]["10"] == 20
         assert set(manifest["outputs"]) == {"curve.csv", "curve.json", "plot.svg"}
         assert manifest["peak_rss_mb"] > 0
@@ -119,10 +123,10 @@ class TestRun:
             ([], {"trials": True}, "trials"),
             ([], {"workers": 2.5}, "workers"),
             ([], {"n_grid": [10, 100.0]}, "n_grid"),
-            (["--estimator", "ridge", "--lambda", "nan"], None, "lam"),
-            ([], {"estimator": "ridge", "lam": 0}, "lam"),
+            (["--kind", "linreg", "--estimator", "ridge", "--lambda", "nan"], None, "lam"),
+            (["--kind", "linreg"], {"estimator": "ridge", "lam": 0}, "lam"),
             (["--s", "nan"], None, "s"),
-            (["--max-steps", -5], None, "max_steps"),
+            (["--kind", "harmonic", "--max-steps", -5], None, "max_steps"),
             (["--n-grid", "100,10"], None, "n_grid"),
             (["--n-grid", ","], None, "n_grid"),
             (["--n-grid", "1_0,20"], None, "n_grid"),
@@ -136,7 +140,7 @@ class TestRun:
             (["--s", "1_0"], None, "s"),
             (["--sigma", "\u0661"], None, "sigma"),
             (["--n-max", "99999999999999999999"], None, "n_grid"),
-            (["--reg-points", 0], None, "reg_points"),
+            (["--kind", "harmonic", "--reg-points", 0], None, "reg_points"),
             (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 3], None, "reg_points"),
             (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 9], None, "reg_points"),
             ([], {"estimator": "x"}, "estimator"),
@@ -144,10 +148,10 @@ class TestRun:
             ([], {"sampler": "x"}, "config"),
             ([], {"arm": "x"}, "arm"),
             (["--d", 0], None, "d"),
-            (["--sigma", -1], None, "sigma"),
+            (["--kind", "linreg", "--sigma", -1], None, "sigma"),
             (["--s", -1], None, "s"),
-            (["--bandlimit", -1], None, "bandlimit"),
-            (["--width", 0], None, "width"),
+            (["--kind", "harmonic", "--bandlimit", -1], None, "bandlimit"),
+            (["--kind", "harmonic", "--width", 0], None, "width"),
             (["--seed", -1], None, "seed"),
             (["--seed", 2**64], None, "seed"),
             (["--workers", 0], None, "workers"),
@@ -174,9 +178,61 @@ class TestRun:
             # A string is written as it is, to make a file that is not JSON.
             cfg.write_text(config if isinstance(config, str) else json.dumps(config))
             argv = ["--config", cfg, *argv]
+        # A case that passes another --kind overrides gaussian, so that the
+        # field's own check runs on a kind that reads it.
         code = run_cli_exit("run", "--kind", "gaussian", *argv, "--out", tmp_path / "o")
         assert code == 2
-        assert names(capsys.readouterr().err, field)
+        err = capsys.readouterr().err
+        assert names(err, field) and "not read by" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kind, argv, config, field",
+        [
+            ("linreg", ["--s", 2], None, "s"),
+            ("linreg", [], {"bandlimit": 2}, "bandlimit"),
+            ("gaussian", ["--sigma", 0.5], None, "sigma"),
+            ("gaussian", [], {"estimator": "nn"}, "estimator"),
+            ("harmonic", ["--d", 5], None, "d"),
+            ("harmonic", [], {"lam": 3.0}, "lam"),
+            ("import", ["--seed", 1], None, "seed"),
+            ("import", [], {"trials": 2}, "trials"),
+        ],
+        ids=["linreg-flag", "linreg-config", "gaussian-flag", "gaussian-config", "harmonic-flag",
+             "harmonic-config", "import-flag", "import-config"],
+    )
+    def test_field_the_kind_does_not_read_is_refused(self, tmp_path, capsys, monkeypatch, kind, argv, config, field):
+        # Each value would pass its field's own check; the run never starts.
+        monkeypatch.setattr(cli, "_dispatch_run", lambda cfg: pytest.fail("the run started"))
+        if config is not None:
+            cfg = tmp_path / "exp.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", cfg, *argv]
+        if kind == "import":
+            argv = ["--input", tmp_path / "raw.csv", *argv]
+        assert run_cli("run", "--kind", kind, *argv, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"config error: {field}: not read by kind {kind}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, field",
+        [
+            (["--n-min", 500], None, "n_min"),
+            (["--n-max", 600], None, "n_max"),
+            (["--points-per-decade", 3], None, "points_per_decade"),
+            ([], {"n_min": 500}, "n_min"),
+        ],
+        ids=["n_min", "n_max", "points_per_decade", "n_min-config"],
+    )
+    def test_n_grid_excludes_the_range_fields(self, tmp_path, capsys, argv, config, field):
+        # With all three, --n-grid ran n = 10, 20 and 40, and the manifest recorded n_min 500.
+        if config is not None:
+            cfg = tmp_path / "exp.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", cfg, *argv]
+        code = run_cli("run", "--kind", "gaussian", "--n-grid", "10,20,40", *argv, "--out", tmp_path / "o")
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {field}: not read when n_grid is set\n"
         assert not (tmp_path / "o").exists()
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
@@ -231,12 +287,15 @@ class TestRun:
             "10,0,0.3", "10,1,0.5", "100,0,0.1",
         ]
 
-    def test_import_ignores_the_simulation_choices(self, tmp_path):
+    def test_import_that_sets_a_simulation_choice_exits_2(self, tmp_path, capsys):
+        # An import read the CSV and recorded the arm it never used.
         src = tmp_path / "raw.csv"
         src.write_text("n,trial,error\n10,0,0.5\n")
         cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({"kind": "import", "input": str(src), "arm": "x"}))
-        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 0
+        cfg.write_text(json.dumps({"kind": "import", "input": str(src), "arm": "noreg"}))
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "config error: arm: not read by kind import\n"
+        assert not (tmp_path / "o").exists()
 
     def test_import_malformed_row_exits_3(self, tmp_path, capsys):
         src = tmp_path / "raw.csv"
@@ -350,6 +409,30 @@ class TestAnalyze:
             assert run_cli_exit("analyze", src, *argv) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "mode, argv, flag",
+        [
+            ("cliffs", ["--n-min", 10], "n-min"),
+            ("cliffs", ["--n-max", 20], "n-max"),
+            ("fit", ["--threshold", "-0.1"], "threshold"),
+            ("fit", ["--min-run", 3], "min-run"),
+        ],
+        ids=["cliffs-n_min", "cliffs-n_max", "fit-threshold", "fit-min_run"],
+    )
+    def test_flag_its_mode_does_not_read_exits_2(self, tmp_path, capsys, mode, argv, flag):
+        # The range did nothing under --mode cliffs, nor the cliff flags under --mode fit.
+        src = write_power_law(tmp_path / "pl.csv")
+        assert run_cli_exit("analyze", src, "--mode", mode, *argv, "--out", tmp_path / "r.json") == 2
+        assert capsys.readouterr().err == f"config error: {flag}: not read by --mode {mode}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_cliff_flags_at_their_defaults_change_nothing(self, tmp_path, capsys):
+        src = write_closed_form_gaussian(tmp_path / "gauss.csv")
+        assert run_cli("analyze", src) == 0
+        unset = capsys.readouterr().out
+        assert run_cli("analyze", src, "--threshold", DEFAULT_CLIFF_THRESHOLD, "--min-run", DEFAULT_MIN_RUN) == 0
+        assert capsys.readouterr().out == unset
 
     def test_missing_file_exits_3(self, tmp_path):
         assert run_cli("analyze", tmp_path / "nope.csv") == 3
@@ -571,9 +654,35 @@ def test_run_flag_choices_come_from_the_choice_table():
     assert with_choices == CHOICES
 
 
+def test_benchmark_run_commands_build_valid_configs(tmp_path, monkeypatch):
+    # A field that the table refused in a benchmark command would end every
+    # pipeline of that workload as a failed run.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up by name while the file runs.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    parser = build_parser()
+    runs = 0
+    for workload in workloads.WORKLOADS.values():
+        for seed in (1, 24, 102, 2**63):
+            for argv in workload.commands(tmp_path, seed):
+                if argv[0] == "run":
+                    cli._build_config(parser.parse_args(argv))
+                    runs += 1
+    assert runs == 6 * 4
+    assert not any(tmp_path.iterdir())
+
+
+def readme_text():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def test_readme_commands_and_flags_exist():
-    # A flag or command retired from the CLI must leave README in the same change.
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # A flag or command retired from the CLI must leave README in the same change,
+    # and a README run may set only fields its kind reads.
+    text = readme_text()
     blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
     commands = [
         line for block in blocks for line in block.replace("\\\n", " ").splitlines() if line.startswith("cliffscale ")
@@ -581,16 +690,37 @@ def test_readme_commands_and_flags_exist():
     assert len(commands) >= 4
     parser = build_parser()
     for command in commands:
-        parser.parse_args(shlex.split(command, comments=True)[1:])
+        args = parser.parse_args(shlex.split(command, comments=True)[1:])
+        if args.command == "run":
+            cli._build_config(args)
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     options = {flag for subparser in sub.choices.values() for flag in subparser._option_string_actions}
     named = set(re.findall(r"--[a-z][a-z-]*", text)) - {"--no-build-isolation"}
     assert named - options == set()
 
 
+def readme_flag_fields(text):
+    """The config field of each run flag named in the text."""
+    options = {flag: a.dest for a in run_parser_actions() for flag in a.option_strings}
+    return {options[flag] for flag in re.findall(r"--[a-z][a-z-]*", text)}
+
+
+def test_readme_kind_table_matches_the_fields_each_kind_reads():
+    rows = dict(re.findall(r"^\| `(\w+)` +\| (.*) \|$", readme_text(), flags=re.M))
+    assert set(rows) == set(cli.KIND_FIELDS)
+    shared = {"kind", "out", *cli.SIMULATION_FIELDS}
+    for kind, flags in rows.items():
+        assert readme_flag_fields(flags) == set(cli.KIND_FIELDS[kind]) - shared, kind
+
+
+def test_readme_common_flags_are_the_simulation_fields():
+    common = re.search(r"^Common: (.*?)\.\s", readme_text(), flags=re.M | re.S).group(1)
+    assert readme_flag_fields(common) == set(cli.SIMULATION_FIELDS)
+
+
 def test_readme_analysis_json_keys_match_the_report(tmp_path):
     # A field added to the report, such as a cliff region's, must reach README in the same change.
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme_text()
     bullet = re.search(r"^- \*\*`analysis\.json`\*\*.*?`(\{.*?\})`", text, flags=re.M | re.S).group(1)
     documented = re.findall(r'"(\w+)"', bullet)
     src = write_closed_form_gaussian(tmp_path / "gauss.csv")
