@@ -22,7 +22,7 @@ import resource
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +52,16 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# The fields that choose a run's n grid when n_grid is not set.
+RANGE_FIELDS = ("n_min", "n_max", "points_per_decade")
+
 # The fields every simulated kind reads. workers selects nothing; it is still
 # accepted and checked.
-SIMULATION_FIELDS = ("n_grid", "n_min", "n_max", "points_per_decade", "trials", "seed", "workers")
+SIMULATION_FIELDS = ("n_grid", *RANGE_FIELDS, "trials", "seed", "workers")
 
 # The config fields each kind reads. ExperimentConfig.validate refuses any
-# other field that a config file or flag sets, and the manifest echoes only these.
+# other field that a config file or flag sets, and the manifest echoes only
+# these, less the grid fields that did not choose the run's grid.
 KIND_FIELDS = {
     "linreg": ("kind", "out", "d", "sigma", "lam", "estimator", *SIMULATION_FIELDS),
     "gaussian": ("kind", "out", "d", "s", *SIMULATION_FIELDS),
@@ -93,7 +97,7 @@ class ExperimentConfig:
     arm: str = "reg"
     width: int = TrainConfig.width
     estimator: str = "lstsq"
-    n_grid: list[int] = field(default_factory=list)
+    n_grid: list[int] | None = None
     n_min: int = 1
     n_max: int = 1000
     points_per_decade: int = 10
@@ -119,8 +123,8 @@ class ExperimentConfig:
         for name in given:
             if name not in KIND_FIELDS[self.kind]:
                 raise ConfigError(f"{name}: not read by kind {self.kind}")
-        if "n_grid" in given:
-            for name in ("n_min", "n_max", "points_per_decade"):
+        if self.n_grid is not None:
+            for name in RANGE_FIELDS:
                 if name in given:
                     raise ConfigError(f"{name}: not read when n_grid is set")
         if self.kind == "import" and not self.input:
@@ -149,7 +153,7 @@ class ExperimentConfig:
 
     def resolve_n_grid(self) -> list[int]:
         try:
-            if self.n_grid:
+            if self.n_grid is not None:
                 return check_n_grid(self.n_grid)
             return log_spaced_ns(self.n_min, self.n_max, self.points_per_decade)
         except CurveError as exc:
@@ -300,11 +304,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         outputs["plot.svg"] = _sha256(svg_path)
 
+    # The grid comes from n_grid when it is set, else from the range fields.
+    unread = RANGE_FIELDS if cfg.n_grid is not None else ("n_grid",)
     manifest = {
-        "config": {name: getattr(cfg, name) for name in KIND_FIELDS[cfg.kind]},
+        "config": {name: getattr(cfg, name) for name in KIND_FIELDS[cfg.kind] if name not in unread},
         "version": __version__,
         "environment": environment,
         "duration_seconds": duration,
+        # None for an import, whose curve no cells computed.
+        "processes": curve.processes,
         "trial_counts": {str(n): len(errs) for n, errs in curve.points},
         "outputs": outputs,
         # The process's peak resident set so far; Linux reports ru_maxrss in KiB.
@@ -472,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--points-per-decade", type=_int_flag)
     run.add_argument("--trials", type=_int_flag)
     run.add_argument("--seed", type=_int_flag)
-    run.add_argument("--workers", type=_int_flag, help="validated for compatibility; cells always run serially")
+    run.add_argument("--workers", type=_int_flag, help="validated for compatibility; selects nothing")
     run.add_argument("--input", help="CSV to ingest")
     run.add_argument("--out", help="output directory")
     for action in run._actions:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _parallel
+
 __all__ = [
     "ScalingCurve",
     "PowerLawFit",
@@ -85,6 +87,9 @@ class ScalingCurve:
 
     points: tuple[tuple[int, tuple[float, ...]], ...]
     metadata: dict[str, str] = field(default_factory=dict)
+    # How many processes computed the cells, for a curve that run_cells
+    # made; None for one read or built from records. No curve file holds it.
+    processes: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         ns: list[int] = []
@@ -195,20 +200,32 @@ def check_n_grid(n_grid) -> list[int]:
     return grid
 
 
-def run_cells(cell, n_grid, trials: int, metadata: dict) -> ScalingCurve:
-    """The curve of ``cell(n_idx, n, trial) -> error`` over the grid, run serially.
+def run_cells(cell, n_grid, trials: int, metadata: dict, split: bool = False) -> ScalingCurve:
+    """The curve of ``cell(n_idx, n, trial) -> error`` over the grid.
 
     Cells run in (n index, trial) order, and each grid row's errors are
     stored in trial order. Each cell draws only from streams keyed by its
-    own (trial, n index), so the order cannot change any result.
+    own (trial, n index), so neither the order nor the process that runs
+    a cell can change any result. With ``split``, a run that lasts past a
+    short serial start spreads its remaining cells over forked processes
+    on every usable CPU (``_parallel.run_split``); a runner asks for it
+    only when its cells' bits do not depend on the CPUs they run on.
     """
     grid = check_n_grid(n_grid)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    points = tuple(
-        (n, tuple(cell(n_idx, n, trial) for trial in range(trials))) for n_idx, n in enumerate(grid)
-    )
-    return ScalingCurve(points=points, metadata=metadata)
+
+    def call(i: int) -> float:
+        n_idx, trial = divmod(i, trials)
+        return cell(n_idx, grid[n_idx], trial)
+
+    total = len(grid) * trials
+    if split:
+        errors, processes = _parallel.run_split(call, total)
+    else:
+        errors, processes = [call(i) for i in range(total)], 1
+    points = tuple((n, tuple(errors[row * trials : (row + 1) * trials])) for row, n in enumerate(grid))
+    return ScalingCurve(points=points, metadata=metadata, processes=processes)
 
 
 def log_spaced_ns(n_min: int, n_max: int, points_per_decade: int = 10) -> list[int]:

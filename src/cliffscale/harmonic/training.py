@@ -259,4 +259,10 @@ def run_harmonic_scaling(
         return result.test_mse
 
     meta = {"task": "harmonic", "arm": arm, "B": B, "d": INPUT_DIM, "width": config.width, "seed": seed}
+    # Serial: a process given a share of the CPUs should run fewer BLAS
+    # threads, and the reg arm's float32 products round differently at one
+    # and two threads, so a split would either change its bits or
+    # oversubscribe the cores. Making those products independent of the
+    # thread count (ROADMAP, "Host-independent bits for the regularized
+    # harmonic arm") lifts this.
     return run_cells(cell, n_grid, trials, meta)

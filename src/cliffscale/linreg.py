@@ -9,12 +9,11 @@ data scales as a slow power law instead.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas, streams
+from . import _blas, _parallel, streams
 # aggregate_trials is not called here; benchmarks/tracing.py wraps it at this name.
 from .curves import ScalingCurve, aggregate_trials, run_cells
 
@@ -209,14 +208,6 @@ def _nn_index_brute(xs: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _nn_index_tree(xs: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Nearest-row indices by k-d tree search on direct distances sum (x - q)^2.
 
@@ -233,7 +224,7 @@ def _nn_index_tree(xs: np.ndarray, queries: np.ndarray) -> np.ndarray:
     if len(xs) == 1:  # no second neighbor to compare against
         return np.zeros(len(queries), dtype=np.intp)
     # leafsize 32 queries 15-25% faster than the default 16 at d = 5..8.
-    dist, idx = cKDTree(xs, leafsize=32).query(queries, k=2, workers=_usable_cpus())
+    dist, idx = cKDTree(xs, leafsize=32).query(queries, k=2, workers=len(_parallel.usable_cpus()))
     nearest = idx[:, 0]
     for j in np.flatnonzero(dist[:, 1] - dist[:, 0] <= NN_TIE_RTOL * dist[:, 1]):
         nearest[j] = np.argmin(np.sum((xs - queries[j]) ** 2, axis=1))
@@ -311,6 +302,7 @@ def run_linreg_scaling(
     if estimator == "ridge":
         meta["lambda"] = float(lam)
     # One BLAS thread for every cell, so its bits depend only on the seed and
-    # the BLAS build, never on the thread count or the host.
+    # the BLAS build, never on the thread count, the host or the process
+    # that runs it; so the cells may also be split between processes.
     with _blas.blas_threads(1):
-        return run_cells(cell, n_grid, trials, meta)
+        return run_cells(cell, n_grid, trials, meta, split=True)

@@ -211,7 +211,8 @@ class TestAcceptance:
             f"worst relative gradient error {worst_rel:.2e} (<1e-4), {elapsed:.0f}s",
         )
 
-    def test_10_run_determinism(self, tmp_path):
+    def test_10_run_determinism(self, tmp_path, monkeypatch):
+        from cliffscale import _parallel
         from cliffscale.cli import main
 
         args = [
@@ -219,16 +220,20 @@ class TestAcceptance:
             "--n-grid", "10,100,1000", "--trials", "200", "--seed", "4242",
         ]
         outputs = {}
-        for label, workers in (("a", 1), ("b", 8), ("c", 1)):
+        # Run d splits its cells between processes from the first cell on.
+        for label, workers, serial_start in (("a", 1, math.inf), ("b", 8, math.inf), ("c", 1, math.inf),
+                                             ("d", 1, 0.0)):
+            monkeypatch.setattr(_parallel, "SERIAL_START_S", serial_start)
             out = tmp_path / label
             assert main(args + ["--workers", str(workers), "--out", str(out)]) == 0
             outputs[label] = {
                 name: (out / name).read_bytes()
                 for name in ("curve.csv", "curve.json", "plot.svg")
             }
-        identical = outputs["a"] == outputs["b"] == outputs["c"]
+        identical = outputs["a"] == outputs["b"] == outputs["c"] == outputs["d"]
         report(
             "criterion 10 (byte-identical reruns)",
             identical,
-            f"run vs rerun with --workers 8 (selects nothing) vs repeat, outputs identical: {identical}",
+            f"run vs rerun with --workers 8 (selects nothing) vs repeat vs a run split between processes, "
+            f"outputs identical: {identical}",
         )

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import re
 import shlex
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import cliffscale
-from cliffscale import cli
+from cliffscale import _parallel, cli
 from cliffscale.cli import CHOICES, ExperimentConfig, build_parser, main
 from cliffscale.curve_io import read_curve_csv
 from cliffscale.curves import DEFAULT_CLIFF_THRESHOLD, DEFAULT_MIN_RUN, detect_cliffs, fit_power_law, log_spaced_ns
@@ -62,10 +63,12 @@ class TestRun:
         assert (out / "curve.json").exists()
         assert (out / "plot.svg").exists()
         manifest = json.loads((out / "manifest.json").read_text())
+        # An n_grid run does not echo n_min, n_max and points_per_decade, which chose nothing.
         assert manifest["config"] == {
-            "kind": "gaussian", "out": str(out), "d": 50, "s": 1.0, "n_grid": [10, 100, 1000], "n_min": 1,
-            "n_max": 1000, "points_per_decade": 10, "trials": 20, "seed": 7, "workers": 1,
+            "kind": "gaussian", "out": str(out), "d": 50, "s": 1.0, "n_grid": [10, 100, 1000], "trials": 20,
+            "seed": 7, "workers": 1,
         }
+        assert manifest["processes"] >= 1
         assert manifest["trial_counts"]["10"] == 20
         assert set(manifest["outputs"]) == {"curve.csv", "curve.json", "plot.svg"}
         assert manifest["peak_rss_mb"] > 0
@@ -85,6 +88,48 @@ class TestRun:
         assert run_cli(*args, "--out", b, "--workers", 4) == 0
         for name in ("curve.csv", "curve.json", "plot.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("config", [None, {"n_grid": None}], ids=["flags", "null-n_grid"])
+    def test_range_run_echoes_the_range_fields_not_n_grid(self, tmp_path, config):
+        # A JSON null n_grid is no grid, as if the field were left out.
+        argv = []
+        if config is not None:
+            cfg = tmp_path / "exp.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", cfg]
+        out = tmp_path / "g"
+        assert run_cli("run", *argv, "--kind", "gaussian", "--n-min", 10, "--n-max", 40, "--trials", 2,
+                       "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        config = manifest["config"]
+        assert (config["n_min"], config["n_max"], config["points_per_decade"]) == (10, 40, 10)
+        assert "n_grid" not in config
+        assert list(manifest["trial_counts"]) == [str(n) for n in log_spaced_ns(10, 40, 10)]
+
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            (["--kind", "gaussian", "--d", 50, "--n-grid", "10,100,1000", "--trials", 20], 60),
+            # lstsq and ridge at n >= d fit the triangular factor, on one BLAS thread.
+            (["--kind", "linreg", "--estimator", "lstsq", "--d", 100, "--sigma", 0.1,
+              "--n-grid", "100,200,1000", "--trials", 3], 9),
+            (["--kind", "linreg", "--estimator", "ridge", "--d", 100, "--sigma", 0.1, "--lambda", 1,
+              "--n-grid", "100,200,1000", "--trials", 3], 9),
+            (["--kind", "linreg", "--estimator", "nn", "--d", 5, "--n-grid", "20,300,3000", "--trials", 2], 6),
+            (["--kind", "linreg", "--estimator", "nn", "--d", 20, "--n-grid", "20,300,3000", "--trials", 2], 6),
+        ],
+        ids=["gaussian", "lstsq-d100", "ridge-d100", "nn-tree-d5", "nn-brute-d20"],
+    )
+    def test_split_run_writes_the_serial_bytes(self, tmp_path, monkeypatch, argv, cells):
+        outputs, processes = {}, {}
+        for label, serial_start in (("serial", math.inf), ("split", 0.0)):
+            monkeypatch.setattr(_parallel, "SERIAL_START_S", serial_start)
+            out = tmp_path / label
+            assert run_cli("run", *argv, "--seed", 11, "--out", out) == 0
+            outputs[label] = [(out / name).read_bytes() for name in ("curve.csv", "curve.json", "plot.svg")]
+            processes[label] = json.loads((out / "manifest.json").read_text())["processes"]
+        assert outputs["split"] == outputs["serial"]
+        assert processes == {"serial": 1, "split": min(len(_parallel.usable_cpus()), cells)}
 
     def test_duration_survives_a_clock_stepped_back(self, tmp_path, monkeypatch):
         # The wall clock steps back an hour while the run computes; the
@@ -134,6 +179,8 @@ class TestRun:
             (["--n-grid", "+5,7"], None, "n_grid"),
             (["--n-grid", "5,,7"], None, "n_grid"),
             (["--n-grid", "10,99999999999999999999"], None, "n_grid"),
+            # An empty grid once ran the default range from 1 to 1000.
+            ([], {"n_grid": []}, "n_grid"),
             # int() and float() read these as 10, 3, 10 and 1; flags take ASCII digits without '_'.
             (["--d", "1_0"], None, "d"),
             (["--trials", "\u0663"], None, "trials"),
@@ -165,8 +212,8 @@ class TestRun:
             "trials-zero", "trials-above-2**32", "d-string", "trials-bool", "workers-float", "n_grid-float",
             "lambda-nan", "lam-zero-ridge", "s-nan", "max_steps-negative", "n_grid-descending",
             "n_grid-no-integers", "n_grid-underscore", "n_grid-arabic-indic-digit", "n_grid-plus-sign",
-            "n_grid-empty-entry", "n_grid-above-int64", "d-underscore", "trials-arabic-indic-digit", "s-underscore",
-            "sigma-arabic-indic-digit", "n_max-above-int64", "reg_points-zero", "reg_points-below-basis",
+            "n_grid-empty-entry", "n_grid-above-int64", "n_grid-empty", "d-underscore", "trials-arabic-indic-digit",
+            "s-underscore", "sigma-arabic-indic-digit", "n_max-above-int64", "reg_points-zero", "reg_points-below-basis",
             "reg_points-at-basis", "estimator-unknown", "sampler-unknown", "arm-unknown",
             "d-zero", "sigma-negative", "s-negative", "bandlimit-negative", "width-zero", "seed-negative",
             "seed-2**64", "workers-zero", "import-without-input", "config-list", "config-not-json", "config-missing",
@@ -276,6 +323,8 @@ class TestRun:
         assert (out / "curve.csv").read_text().splitlines()[1:] == [
             "10,0,0.5", "10,1,0.3", "100,0,0.1",
         ]
+        # No cells ran, so no process count is recorded.
+        assert json.loads((out / "manifest.json").read_text())["processes"] is None
 
     def test_import_renumbers_trials_in_order(self, tmp_path):
         # A curve keeps each n's errors in trial order, not the trial labels.

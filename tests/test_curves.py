@@ -1,6 +1,9 @@
 """Tests for curve aggregation, power-law fitting and cliff detection."""
 
 import math
+import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cliffscale import _blas, _parallel
 from cliffscale.curves import (
     CliffRegion,
     CurveError,
@@ -24,6 +28,7 @@ from cliffscale.curves import (
     run_cells,
 )
 from cliffscale.gaussian import GaussianTask, approx_error
+from cliffscale.harmonic.training import DivergenceError
 
 PHI_MINUS_1 = 0.15865525393145705  # high-precision erf oracle, frozen
 
@@ -173,6 +178,160 @@ class TestRunCells:
     def test_rejects_a_descending_grid(self):
         with pytest.raises(CurveError, match="grid"):
             run_cells(lambda n_idx, n, trial: 0.0, [7, 3], 1, {})
+
+
+def cell_value(n_idx, n, trial):
+    return n + trial / 10
+
+
+# The same 12-cell grid in every split test: cell i is row i // 3, trial i % 3.
+GRID, TRIALS = [2, 5, 9, 20], 3
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(_parallel.usable_cpus()) < 2,
+    reason="needs CPU affinity and at least two usable CPUs",
+)
+
+
+def index(n_idx, trial):
+    return n_idx * TRIALS + trial
+
+
+def outcome(run):
+    """What a run gives its caller: ("ok", points) or ("raised", type, message)."""
+    try:
+        return "ok", run().points
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+class TestSplitCells:
+    """run_cells(..., split=True) gives the serial run's curve, exception or warnings."""
+
+    def test_tiny_runs_stay_in_this_process(self):
+        assert run_cells(cell_value, GRID, TRIALS, {}, split=True).processes == 1
+        assert run_cells(cell_value, GRID, TRIALS, {}).processes == 1
+
+    def test_split_curve_equals_the_serial_curve(self, split_cells):
+        open_fds = os.listdir("/proc/self/fd")
+        curve = run_cells(cell_value, GRID, TRIALS, {"task": "demo"}, split=True)
+        assert curve == run_cells(cell_value, GRID, TRIALS, {"task": "demo"})
+        assert curve.processes == min(len(_parallel.usable_cpus()), len(GRID) * TRIALS)
+        assert os.listdir("/proc/self/fd") == open_fds
+
+    def test_a_single_cell_is_not_split(self, split_cells):
+        assert run_cells(cell_value, [3], 1, {}, split=True).processes == 1
+
+    @needs_affinity
+    def test_shares_interleave_and_each_process_has_its_own_cpus(self, split_cells):
+        # Each cell returns its process's affinity mask; process w of k runs
+        # cells w, w + k, ... on every k-th usable CPU from the w-th.
+        cpus = _parallel.usable_cpus()
+        if max(cpus) > 50:
+            pytest.skip("a CPU number too high for an exact float mask")
+        before = os.sched_getaffinity(0)
+        curve = run_cells(
+            lambda n_idx, n, trial: float(sum(1 << c for c in os.sched_getaffinity(0))), GRID, TRIALS, {},
+            split=True,
+        )
+        k = curve.processes
+        assert k == min(len(cpus), len(GRID) * TRIALS) >= 2
+        masks = [e for _, errs in curve.points for e in errs]
+        assert masks == [float(sum(1 << c for c in cpus[i % k :: k])) for i in range(len(masks))]
+        assert os.sched_getaffinity(0) == before
+
+    @needs_affinity
+    @pytest.mark.skipif(_blas.thread_count() is None, reason="numpy's BLAS has no thread control")
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_a_child_keeps_the_callers_blas_thread_count(self, split_cells, count):
+        parent = os.getpid()
+        with _blas.blas_threads(count):
+            curve = run_cells(
+                lambda n_idx, n, trial: float(_blas.thread_count()) + (os.getpid() != parent) / 2,
+                GRID, TRIALS, {}, split=True,
+            )
+        # The 0.5 marks a cell that a child ran: the odd cells, with two processes.
+        errs = [e for _, row in curve.points for e in row]
+        assert {math.floor(e) for e in errs} == {count}
+        assert {e % 1 for e in errs[1::curve.processes]} == {0.5}
+
+    @needs_affinity
+    @pytest.mark.parametrize(
+        "failing",
+        [{index(1, 0)}, {index(1, 1)}, {index(1, 0), index(2, 0)}, {index(1, 1), index(2, 1)}, {index(3, 2)}],
+        ids=["child", "parent-mid-run", "child-first", "parent-first", "last"],
+    )
+    def test_a_raising_cell_gives_the_serial_exception(self, split_cells, failing):
+        # DivergenceError(step) comes back from pickling with its message garbled, so a child must not send it.
+        def cell(n_idx, n, trial):
+            if index(n_idx, trial) in failing:
+                raise DivergenceError(index(n_idx, trial))
+            return cell_value(n_idx, n, trial)
+
+        serial = outcome(lambda: run_cells(cell, GRID, TRIALS, {}))
+        assert serial == ("raised", DivergenceError, str(DivergenceError(min(failing))))
+        assert outcome(lambda: run_cells(cell, GRID, TRIALS, {}, split=True)) == serial
+
+    @needs_affinity
+    @pytest.mark.parametrize("action", ["always", "error", "ignore"])
+    def test_a_warning_cell_gives_the_serial_warnings(self, split_cells, action):
+        def cell(n_idx, n, trial):
+            if index(n_idx, trial) in (3, 6, 7):
+                warnings.warn(f"cell {index(n_idx, trial)}", UserWarning)
+            return cell_value(n_idx, n, trial)
+
+        runs = {}
+        for split in (False, True):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                result = outcome(lambda: run_cells(cell, GRID, TRIALS, {}, split=split))
+            runs[split] = result, [str(w.message) for w in caught]
+        assert runs[True] == runs[False]
+        assert runs[False][1] == (["cell 3", "cell 6", "cell 7"] if action == "always" else [])
+
+    @needs_affinity
+    def test_a_child_that_dies_is_made_good_here(self, split_cells):
+        parent = os.getpid()
+
+        def cell(n_idx, n, trial):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return cell_value(n_idx, n, trial)
+
+        curve = run_cells(cell, GRID, TRIALS, {}, split=True)
+        assert curve == run_cells(cell_value, GRID, TRIALS, {})
+        assert curve.processes == 1
+
+    @needs_affinity
+    def test_a_failed_fork_leaves_the_cells_to_this_process(self, split_cells, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        open_fds = os.listdir("/proc/self/fd")
+        monkeypatch.setattr(os, "fork", no_fork)
+        curve = run_cells(cell_value, GRID, TRIALS, {}, split=True)
+        assert curve == run_cells(cell_value, GRID, TRIALS, {})
+        assert curve.processes == 1
+        assert os.listdir("/proc/self/fd") == open_fds
+
+    @needs_affinity
+    def test_an_interrupt_kills_the_children(self, split_cells):
+        # The children's share would take 10 s; the parent's own second cell
+        # is interrupted at once, and every child is killed and reaped.
+        parent = os.getpid()
+
+        def cell(n_idx, n, trial):
+            if os.getpid() != parent:
+                time.sleep(10 / len(GRID) / TRIALS)
+            elif index(n_idx, trial) > 0:
+                raise KeyboardInterrupt
+            return cell_value(n_idx, n, trial)
+
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_cells(cell, GRID, TRIALS, {}, split=True)
+        assert time.perf_counter() - started < 5
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestCheckNGrid:

@@ -507,7 +507,8 @@ class TestRunScaling:
             assert dict(big.points)[n][: len(errs)] == errs
 
     @pytest.mark.parametrize("estimator", ["lstsq", "ridge", "nn"])
-    def test_only_nn_derives_test_streams(self, monkeypatch, estimator):
+    def test_only_nn_derives_test_streams(self, monkeypatch, serial_cells, estimator):
+        # The calls are recorded in this process, so every cell must run here.
         purposes = []
         real_stream = streams.stream
 
