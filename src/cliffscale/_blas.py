@@ -1,8 +1,8 @@
 """Scoped control of the BLAS thread count numpy's products run on.
 
-Which count a block runs on is its runner's decision
-(``linreg.run_linreg_scaling``, ``harmonic.training.train``); this module
-only sets and restores it.
+``curves.run_cells`` is the one decider: every cell runs on one BLAS
+thread, in whichever process runs it. This module only sets and restores
+the count.
 
 The count is process-wide: nested scopes restore it in order, but two
 threads that scope it at once can restore each other's value.
@@ -16,10 +16,12 @@ import functools
 
 @functools.cache
 def _controls():
-    """(get, set) for the thread count of the BLAS numpy links, or None.
+    """(get, set, shutdown) for the BLAS numpy links, or None without a thread count control.
 
     Opening numpy's own extension module resolves the symbols of the
     BLAS it was linked against, whichever wheel or build supplied it.
+    ``shutdown`` stops OpenBLAS's worker threads; it is None when the
+    BLAS does not export it.
     """
     import ctypes
 
@@ -37,7 +39,10 @@ def _controls():
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        shutdown = getattr(lib, "blas_thread_shutdown_", None)
+        if shutdown is not None:
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+        return get, set_, shutdown
     return None
 
 
@@ -45,6 +50,19 @@ def thread_count() -> int | None:
     """The BLAS thread count now in effect, or None when it cannot be read."""
     controls = _controls()
     return None if controls is None else controls[0]()
+
+
+def _set(controls, count: int) -> None:
+    """Set the count, then stop the worker threads that setting it may have started.
+
+    After a fork OpenBLAS re-creates its pool on every set, whatever the
+    count, and a new worker spins a core for ~0.13 s before it sleeps.
+    The next product that wants more than one thread starts them again.
+    """
+    _, set_, shutdown = controls
+    set_(count)
+    if shutdown is not None:
+        shutdown()
 
 
 @contextlib.contextmanager
@@ -57,11 +75,9 @@ def blas_threads(count: int):
     if controls is None:
         yield
         return
-    get, set_ = controls
-    previous = get()
-    set_(count)
+    previous = controls[0]()
+    _set(controls, count)
     try:
         yield
     finally:
-        set_(previous)
-
+        _set(controls, previous)

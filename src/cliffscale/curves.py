@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _parallel
+from . import _blas, _parallel
 
 __all__ = [
     "ScalingCurve",
@@ -200,16 +200,16 @@ def check_n_grid(n_grid) -> list[int]:
     return grid
 
 
-def run_cells(cell, n_grid, trials: int, metadata: dict, split: bool = False) -> ScalingCurve:
+def run_cells(cell, n_grid, trials: int, metadata: dict) -> ScalingCurve:
     """The curve of ``cell(n_idx, n, trial) -> error`` over the grid.
 
     Cells run in (n index, trial) order, and each grid row's errors are
-    stored in trial order. Each cell draws only from streams keyed by its
-    own (trial, n index), so neither the order nor the process that runs
-    a cell can change any result. With ``split``, a run that lasts past a
-    short serial start spreads its remaining cells over forked processes
-    on every usable CPU (``_parallel.run_split``); a runner asks for it
-    only when its cells' bits do not depend on the CPUs they run on.
+    stored in trial order. Every cell runs on one BLAS thread and draws
+    only from streams keyed by its own (trial, n index), so neither the
+    order nor the process that runs a cell can change any result: a run
+    that lasts past a short serial start spreads its remaining cells over
+    forked processes on every usable CPU (``_parallel.run_split``). The
+    caller's BLAS thread count is restored when the run returns or fails.
     """
     grid = check_n_grid(n_grid)
     if trials < 1:
@@ -219,11 +219,8 @@ def run_cells(cell, n_grid, trials: int, metadata: dict, split: bool = False) ->
         n_idx, trial = divmod(i, trials)
         return cell(n_idx, grid[n_idx], trial)
 
-    total = len(grid) * trials
-    if split:
-        errors, processes = _parallel.run_split(call, total)
-    else:
-        errors, processes = [call(i) for i in range(total)], 1
+    with _blas.blas_threads(1):
+        errors, processes = _parallel.run_split(call, len(grid) * trials)
     points = tuple((n, tuple(errors[row * trials : (row + 1) * trials])) for row, n in enumerate(grid))
     return ScalingCurve(points=points, metadata=metadata, processes=processes)
 

@@ -176,7 +176,7 @@ def run_gaussian_scaling(d: int, s: float, n_grid, trials: int, seed: int) -> Sc
     task = GaussianTask(d=d, s=float(s))
     # Cells run one at a time in each process, and each draws from one stream
     # only, so every cell resets the previous cell's generator instead of
-    # building its own. No cell uses BLAS, so the cells may be split.
+    # building its own.
     rng = None
 
     def cell(n_idx: int, n: int, trial: int) -> float:
@@ -186,4 +186,4 @@ def run_gaussian_scaling(d: int, s: float, n_grid, trials: int, seed: int) -> Sc
 
     # "sampler" stays so that curve.json reads as earlier versions wrote it.
     meta = {"task": "gaussian", "d": d, "s": task.s, "sampler": "sufficient", "seed": seed}
-    return run_cells(cell, n_grid, trials, meta, split=True)
+    return run_cells(cell, n_grid, trials, meta)

@@ -8,13 +8,12 @@ The checkpoint in effect when training stops is the one reported
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .. import _blas, streams
+from .. import streams
 # aggregate_trials is not called here; benchmarks/tracing.py wraps it at this name.
 from ..curves import ScalingCurve, aggregate_trials, run_cells
 from .basis import BandwidthRegularizer, HarmonicFunction, regularizer_value, sample_harmonic
@@ -46,21 +45,6 @@ INPUT_DIM = 2
 
 # The dtype of every harmonic network, its training inputs and its optimizer state.
 DTYPE = np.dtype(np.float32)
-
-# The rows * width^2 of a step below which train() runs on one BLAS thread;
-# from it on the run keeps the caller's count. After a multithreaded product
-# OpenBLAS keeps its worker threads spinning, so a loop of small products on
-# two threads doubles the CPU time for little or no wall time. Measured on a
-# 2-core x86-64 box (scipy-openblas 0.3.31), wall per step at 1 -> 2 threads,
-# float32, width 256, no regularizer, the CPU time at 2 threads being about
-# twice its wall:
-#   rows=64   4.2e6: 1.46-1.77 -> 1.49-1.65 ms
-#   rows=128  8.4e6: 1.93-2.30 -> 1.68-2.11 ms
-#   rows=256  1.7e7: 3.01-3.16 -> 2.80 ms
-#   rows=1024 6.7e7: 8.6-10.8  -> 7.84-7.87 ms
-# 2^24 = 256^3 keeps the default 256-row batch at width 256 threaded.
-ONE_THREAD_BELOW = 2**24
-
 
 class DivergenceError(FloatingPointError):
     """Raised when the training loss stops being finite."""
@@ -158,13 +142,9 @@ def train(
     order = np.zeros(0, dtype=np.intp)
     cursor = 0
 
-    # A step's largest product is its rows by a width x width layer. The
-    # validation and test forwards run in the same scope. Overflow and
-    # invalid values raise no numpy warning: a diverging run is caught from
-    # its non-finite outputs and loss, and raises DivergenceError.
-    small = rows * config.width * config.width < ONE_THREAD_BELOW
-    threads = _blas.blas_threads(1) if small else contextlib.nullcontext()
-    with threads, np.errstate(over="ignore", invalid="ignore"):
+    # Overflow and invalid values raise no numpy warning: a diverging run is
+    # caught from its non-finite outputs and loss, and raises DivergenceError.
+    with np.errstate(over="ignore", invalid="ignore"):
         best_val = np.inf
         last_improvement = 0
         step = 0
@@ -259,10 +239,4 @@ def run_harmonic_scaling(
         return result.test_mse
 
     meta = {"task": "harmonic", "arm": arm, "B": B, "d": INPUT_DIM, "width": config.width, "seed": seed}
-    # Serial: a process given a share of the CPUs should run fewer BLAS
-    # threads, and the reg arm's float32 products round differently at one
-    # and two threads, so a split would either change its bits or
-    # oversubscribe the cores. Making those products independent of the
-    # thread count (ROADMAP, "Host-independent bits for the regularized
-    # harmonic arm") lifts this.
     return run_cells(cell, n_grid, trials, meta)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas, _parallel, streams
+from . import _parallel, streams
 # aggregate_trials is not called here; benchmarks/tracing.py wraps it at this name.
 from .curves import ScalingCurve, aggregate_trials, run_cells
 
@@ -301,8 +301,4 @@ def run_linreg_scaling(
     meta = {"task": "linreg", "estimator": estimator, "d": d, "sigma": float(sigma), "seed": seed}
     if estimator == "ridge":
         meta["lambda"] = float(lam)
-    # One BLAS thread for every cell, so its bits depend only on the seed and
-    # the BLAS build, never on the thread count, the host or the process
-    # that runs it; so the cells may also be split between processes.
-    with _blas.blas_threads(1):
-        return run_cells(cell, n_grid, trials, meta, split=True)
+    return run_cells(cell, n_grid, trials, meta)

@@ -1,13 +1,15 @@
 """The scoped BLAS thread count: restored on every exit, inert without a control."""
 
 import os
+import resource
+import time
 
 import pytest
 
-from cliffscale import _blas, linreg, streams
-from cliffscale.harmonic import training
+from cliffscale import _blas, _parallel, linreg, streams
+from cliffscale.gaussian import run_gaussian_scaling
 from cliffscale.harmonic.basis import sample_harmonic
-from cliffscale.harmonic.training import DivergenceError, TrainConfig, train
+from cliffscale.harmonic.training import DivergenceError, TrainConfig, run_harmonic_scaling, train
 from cliffscale.linreg import run_linreg_scaling
 
 has_control = pytest.mark.skipif(_blas._controls() is None, reason="numpy's BLAS has no thread control")
@@ -15,24 +17,32 @@ two_cores = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least
 
 
 class FakeControls:
-    """A stand-in BLAS thread count that records every set."""
+    """A stand-in BLAS thread count that records every set and every pool shutdown."""
 
     def __init__(self, count):
         self.count = count
-        self.sets = []
+        self.calls = []
+
+    @property
+    def sets(self):
+        return [call for call in self.calls if call != "shutdown"]
 
     def get(self):
         return self.count
 
     def set(self, count):
-        self.sets.append(count)
+        self.calls.append(count)
         self.count = count
+
+    def shutdown(self):
+        self.calls.append("shutdown")
+        return 0
 
 
 @pytest.fixture
 def fake(monkeypatch):
     controls = FakeControls(2)
-    monkeypatch.setattr(_blas, "_controls", lambda: (controls.get, controls.set))
+    monkeypatch.setattr(_blas, "_controls", lambda: (controls.get, controls.set, controls.shutdown))
     return controls
 
 
@@ -64,16 +74,10 @@ class TestScope:
             assert fake.count == 3
         assert (fake.count, fake.sets) == (2, [3, 1, 3, 2])
 
-    def test_one_thread_only_below_the_bound(self, fake):
-        # train() runs on one thread when a step's rows x width^2 is below the
-        # bound, and on the caller's count from it on.
-        h = sample_harmonic(1, 2, streams.stream(5, 0))
-        cfg = TrainConfig(width=64, hidden_layers=1, batch_size=4096, max_steps=1, val_size=8, test_size=8)
-        assert 4096 * 64 * 64 == training.ONE_THREAD_BELOW
-        train(h, 4096, config=cfg, rng=streams.stream(5, 1))
-        assert fake.sets == []
-        train(h, 4095, config=cfg, rng=streams.stream(5, 1))
-        assert (fake.count, fake.sets) == (2, [1, 2])
+    def test_every_set_is_followed_by_a_pool_shutdown(self, fake):
+        with _blas.blas_threads(1):
+            assert fake.calls == [1, "shutdown"]
+        assert fake.calls == [1, "shutdown", 2, "shutdown"]
 
     def test_a_failing_linreg_cell_restores_the_callers_count(self, fake, monkeypatch):
         calls = []
@@ -89,7 +93,7 @@ class TestScope:
         with pytest.raises(ZeroDivisionError):
             errors("lstsq", 5, [3, 10])
         assert len(calls) == 3
-        assert (fake.count, fake.sets) == (2, [1, 2])
+        assert (fake.count, fake.calls) == (2, [1, "shutdown", 2, "shutdown"])
 
     @has_control
     def test_restores_the_real_count(self):
@@ -155,3 +159,43 @@ class TestReproducibility:
             with pytest.raises(DivergenceError):
                 train(h, 32, config=cfg, rng=streams.stream(424242, 11))
             assert _blas.thread_count() == 2
+
+    def test_reg_arm_bits_do_not_depend_on_the_callers_count(self):
+        # batch + reg_points = 4161 rows, not a multiple of the kernel's row
+        # block, and rows x width^2 >= 2^24: a step the regularized arm once
+        # kept on the caller's count, where a.T @ d rounds differently.
+        kwargs = dict(
+            B=1, arm="reg", n_grid=[60], trials=2, seed=5,
+            config=TrainConfig(width=64, max_steps=3, reg_points=4101, val_size=64, test_size=256),
+        )
+        with _blas.blas_threads(2):
+            two = run_harmonic_scaling(**kwargs).points
+        with _blas.blas_threads(1):
+            one = run_harmonic_scaling(**kwargs).points
+        assert two == one
+
+
+def cpu_seconds() -> float:
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
+@pytest.mark.skipif(
+    _blas._controls() is None or _blas._controls()[2] is None, reason="the BLAS exports no pool shutdown"
+)
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(_parallel.usable_cpus()) < 2,
+    reason="needs CPU affinity and at least two usable CPUs",
+)
+@pytest.mark.parametrize(
+    "run",
+    [ridge_errors, lambda: run_gaussian_scaling(d=50, s=1.0, n_grid=[10, 100, 1000], trials=20, seed=3)],
+    ids=["ridge-d100", "gaussian"],
+)
+def test_no_blas_thread_spins_after_a_split_run(split_cells, run):
+    # After a fork OpenBLAS re-creates its pool when the count is restored,
+    # and its new worker spins a core for ~0.13 s unless it is shut down.
+    run()
+    before = cpu_seconds()
+    time.sleep(0.3)
+    assert cpu_seconds() - before < 0.03

@@ -117,8 +117,10 @@ class TestRun:
               "--n-grid", "100,200,1000", "--trials", 3], 9),
             (["--kind", "linreg", "--estimator", "nn", "--d", 5, "--n-grid", "20,300,3000", "--trials", 2], 6),
             (["--kind", "linreg", "--estimator", "nn", "--d", 20, "--n-grid", "20,300,3000", "--trials", 2], 6),
+            *((["--kind", "harmonic", "--bandlimit", 1, "--arm", arm, "--width", 16, "--max-steps", 5,
+                "--reg-points", 100, "--n-grid", "10,20,40", "--trials", 2], 6) for arm in ("reg", "noreg")),
         ],
-        ids=["gaussian", "lstsq-d100", "ridge-d100", "nn-tree-d5", "nn-brute-d20"],
+        ids=["gaussian", "lstsq-d100", "ridge-d100", "nn-tree-d5", "nn-brute-d20", "harmonic-reg", "harmonic-noreg"],
     )
     def test_split_run_writes_the_serial_bytes(self, tmp_path, monkeypatch, argv, cells):
         outputs, processes = {}, {}

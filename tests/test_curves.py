@@ -204,22 +204,28 @@ def outcome(run):
         return "raised", type(exc), str(exc)
 
 
+def serially(run):
+    """run(), with every cell run in this process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_parallel, "SERIAL_START_S", math.inf)
+        return run()
+
+
 class TestSplitCells:
-    """run_cells(..., split=True) gives the serial run's curve, exception or warnings."""
+    """A run split between processes gives the serial run's curve, exception or warnings."""
 
     def test_tiny_runs_stay_in_this_process(self):
-        assert run_cells(cell_value, GRID, TRIALS, {}, split=True).processes == 1
         assert run_cells(cell_value, GRID, TRIALS, {}).processes == 1
 
     def test_split_curve_equals_the_serial_curve(self, split_cells):
         open_fds = os.listdir("/proc/self/fd")
-        curve = run_cells(cell_value, GRID, TRIALS, {"task": "demo"}, split=True)
-        assert curve == run_cells(cell_value, GRID, TRIALS, {"task": "demo"})
+        curve = run_cells(cell_value, GRID, TRIALS, {"task": "demo"})
+        assert curve == serially(lambda: run_cells(cell_value, GRID, TRIALS, {"task": "demo"}))
         assert curve.processes == min(len(_parallel.usable_cpus()), len(GRID) * TRIALS)
         assert os.listdir("/proc/self/fd") == open_fds
 
     def test_a_single_cell_is_not_split(self, split_cells):
-        assert run_cells(cell_value, [3], 1, {}, split=True).processes == 1
+        assert run_cells(cell_value, [3], 1, {}).processes == 1
 
     @needs_affinity
     def test_shares_interleave_and_each_process_has_its_own_cpus(self, split_cells):
@@ -230,8 +236,7 @@ class TestSplitCells:
             pytest.skip("a CPU number too high for an exact float mask")
         before = os.sched_getaffinity(0)
         curve = run_cells(
-            lambda n_idx, n, trial: float(sum(1 << c for c in os.sched_getaffinity(0))), GRID, TRIALS, {},
-            split=True,
+            lambda n_idx, n, trial: float(sum(1 << c for c in os.sched_getaffinity(0))), GRID, TRIALS, {}
         )
         k = curve.processes
         assert k == min(len(cpus), len(GRID) * TRIALS) >= 2
@@ -242,16 +247,17 @@ class TestSplitCells:
     @needs_affinity
     @pytest.mark.skipif(_blas.thread_count() is None, reason="numpy's BLAS has no thread control")
     @pytest.mark.parametrize("count", [1, 2])
-    def test_a_child_keeps_the_callers_blas_thread_count(self, split_cells, count):
+    def test_every_process_runs_its_cells_on_one_blas_thread(self, split_cells, count):
         parent = os.getpid()
         with _blas.blas_threads(count):
             curve = run_cells(
                 lambda n_idx, n, trial: float(_blas.thread_count()) + (os.getpid() != parent) / 2,
-                GRID, TRIALS, {}, split=True,
+                GRID, TRIALS, {},
             )
+            assert _blas.thread_count() == count
         # The 0.5 marks a cell that a child ran: the odd cells, with two processes.
         errs = [e for _, row in curve.points for e in row]
-        assert {math.floor(e) for e in errs} == {count}
+        assert {math.floor(e) for e in errs} == {1}
         assert {e % 1 for e in errs[1::curve.processes]} == {0.5}
 
     @needs_affinity
@@ -267,9 +273,9 @@ class TestSplitCells:
                 raise DivergenceError(index(n_idx, trial))
             return cell_value(n_idx, n, trial)
 
-        serial = outcome(lambda: run_cells(cell, GRID, TRIALS, {}))
+        serial = serially(lambda: outcome(lambda: run_cells(cell, GRID, TRIALS, {})))
         assert serial == ("raised", DivergenceError, str(DivergenceError(min(failing))))
-        assert outcome(lambda: run_cells(cell, GRID, TRIALS, {}, split=True)) == serial
+        assert outcome(lambda: run_cells(cell, GRID, TRIALS, {})) == serial
 
     @needs_affinity
     @pytest.mark.parametrize("action", ["always", "error", "ignore"])
@@ -279,11 +285,14 @@ class TestSplitCells:
                 warnings.warn(f"cell {index(n_idx, trial)}", UserWarning)
             return cell_value(n_idx, n, trial)
 
+        def run():
+            return outcome(lambda: run_cells(cell, GRID, TRIALS, {}))
+
         runs = {}
         for split in (False, True):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter(action)
-                result = outcome(lambda: run_cells(cell, GRID, TRIALS, {}, split=split))
+                result = run() if split else serially(run)
             runs[split] = result, [str(w.message) for w in caught]
         assert runs[True] == runs[False]
         assert runs[False][1] == (["cell 3", "cell 6", "cell 7"] if action == "always" else [])
@@ -297,8 +306,8 @@ class TestSplitCells:
                 os.kill(os.getpid(), signal.SIGKILL)
             return cell_value(n_idx, n, trial)
 
-        curve = run_cells(cell, GRID, TRIALS, {}, split=True)
-        assert curve == run_cells(cell_value, GRID, TRIALS, {})
+        curve = run_cells(cell, GRID, TRIALS, {})
+        assert curve == serially(lambda: run_cells(cell_value, GRID, TRIALS, {}))
         assert curve.processes == 1
 
     @needs_affinity
@@ -308,8 +317,8 @@ class TestSplitCells:
 
         open_fds = os.listdir("/proc/self/fd")
         monkeypatch.setattr(os, "fork", no_fork)
-        curve = run_cells(cell_value, GRID, TRIALS, {}, split=True)
-        assert curve == run_cells(cell_value, GRID, TRIALS, {})
+        curve = run_cells(cell_value, GRID, TRIALS, {})
+        assert curve == serially(lambda: run_cells(cell_value, GRID, TRIALS, {}))
         assert curve.processes == 1
         assert os.listdir("/proc/self/fd") == open_fds
 
@@ -328,7 +337,7 @@ class TestSplitCells:
 
         started = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            run_cells(cell, GRID, TRIALS, {}, split=True)
+            run_cells(cell, GRID, TRIALS, {})
         assert time.perf_counter() - started < 5
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

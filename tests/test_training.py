@@ -118,9 +118,9 @@ class TestPinnedResults:
     # batch size, so the minibatch permutation wraps within 60 steps.
     # float32 matrix products round as the BLAS kernel orders them: the
     # values were taken with scipy-openblas 0.3.31 on an AVX-512 x86-64
-    # CPU. Another BLAS build or kernel may differ in the last bits, and
-    # so may the reg arm at its default 20 000 points with another BLAS
-    # thread count; these small runs make their products on one thread.
+    # CPU. Another BLAS build or kernel may differ in the last bits. These
+    # calls run train() directly, on the caller's BLAS thread count; their
+    # products are small and gave these values at one and two threads.
     # The inputs come from the generators the package's streams were before
     # they keyed Philox directly, so the literals pin arithmetic only.
     PINNED = {
