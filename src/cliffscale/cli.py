@@ -317,6 +317,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "outputs": outputs,
         # The process's peak resident set so far; Linux reports ru_maxrss in KiB.
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        # The largest peak among the child processes reaped so far, such as
+        # those that computed cells; 0 when there were none.
+        "forked_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -12,14 +12,22 @@ activation, spending a cache from its workspace but not ``out``. A
 training loop reuses one workspace, so no step allocates an (m x width) array.
 
 Where a regularized step's memory goes: one (rows x width) buffer per
-hidden layer, holding its activation and then its backward delta; the
-(rows x 1) output; a boolean ReLU mask of one row block; and the packed
-copy of an operand that the BLAS makes inside a matrix product and keeps
-for the life of the process. Hidden-layer products run in blocks of at
-most ``ROW_BLOCK`` rows, so that copy, like the mask, is bounded by one
-block rather than by the batch. The output layer's width -> 1 product,
-the bias-gradient sums and the weight-gradient products run on the whole
-batch.
+hidden layer, holding its activation and then its backward delta, except
+that with three or more hidden layers the first and the third share one
+buffer, so the default three-layer harmonic model holds two such
+buffers, not three; the (rows x 1) output; a boolean ReLU mask of one row
+block; and the packed copy of an operand that the BLAS makes inside a
+matrix product and keeps for the life of the process. The forward pass
+writes the third activation over the first and leaves the first out of
+its cache. The backward pass recomputes it from the input, with the
+forward pass's blocks and operations, into that buffer once the third
+layer's delta there has been used: a product over the input dimension,
+2 in the harmonic task, which costs a few milliseconds of a step whose
+(rows x width) @ (width x width) products cost a few hundred. Hidden-layer
+products run in blocks of at most ``ROW_BLOCK`` rows, so the BLAS's
+copy, like the mask, is bounded by one block rather than by the batch.
+The output layer's width -> 1 product, the bias-gradient sums and the
+weight-gradient products run on the whole batch.
 """
 
 from __future__ import annotations
@@ -104,12 +112,16 @@ def init_mlp(layer_sizes, rng: np.random.Generator, dtype=np.float64) -> MlpMode
 class Workspace:
     """Reusable buffers for forward and backward passes of one model shape.
 
-    Holds, for up to ``rows`` inputs, one activation buffer per layer
+    Holds, for up to ``rows`` inputs, one activation array per layer
     (each hidden one also takes that layer's backward delta), a ReLU mask
     for one row block (``min(rows, ROW_BLOCK)`` rows, as wide as the
     widest hidden layer), and gradient arrays shaped like
-    ``model.parameters()``. A pass on fewer rows uses leading-row views.
-    The BLAS's packed operand copy, outside numpy, is bounded by one block.
+    ``model.parameters()``. When ``recomputes_first`` (three or more
+    hidden layers), ``activations[0]`` and ``activations[2]`` are views of
+    one buffer: the first hidden activation is not kept for the backward
+    pass, which recomputes it. A pass on fewer rows uses leading-row
+    views. The BLAS's packed operand copy, outside numpy, is bounded by
+    one block.
     """
 
     def __init__(self, model: MlpModel, rows: int):
@@ -117,7 +129,15 @@ class Workspace:
         self.rows = int(rows)
         self.layer_sizes = model.layer_sizes
         self.dtype = dtype
-        self.activations = [np.empty((self.rows, w.shape[1]), dtype=dtype) for w in model.weights]
+        widths = [w.shape[1] for w in model.weights]
+        self.recomputes_first = len(widths) > 3
+        flat = {}
+        if self.recomputes_first:
+            flat[0] = flat[2] = np.empty(self.rows * max(widths[0], widths[2]), dtype=dtype)
+        self.activations = [
+            flat[i][: self.rows * k].reshape(self.rows, k) if i in flat else np.empty((self.rows, k), dtype=dtype)
+            for i, k in enumerate(widths)
+        ]
         hidden = max((w.shape[0] for w in model.weights[1:]), default=0)
         self._mask = np.empty(min(self.rows, ROW_BLOCK) * hidden, dtype=bool)
         self.grads = [np.empty_like(p) for p in model.parameters()]
@@ -132,13 +152,22 @@ class Workspace:
             raise ValueError(f"workspace holds {self.rows} rows, got {rows}")
 
 
+def _hidden_layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray, blocks: list[slice]) -> None:
+    """z = max(a @ w + b, 0), one row block at a time."""
+    for blk in blocks:
+        zb = np.matmul(a[blk], w, out=z[blk])
+        zb += b
+        np.maximum(zb, 0.0, out=zb)
+
+
 def mlp_forward_batch(model: MlpModel, xs: np.ndarray, work: Workspace | None = None):
     """Outputs and the activation cache for a batch of inputs.
 
     Returns (out, cache): out has shape (m,), cache holds the input and
-    every post-ReLU activation for the backward pass. Apart from the
-    input, both are views into ``work`` (a fresh workspace when none is
-    given).
+    every post-ReLU activation for the backward pass, except that
+    ``cache[1]``, the first hidden activation, is None when the workspace
+    ``recomputes_first``. Apart from the input, both are views into
+    ``work`` (a fresh workspace when none is given).
     """
     a = np.asarray(xs, dtype=model.weights[0].dtype)
     if a.ndim != 2 or a.shape[1] != model.weights[0].shape[0]:
@@ -156,11 +185,9 @@ def mlp_forward_batch(model: MlpModel, xs: np.ndarray, work: Workspace | None = 
             np.matmul(a, w, out=z)
             z += b
         else:
-            for blk in blocks:
-                zb = np.matmul(a[blk], w, out=z[blk])
-                zb += b
-                np.maximum(zb, 0.0, out=zb)
-        cache.append(z)
+            _hidden_layer(a, w, b, z, blocks)
+        # The third hidden layer writes over the first.
+        cache.append(None if i == 0 and work.recomputes_first else z)
         a = z
     out = cache.pop()[:, 0]
     if not np.isfinite(out).all():
@@ -175,9 +202,11 @@ def mlp_backward(
 
     ``cache`` is the activation list from mlp_forward_batch on the same
     batch; ``dout`` is the loss gradient with respect to the outputs.
-    The gradients are views into ``work`` (a fresh workspace when none
-    is given). Each hidden delta overwrites its layer's activation buffer
-    in ``work``, so a cache from ``work`` is spent; ``out`` is not.
+    When ``cache[1]`` is None, the first hidden activation is recomputed
+    from ``cache[0]`` into ``work``. The gradients are views into ``work``
+    (a fresh workspace when none is given). Each hidden delta overwrites
+    its layer's activation buffer in ``work``, so a cache from ``work`` is
+    spent; ``out`` is not.
     """
     dout = np.asarray(dout, dtype=model.weights[0].dtype)
     rows = len(cache[0])
@@ -191,14 +220,20 @@ def mlp_backward(
     delta = dout[:, None]
     for i in range(len(model.weights) - 1, -1, -1):
         w = model.weights[i]
+        act = cache[i]
+        if act is None:
+            # activations[0] holds nothing still needed here: at most the
+            # third hidden layer's delta, already spent.
+            act = work.activations[0][:rows]
+            _hidden_layer(cache[0], model.weights[0], model.biases[0], act, blocks)
         np.sum(delta, axis=0, out=grads[2 * i + 1])
-        np.matmul(cache[i].T, delta, out=grads[2 * i])
+        np.matmul(act.T, delta, out=grads[2 * i])
         if i > 0:
             nxt = work.activations[i - 1][:rows]
             for blk in blocks:
                 # A block's mask is taken before its rows of nxt, which may
-                # be cache[i], are overwritten.
-                src, dst = cache[i][blk], nxt[blk]
+                # be act, are overwritten.
+                src, dst = act[blk], nxt[blk]
                 mask = np.greater(src, 0, out=work._mask[: src.size].reshape(src.shape))
                 if w.shape[1] == 1:
                     # A product over one column is one rounding per element,

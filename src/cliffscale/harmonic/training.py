@@ -9,7 +9,8 @@ The checkpoint in effect when training stops is the one reported
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +76,23 @@ class TrainResult:
     steps: int
     stopped_early: bool
     val_mse: float
-    reg_value: float | None
+    # The penalty trained with, if any; reg_value evaluates it on request.
+    regularizer: BandwidthRegularizer | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def reg_value(self) -> float | None:
+        """The regularizer's value on ``model`` as it is at first access, or None without one.
+
+        Computed on first access, by a forward pass over the m regularizer
+        points in a workspace of its own, so that a caller reading only the
+        errors does not pay for it and the training workspace is not kept.
+        """
+        if self.regularizer is None:
+            return None
+        # As in training, a non-finite output raises rather than warns.
+        with np.errstate(over="ignore", invalid="ignore"):
+            preds, _ = mlp_forward_batch(self.model, self.regularizer.points.astype(DTYPE))
+        return regularizer_value(self.regularizer, preds)
 
 
 def _mse(model: MlpModel, xs: np.ndarray, targets: np.ndarray, work: Workspace) -> float:
@@ -189,17 +206,13 @@ def train(
 
         final_val = _mse(model, val_x, val_y, work)
         test_mse = _mse(model, test_xd, test_y, work)
-        reg_value = None
-        if regularizer is not None:
-            preds, _ = mlp_forward_batch(model, reg_x, work)
-            reg_value = regularizer_value(regularizer, preds)
     return TrainResult(
         model=model,
         test_mse=test_mse,
         steps=step,
         stopped_early=stopped_early,
         val_mse=final_val,
-        reg_value=reg_value,
+        regularizer=regularizer,
     )
 
 

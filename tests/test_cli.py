@@ -72,6 +72,7 @@ class TestRun:
         assert manifest["trial_counts"]["10"] == 20
         assert set(manifest["outputs"]) == {"curve.csv", "curve.json", "plot.svg"}
         assert manifest["peak_rss_mb"] > 0
+        assert manifest["forked_peak_rss_mb"] >= 0
         env = manifest["environment"]
         assert set(env) == {"python", "numpy", "scipy", "cpu_count", "blas_threads"}
         assert env["numpy"] == np.__version__
@@ -129,9 +130,29 @@ class TestRun:
             out = tmp_path / label
             assert run_cli("run", *argv, "--seed", 11, "--out", out) == 0
             outputs[label] = [(out / name).read_bytes() for name in ("curve.csv", "curve.json", "plot.svg")]
-            processes[label] = json.loads((out / "manifest.json").read_text())["processes"]
+            manifest = json.loads((out / "manifest.json").read_text())
+            processes[label] = manifest["processes"]
         assert outputs["split"] == outputs["serial"]
         assert processes == {"serial": 1, "split": min(len(_parallel.usable_cpus()), cells)}
+        # A split run's forked processes were reaped before its manifest was written.
+        if processes["split"] > 1:
+            assert manifest["forked_peak_rss_mb"] > 0
+
+    def test_forked_peak_rss_is_zero_without_a_fork(self, tmp_path):
+        # In a fresh interpreter whose run stays serial, no child process was reaped.
+        src = str(Path(cliffscale.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "serial"
+        script = (
+            "import math, sys\nfrom cliffscale import _parallel, cli\n_parallel.SERIAL_START_S = math.inf\n"
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+        argv = ["run", "--kind", "gaussian", "--d", "5", "--s", "1", "--n-grid", "10,20", "--trials", "3",
+                "--seed", "3", "--out", str(out)]
+        subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, check=True)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["processes"] == 1
+        assert manifest["forked_peak_rss_mb"] == 0
 
     def test_duration_survives_a_clock_stepped_back(self, tmp_path, monkeypatch):
         # The wall clock steps back an hour while the run computes; the

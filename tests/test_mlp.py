@@ -67,6 +67,19 @@ def assert_arrays_equal(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
+def assert_forward_matches(got, want):
+    """A forward's (out, cache) equals the reference's.
+
+    With three or more hidden layers, the cache holds None for the first
+    hidden activation, which mlp_backward recomputes.
+    """
+    (out, cache), (want_out, want_cache) = got, want
+    if len(cache) > 3:
+        assert cache[1] is None
+        cache, want_cache = cache[:1] + cache[2:], want_cache[:1] + want_cache[2:]
+    assert_arrays_equal([out, *cache], [want_out, *want_cache])
+
+
 def flat_loss(model, xs, dout_fn):
     """Scalar loss sum_i c_i f(x_i) for gradient checking."""
     out, _ = mlp_forward_batch(model, xs)
@@ -158,7 +171,10 @@ class TestBackward:
 
 
 class TestWorkspace:
-    MODELS = {"deep": [2, 8, 16, 8, 1], "linear": [3, 1]}
+    # "tapered" and "four-hidden" put a wider layer first or third in the shared buffer.
+    MODELS = {
+        "deep": [2, 8, 16, 8, 1], "tapered": [2, 16, 8, 4, 1], "four-hidden": [2, 4, 8, 16, 8, 1], "linear": [3, 1],
+    }
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("sizes", MODELS.values(), ids=MODELS.keys())
@@ -169,11 +185,11 @@ class TestWorkspace:
         dout = rng.standard_normal(60)
         work = Workspace(model, 60)
         for rows in (60, 59, 17, 1):
-            want_out, want_cache = reference_forward(model, xs[:rows])
-            want_grads = reference_backward(model, want_cache, dout[:rows])
+            want = reference_forward(model, xs[:rows])
+            want_grads = reference_backward(model, want[1], dout[:rows])
             for w in (work, None):
                 out, cache = mlp_forward_batch(model, xs[:rows], w)
-                assert_arrays_equal([out, *cache], [want_out, *want_cache])
+                assert_forward_matches((out, cache), want)
                 assert_arrays_equal(mlp_backward(model, cache, dout[:rows], w), want_grads)
 
     def test_matches_reference_at_training_scale(self):
@@ -213,14 +229,32 @@ class TestWorkspace:
         assert_arrays_equal([out, *cache, *grads], kept)
 
     def test_backward_without_a_workspace_leaves_the_cache_intact(self):
+        # The first hidden activation is recomputed into the backward pass's
+        # own workspace, not over the third one in the forward pass's.
         rng = rng_for(35)
         model = init_mlp([2, 8, 8, 8, 1], rng, dtype=np.float32)
-        out, cache = mlp_forward_batch(model, rng.uniform(size=(12, 2)), Workspace(model, 12))
+        xs = rng.uniform(size=(12, 2))
+        out, cache = mlp_forward_batch(model, xs, Workspace(model, 12))
         dout = rng.standard_normal(12)
-        kept = [a.copy() for a in (out, *cache)]
+        assert cache[1] is None
+        kept = [a.copy() for a in (out, cache[0], *cache[2:])]
         grads = mlp_backward(model, cache, dout)
-        assert_arrays_equal([out, *cache], kept)
-        assert_arrays_equal(grads, reference_backward(model, kept[1:], dout))
+        assert_arrays_equal([out, cache[0], *cache[2:]], kept)
+        assert_arrays_equal(grads, reference_backward(model, reference_forward(model, xs)[1], dout))
+
+    def test_default_harmonic_model_holds_two_activation_buffers(self):
+        # Three 256-wide hidden layers at the regularized arm's 60 + 20 000
+        # rows: the first hidden layer shares the third one's buffer.
+        rows, width = 20_060, 256
+        model = init_mlp([2, width, width, width, 1], rng_for(37), dtype=np.float32)
+        work = Workspace(model, rows)
+        wide = [a for a in work.activations if a.shape == (rows, width)]
+        distinct = []
+        for a in wide:
+            if not any(np.shares_memory(a, b) for b in distinct):
+                distinct.append(a)
+        assert len(wide) == 3
+        assert sum(a.nbytes for a in distinct) == 2 * rows * width * np.dtype(np.float32).itemsize
 
     def test_rejects_more_rows_or_another_model(self):
         rng = rng_for(34)
@@ -256,13 +290,13 @@ class TestRowBlocks:
         model = init_mlp([2, 64, 256, 64, 1], rng, dtype=dtype)
         xs = rng.uniform(size=(rows, 2))
         dout = rng.standard_normal(rows)
-        want_out, want_cache = reference_forward(model, xs)
-        want_grads = reference_backward(model, want_cache, dout)
+        want = reference_forward(model, xs)
+        want_grads = reference_backward(model, want[1], dout)
         work = Workspace(model, rows)
         assert work._mask.size == ROW_BLOCK * 256
         for w in (work, None):
             out, cache = mlp_forward_batch(model, xs, w)
-            assert_arrays_equal([out, *cache], [want_out, *want_cache])
+            assert_forward_matches((out, cache), want)
             assert_arrays_equal(mlp_backward(model, cache, dout, w), want_grads)
 
 

@@ -183,13 +183,15 @@ class TestAllocations:
         growth = self.traced_steps(monkeypatch)
         assert max(growth[1:]) < self.M * self.WIDTH * np.dtype(np.float32).itemsize
 
-    def test_a_regularized_step_holds_one_buffer_per_hidden_layer(self, monkeypatch):
-        # Three hidden layers, each delta kept in its activation buffer,
-        # plus a bool mask, the k = 1 output and train()'s own inputs: about
-        # 3.9 activation-sized arrays. Two separate delta buffers would add 2.
+    def test_a_regularized_step_holds_two_activation_buffers(self, monkeypatch):
+        # Three hidden layers in two buffers, each delta kept in its
+        # activation's buffer, plus a bool mask, the k = 1 output and
+        # train()'s own inputs: about 2.9 activation-sized arrays. A buffer
+        # of its own for the first hidden layer would add 1, and separate
+        # delta buffers 2 more.
         held = self.traced_steps(monkeypatch)[0]
         activation = (self.BATCH + self.M) * self.WIDTH * np.dtype(np.float32).itemsize
-        assert held < 4.5 * activation
+        assert held < 3.5 * activation
 
 
 class TestRowBlocks:
@@ -227,6 +229,23 @@ class TestRunHarmonicScaling:
         a = run_harmonic_scaling(**kwargs)
         b = run_harmonic_scaling(**kwargs)
         assert a.points == b.points
+
+    def test_reg_cell_runs_the_regularizer_points_once_per_step(self, monkeypatch):
+        # reg_value is computed on request, and the runner reads only the
+        # test error, so the m regularizer points go through the network
+        # in the training steps alone.
+        cfg = tiny_config(max_steps=5, patience=100, reg_points=600)
+        assert cfg.reg_points > max(cfg.val_size, cfg.test_size)
+        rows = []
+
+        def counted(model, xs, work=None):
+            rows.append(len(xs))
+            return forward(model, xs, work)
+
+        forward = training.mlp_forward_batch
+        monkeypatch.setattr(training, "mlp_forward_batch", counted)
+        run_harmonic_scaling(B=1, arm="reg", n_grid=[100], trials=1, seed=7, config=cfg)
+        assert sum(r >= cfg.reg_points for r in rows) == cfg.max_steps
 
     def test_arms_share_targets_and_reject_unknown(self):
         with pytest.raises(ValueError, match="arm"):
