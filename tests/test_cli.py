@@ -42,12 +42,16 @@ def names(err, name):
     return f"config error: {name}:" in err or f"argument --{name.replace('_', '-')}:" in err
 
 
+def package_env():
+    """The environment for a fresh interpreter that imports this cliffscale."""
+    src = str(Path(cliffscale.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def modules_loaded_by(snippet):
     """The modules in sys.modules after a fresh interpreter runs the snippet."""
-    src = str(Path(cliffscale.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = f"{snippet}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", probe], env=package_env(), capture_output=True, text=True, check=True)
     return set(json.loads(out.stdout.splitlines()[-1]))
 
 
@@ -140,8 +144,6 @@ class TestRun:
 
     def test_forked_peak_rss_is_zero_without_a_fork(self, tmp_path):
         # In a fresh interpreter whose run stays serial, no child process was reaped.
-        src = str(Path(cliffscale.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = tmp_path / "serial"
         script = (
             "import math, sys\nfrom cliffscale import _parallel, cli\n_parallel.SERIAL_START_S = math.inf\n"
@@ -149,7 +151,7 @@ class TestRun:
         )
         argv = ["run", "--kind", "gaussian", "--d", "5", "--s", "1", "--n-grid", "10,20", "--trials", "3",
                 "--seed", "3", "--out", str(out)]
-        subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, check=True)
+        subprocess.run([sys.executable, "-c", script, *argv], env=package_env(), capture_output=True, check=True)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["processes"] == 1
         assert manifest["forked_peak_rss_mb"] == 0
