@@ -16,8 +16,9 @@ hidden layer, holding its activation and then its backward delta, except
 that with three or more hidden layers the first and the third share one
 buffer, so the default three-layer harmonic model holds two such
 buffers, not three; the (rows x 1) output; a boolean ReLU mask of one row
-block; and the packed copy of an operand that the BLAS makes inside a
-matrix product and keeps for the life of the process. The forward pass
+block per thread slot; and the packed copy of an operand that the BLAS
+makes inside a matrix product and keeps for the life of the process, one
+per thread that runs products. The forward pass
 writes the third activation over the first and leaves the first out of
 its cache. The backward pass recomputes it from the input, with the
 forward pass's blocks and operations, into that buffer once the third
@@ -28,13 +29,28 @@ products run in blocks of at most ``ROW_BLOCK`` rows, so the BLAS's
 copy, like the mask, is bounded by one block rather than by the batch.
 The output layer's width -> 1 product, the bias-gradient sums and the
 weight-gradient products run on the whole batch.
+
+A pass over more than ``ROW_BLOCK`` rows runs its independent pieces on
+one thread per usable CPU, as the k-d tree of ``linreg`` does, when the
+BLAS runs on one thread (as every cell of ``curves.run_cells`` does): the
+hidden-layer blocks, the backward delta blocks, and each weight gradient
+split by output rows. The block threads issue the serial loop's calls,
+and a weight gradient is split only where its pieces round as the whole
+product (``_output_row_pieces``), each call on one BLAS thread, so the
+bits do not depend on how many threads ran them. A process pinned to one
+CPU, or on more BLAS threads, runs the serial loop. The threads are
+started and joined within each pass, so none outlives it.
 """
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .. import _blas, _parallel
 
 __all__ = [
     "MlpModel",
@@ -66,6 +82,76 @@ def _row_blocks(rows: int) -> list[slice]:
     """
     k = max(1, -(-rows // ROW_BLOCK))
     return [slice(rows * j // k, rows * (j + 1) // k) for j in range(k)]
+
+
+def _output_row_pieces(fan_in: int, fan_out: int, rows: int, parts: int) -> list[slice]:
+    """At most ``parts`` near-equal slices of a weight gradient's output rows, or one slice of all of them.
+
+    One BLAS thread rounds ``act[:, h].T @ delta`` into ``g[h]`` as the
+    whole ``act.T @ delta`` when every piece is a multiple of 64 rows and
+    either fan_out is 1 (a matrix-vector product) or every piece takes
+    more than 10^6 multiply-adds, above which OpenBLAS leaves its
+    small-matrix kernels. This held on its SkylakeX kernels for fan_in 64
+    to 1024, fan_out 1 to 1000 and 4097 to 20 100 rows, in float32 and
+    float64, in 2 to 8 pieces; the tail of fan_in 100, halves of fan_in 16
+    and 64-row pieces at fan_out 2 rounded differently. So a gradient that
+    cannot be split so is one piece.
+    """
+    unit = 64
+    if fan_in % unit == 0:
+        units = fan_in // unit
+        bounds = sorted({unit * (units * j // parts) for j in range(parts + 1)})
+        if fan_out == 1 or min(b - a for a, b in zip(bounds, bounds[1:])) * fan_out * rows > 10**6:
+            return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return [slice(0, fan_in)]
+
+
+def _threads(work: "Workspace", tasks: int) -> int:
+    """How many threads a pass spreads its ``tasks`` independent pieces over.
+
+    One per usable CPU, capped at the pieces and at the workspace's mask
+    slots (the CPUs may have changed since it was built); 1 unless the BLAS
+    runs on one thread, so a caller on more BLAS threads keeps the serial
+    loop and its bits.
+    """
+    slots = len(work._mask)
+    if tasks < 2 or slots < 2 or _blas.thread_count() != 1:
+        return 1
+    return min(tasks, slots, len(_parallel.usable_cpus()))
+
+
+def _spread(threads: int, share, items: list) -> None:
+    """``share(slot, items[slot::threads])`` for every slot, each on its own thread.
+
+    This thread runs slot 0; the others start here and are joined before
+    this returns or raises. Each runs in a copy of this thread's context,
+    so numpy's error state (``np.errstate``) applies in it as here. An
+    exception in any slot is raised here, the lowest slot's first.
+    """
+    if threads < 2:
+        share(0, items)
+        return
+    errors = [None] * threads
+
+    def run(slot):
+        try:
+            share(slot, items[slot::threads])
+        except BaseException as exc:  # raised again in the caller below
+            errors[slot] = exc
+
+    started = []
+    try:
+        for slot in range(1, threads):
+            worker = threading.Thread(target=contextvars.copy_context().run, args=(run, slot))
+            worker.start()
+            started.append(worker)
+        share(0, items[0::threads])
+    finally:
+        for worker in started:
+            worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 @dataclass
@@ -115,13 +201,15 @@ class Workspace:
     Holds, for up to ``rows`` inputs, one activation array per layer
     (each hidden one also takes that layer's backward delta), a ReLU mask
     for one row block (``min(rows, ROW_BLOCK)`` rows, as wide as the
-    widest hidden layer), and gradient arrays shaped like
+    widest hidden layer) per thread slot, and gradient arrays shaped like
     ``model.parameters()``. When ``recomputes_first`` (three or more
     hidden layers), ``activations[0]`` and ``activations[2]`` are views of
     one buffer: the first hidden activation is not kept for the backward
     pass, which recomputes it. A pass on fewer rows uses leading-row
     views. The BLAS's packed operand copy, outside numpy, is bounded by
-    one block.
+    one block per thread. A pass spreads over at most as many threads as
+    the mask has slots: one per CPU usable when the workspace is built, up
+    to one per row block.
     """
 
     def __init__(self, model: MlpModel, rows: int):
@@ -139,7 +227,9 @@ class Workspace:
             for i, k in enumerate(widths)
         ]
         hidden = max((w.shape[0] for w in model.weights[1:]), default=0)
-        self._mask = np.empty(min(self.rows, ROW_BLOCK) * hidden, dtype=bool)
+        # One mask block per thread slot: per CPU usable now, up to one per row block.
+        slots = min(len(_parallel.usable_cpus()), len(_row_blocks(self.rows)))
+        self._mask = np.empty((slots, min(self.rows, ROW_BLOCK) * hidden), dtype=bool)
         self.grads = [np.empty_like(p) for p in model.parameters()]
 
     def _check(self, model: MlpModel, rows: int) -> None:
@@ -152,12 +242,18 @@ class Workspace:
             raise ValueError(f"workspace holds {self.rows} rows, got {rows}")
 
 
-def _hidden_layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray, blocks: list[slice]) -> None:
-    """z = max(a @ w + b, 0), one row block at a time."""
-    for blk in blocks:
-        zb = np.matmul(a[blk], w, out=z[blk])
-        zb += b
-        np.maximum(zb, 0.0, out=zb)
+def _hidden_layer(
+    a: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray, blocks: list[slice], threads: int
+) -> None:
+    """z = max(a @ w + b, 0), one row block at a time, the blocks spread over ``threads`` threads."""
+
+    def share(_slot, blks):
+        for blk in blks:
+            zb = np.matmul(a[blk], w, out=z[blk])
+            zb += b
+            np.maximum(zb, 0.0, out=zb)
+
+    _spread(threads, share, blocks)
 
 
 def mlp_forward_batch(model: MlpModel, xs: np.ndarray, work: Workspace | None = None):
@@ -179,13 +275,14 @@ def mlp_forward_batch(model: MlpModel, xs: np.ndarray, work: Workspace | None = 
     cache = [a]
     last = len(model.weights) - 1
     blocks = _row_blocks(rows)
+    threads = _threads(work, len(blocks))
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = work.activations[i][:rows]
         if i == last:
             np.matmul(a, w, out=z)
             z += b
         else:
-            _hidden_layer(a, w, b, z, blocks)
+            _hidden_layer(a, w, b, z, blocks, threads)
         # The third hidden layer writes over the first.
         cache.append(None if i == 0 and work.recomputes_first else z)
         a = z
@@ -217,6 +314,7 @@ def mlp_backward(
     work._check(model, rows)
     grads = work.grads
     blocks = _row_blocks(rows)
+    threads = _threads(work, len(blocks))
     delta = dout[:, None]
     for i in range(len(model.weights) - 1, -1, -1):
         w = model.weights[i]
@@ -225,25 +323,48 @@ def mlp_backward(
             # activations[0] holds nothing still needed here: at most the
             # third hidden layer's delta, already spent.
             act = work.activations[0][:rows]
-            _hidden_layer(cache[0], model.weights[0], model.biases[0], act, blocks)
+            _hidden_layer(cache[0], model.weights[0], model.biases[0], act, blocks, threads)
         np.sum(delta, axis=0, out=grads[2 * i + 1])
-        np.matmul(act.T, delta, out=grads[2 * i])
+        _weight_gradient(act, delta, grads[2 * i], threads)
         if i > 0:
             nxt = work.activations[i - 1][:rows]
-            for blk in blocks:
-                # A block's mask is taken before its rows of nxt, which may
-                # be act, are overwritten.
-                src, dst = act[blk], nxt[blk]
-                mask = np.greater(src, 0, out=work._mask[: src.size].reshape(src.shape))
-                if w.shape[1] == 1:
-                    # A product over one column is one rounding per element,
-                    # as in the matrix product, without the BLAS call.
-                    np.multiply(delta[blk], w.T, out=dst)
-                else:
-                    np.matmul(delta[blk], w.T, out=dst)
-                dst *= mask
+            _delta_blocks(act, delta, w, nxt, work._mask, blocks, threads)
             delta = nxt
     return list(grads)
+
+
+def _weight_gradient(act: np.ndarray, delta: np.ndarray, g: np.ndarray, threads: int) -> None:
+    """g = act.T @ delta, its output rows split over ``threads`` threads where that keeps the bits."""
+    pieces = _output_row_pieces(*g.shape, len(act), threads) if threads > 1 else [slice(None)]
+
+    def share(_slot, hs):
+        for h in hs:
+            np.matmul(act[:, h].T, delta, out=g[h])
+
+    _spread(min(threads, len(pieces)), share, pieces)
+
+
+def _delta_blocks(
+    act: np.ndarray, delta: np.ndarray, w: np.ndarray, nxt: np.ndarray, masks: np.ndarray, blocks: list[slice],
+    threads: int,
+) -> None:
+    """nxt = (delta @ w.T) * (act > 0), one row block at a time, each thread on its own mask slot."""
+
+    def share(slot, blks):
+        for blk in blks:
+            # A block's mask is taken before its rows of nxt, which may
+            # be act, are overwritten.
+            src, dst = act[blk], nxt[blk]
+            mask = np.greater(src, 0, out=masks[slot, : src.size].reshape(src.shape))
+            if w.shape[1] == 1:
+                # A product over one column is one rounding per element,
+                # as in the matrix product, without the BLAS call.
+                np.multiply(delta[blk], w.T, out=dst)
+            else:
+                np.matmul(delta[blk], w.T, out=dst)
+            dst *= mask
+
+    _spread(threads, share, blocks)
 
 
 @dataclass

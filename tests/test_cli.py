@@ -124,8 +124,16 @@ class TestRun:
             (["--kind", "linreg", "--estimator", "nn", "--d", 20, "--n-grid", "20,300,3000", "--trials", 2], 6),
             *((["--kind", "harmonic", "--bandlimit", 1, "--arm", arm, "--width", 16, "--max-steps", 5,
                 "--reg-points", 100, "--n-grid", "10,20,40", "--trials", 2], 6) for arm in ("reg", "noreg")),
+            # Passes over more than ROW_BLOCK rows, which the serial run spreads over
+            # threads and the split run's pinned processes do not; width 128 splits
+            # the weight gradients too.
+            (["--kind", "harmonic", "--bandlimit", 1, "--arm", "reg", "--width", 128, "--max-steps", 2,
+              "--reg-points", 4200, "--n-grid", "10,20,40", "--trials", 2], 6),
         ],
-        ids=["gaussian", "lstsq-d100", "ridge-d100", "nn-tree-d5", "nn-brute-d20", "harmonic-reg", "harmonic-noreg"],
+        ids=[
+            "gaussian", "lstsq-d100", "ridge-d100", "nn-tree-d5", "nn-brute-d20", "harmonic-reg", "harmonic-noreg",
+            "harmonic-reg-spread",
+        ],
     )
     def test_split_run_writes_the_serial_bytes(self, tmp_path, monkeypatch, argv, cells):
         outputs, processes = {}, {}

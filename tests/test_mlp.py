@@ -1,9 +1,12 @@
 """Tests for the MLP forward/backward pass and the Adam optimizer."""
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
-from cliffscale import streams
+from cliffscale import _blas, _parallel, streams
 from cliffscale.harmonic import network
 from cliffscale.harmonic.network import (
     ROW_BLOCK,
@@ -293,11 +296,120 @@ class TestRowBlocks:
         want = reference_forward(model, xs)
         want_grads = reference_backward(model, want[1], dout)
         work = Workspace(model, rows)
-        assert work._mask.size == ROW_BLOCK * 256
+        assert work._mask[0].size == ROW_BLOCK * 256
         for w in (work, None):
             out, cache = mlp_forward_batch(model, xs, w)
             assert_forward_matches((out, cache), want)
             assert_arrays_equal(mlp_backward(model, cache, dout, w), want_grads)
+
+
+def pass_on(cpus, model, xs, dout):
+    """A workspace pass's (out, cache, grads), copied, with ``cpus`` usable CPUs on one BLAS thread.
+
+    Also the thread counts the pass spread its pieces over.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_parallel, "usable_cpus", lambda: list(range(cpus)))
+        spread = network._spread
+        counts = []
+
+        def counted(threads, share, items):
+            counts.append(threads)
+            spread(threads, share, items)
+
+        mp.setattr(network, "_spread", counted)
+        work = Workspace(model, len(xs))
+        with _blas.blas_threads(1):
+            out, cache = mlp_forward_batch(model, xs, work)
+            kept = [out.copy()] + [None if a is None else a.copy() for a in cache]
+            grads = [g.copy() for g in mlp_backward(model, cache, dout, work)]
+    return kept, grads, counts
+
+
+@pytest.mark.skipif(_blas._controls() is None, reason="numpy's BLAS has no thread control")
+class TestSpread:
+    # Every weight gradient but the first layer's splits at 2 and 3 threads,
+    # the output layer's as a matrix-vector product; with three hidden layers
+    # the backward pass recomputes the first.
+    SIZES = [2, 256, 128, 256, 1]
+
+    # Two CPUs at every blocked row count; three, for uneven shares, at three blocks.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "rows, cpus", [*((rows, 2) for rows in TestRowBlocks.BLOCKED_ROWS), (2 * ROW_BLOCK + 1, 3)]
+    )
+    def test_spread_passes_match_one_cpu(self, rows, cpus, dtype):
+        rng = rng_for(40)
+        model = init_mlp(self.SIZES, rng, dtype=dtype)
+        xs = rng.uniform(size=(rows, 2))
+        dout = rng.standard_normal(rows)
+        kept, grads, counts = pass_on(cpus, model, xs, dout)
+        want_kept, want_grads, want_counts = pass_on(1, model, xs, dout)
+        assert max(counts) == min(cpus, len(network._row_blocks(rows))) and set(want_counts) == {1}
+        assert kept[2] is None and want_kept[2] is None
+        assert_arrays_equal(kept[:2] + kept[3:], want_kept[:2] + want_kept[3:])
+        assert_arrays_equal(grads, want_grads)
+
+    def test_weight_gradient_pieces(self):
+        pieces = network._output_row_pieces
+        assert pieces(256, 256, 20_060, 2) == [slice(0, 128), slice(128, 256)]
+        assert pieces(256, 1, 4097, 3) == [slice(0, 64), slice(64, 128), slice(128, 256)]
+        # Not a multiple of 64 rows, or a piece small enough for a small-matrix kernel.
+        assert pieces(100, 256, 20_060, 2) == [slice(0, 100)]
+        assert pieces(256, 2, 4097, 4) == [slice(0, 256)]
+
+
+class TestThreadBoundary:
+    """What a spread pass's worker threads pass back to the caller."""
+
+    ROWS = 2 * ROW_BLOCK + 2
+
+    @pytest.fixture
+    def spread(self, monkeypatch):
+        """A float32 model and inputs whose passes spread over two threads."""
+        monkeypatch.setattr(_parallel, "usable_cpus", lambda: [0, 1])
+        monkeypatch.setattr(_blas, "thread_count", lambda: 1)
+        model = init_mlp([2, 64, 64, 1], rng_for(41), dtype=np.float32)
+        xs = rng_for(42).uniform(size=(self.ROWS, 2))
+        # Block 1 of 3 is the worker's: its first hidden products overflow float32.
+        xs[network._row_blocks(self.ROWS)[1]] = 1e38
+        return model, xs
+
+    def test_an_overflow_in_a_worker_raises_in_the_caller(self, spread):
+        model, xs = spread
+        before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            mlp_forward_batch(model, xs)
+        assert threading.active_count() == before
+
+    def test_an_ignored_overflow_in_a_worker_warns_nothing(self, spread):
+        model, xs = spread
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="non-finite activations"):
+                mlp_forward_batch(model, xs)
+
+    def test_a_workers_exception_reaches_the_caller(self):
+        ran = []
+
+        def share(slot, items):
+            ran.append((slot, items))
+            if slot == 1:
+                raise KeyError("slot 1")
+
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="slot 1"):
+            network._spread(3, share, list("abcde"))
+        assert sorted(ran) == [(0, list("ad")), (1, list("be")), (2, list("c"))]
+        assert threading.active_count() == before
+
+    def test_a_pass_leaves_no_thread_running(self, spread):
+        model, xs = spread
+        xs[:] = 0.5
+        before = threading.active_count()
+        out, cache = mlp_forward_batch(model, xs)
+        mlp_backward(model, cache, np.ones(self.ROWS))
+        assert threading.active_count() == before
 
 
 class TestAdam:
