@@ -41,6 +41,8 @@ from .curves import (
     DEFAULT_MIN_RUN,
     MAX_N,
 )
+# curve_to_json is not called here: run writes curve.json in write_curve_csv's
+# pass. benchmarks/tracing.py wraps it at this name.
 from .curve_io import _is_decimal, curve_to_json, read_curve_csv, write_curve_csv
 from .gaussian import GaussianTask, approx_error, run_gaussian_scaling
 from .harmonic.training import ARMS, INPUT_DIM, DivergenceError, TrainConfig, run_harmonic_scaling
@@ -295,8 +297,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     csv_path = out_dir / "curve.csv"
     json_path = out_dir / "curve.json"
     svg_path = out_dir / "plot.svg"
-    write_curve_csv(curve, csv_path)
-    json_path.write_text(curve_to_json(curve), encoding="utf-8")
+    write_curve_csv(curve, csv_path, _json_path=json_path)
     outputs = {"curve.csv": _sha256(csv_path), "curve.json": _sha256(json_path)}
     if len(curve.points) >= 2:
         svg_path.write_text(

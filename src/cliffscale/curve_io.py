@@ -29,17 +29,48 @@ _CANONICAL_BYTES = b"0123456789,.e+-\n"
 _CANONICAL_COLUMNS = np.dtype([("n", np.int64), ("trial", np.int64), ("error", np.float64)])
 
 
-def write_curve_csv(curve: ScalingCurve, path) -> None:
-    # One join per n: a row is "n," + "trial," + repr(error), trials from 0.
-    lines = [CSV_HEADER]
+def write_curve_csv(curve: ScalingCurve, path, *, _json_path=None) -> None:
+    """Write the curve's ``n,trial,error`` records to path, trials numbered from 0 at each n.
+
+    With ``_json_path`` it also writes ``curve_to_json(curve)`` there, in
+    the same pass over the points: each point's errors are formatted once,
+    for both files, and only one point's text is held at a time. ``cli``'s
+    run writes its two curve files this way.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as csv_file:
+        if _json_path is None:
+            _write_points(curve, csv_file, None)
+        else:
+            # Default newlines, as Path.write_text(curve_to_json(curve)) writes.
+            with open(_json_path, "w", encoding="utf-8") as json_file:
+                _write_points(curve, csv_file, json_file)
+
+
+def _write_points(curve: ScalingCurve, csv_file, json_file) -> None:
+    csv_file.write(CSV_HEADER + "\n")
+    if json_file is not None:
+        json_file.write(_json_head(curve))
     trial_heads: list[str] = []
-    for n, errs in curve.points:
-        if len(trial_heads) < len(errs):
-            trial_heads = [f"{t}," for t in range(len(errs))]
-        head = f"{n},"
-        lines.append(head + f"\n{head}".join(map(operator.add, trial_heads, map(repr, errs))))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    for i, (n, errs) in enumerate(curve.points):
+        texts = _error_texts(errs)
+        if len(trial_heads) < len(texts):
+            trial_heads = [f"{t}," for t in range(len(texts))]
+        csv_file.write(_csv_rows(n, texts, trial_heads))
+        if json_file is not None:
+            json_file.write((",\n" if i else "\n") + _json_point(n, texts))
+    if json_file is not None:
+        json_file.write(_json_tail(curve))
+
+
+def _error_texts(errs) -> list[str]:
+    """The errors as both files write them: json formats an int or a float as repr does."""
+    return list(map(repr, errs))
+
+
+def _csv_rows(n: int, texts: list[str], trial_heads: list[str]) -> str:
+    """One point's CSV rows, newline-terminated: "n," + "trial," + the error's text."""
+    head = f"{n},"
+    return head + f"\n{head}".join(map(operator.add, trial_heads, texts)) + "\n"
 
 
 def _read_text(path) -> str:
@@ -164,10 +195,24 @@ def _read_lines(path, metadata: dict | None) -> ScalingCurve:
 
 
 # json.dumps(indent=2) puts each error of curve_to_json on its own line, 8
-# spaces deep. Without indent json encodes a list in C, and with these
-# separators its items come out in that layout, formatted as json formats
-# every number.
-_ERROR_LIST = json.JSONEncoder(separators=(",\n        ", ": "))
+# spaces deep.
+_ERROR_SEPARATOR = ",\n        "
+
+
+def _json_head(curve: ScalingCurve) -> str:
+    """curve_to_json's text up to the points' opening bracket."""
+    # One level deeper than on its own; json escapes newlines inside strings.
+    metadata = json.dumps(curve.metadata, sort_keys=True, indent=2).replace("\n", "\n  ")
+    return f'{{\n  "metadata": {metadata},\n  "points": ['
+
+
+def _json_point(n: int, texts: list[str]) -> str:
+    return f'    {{\n      "errors": [\n        {_ERROR_SEPARATOR.join(texts)}\n      ],\n      "n": {n}\n    }}'
+
+
+def _json_tail(curve: ScalingCurve) -> str:
+    """curve_to_json's text after the last point."""
+    return ("\n  ]" if curve.points else "]") + "\n}\n"
 
 
 def curve_to_json(curve: ScalingCurve) -> str:
@@ -177,12 +222,5 @@ def curve_to_json(curve: ScalingCurve) -> str:
     The error lists are most of a large curve, and json's indenting encoder
     formats them one number at a time in Python.
     """
-    points = [
-        f'    {{\n      "errors": [\n        {_ERROR_LIST.encode(errs)[1:-1]}\n      ],\n      "n": {json.dumps(n)}\n    }}'
-        for n, errs in curve.points
-    ]
-    body = "[\n" + ",\n".join(points) + "\n  ]" if points else "[]"
-    # One level deeper than on its own; json escapes newlines inside strings.
-    metadata = json.dumps(curve.metadata, sort_keys=True, indent=2).replace("\n", "\n  ")
-    return f'{{\n  "metadata": {metadata},\n  "points": {body}\n}}\n'
-
+    points = ",\n".join(_json_point(n, _error_texts(errs)) for n, errs in curve.points)
+    return _json_head(curve) + (f"\n{points}" if points else "") + _json_tail(curve)

@@ -108,17 +108,27 @@ class ScalingCurve:
             rows = [tuple(map(float, errs)) for errs in rows]
         object.__setattr__(self, "points", tuple(zip(ns, rows)))
         object.__setattr__(self, "metadata", {k: str(v) for k, v in self.metadata.items()})
+        # statistic's arrays by name, each computed on first request.
+        object.__setattr__(self, "_statistics", {})
 
     @property
     def ns(self) -> np.ndarray:
         return np.array([n for n, _ in self.points], dtype=np.int64)
 
     def statistic(self, which: str = "median") -> np.ndarray:
-        """Per-n summary across trials: 'median', 'min' or 'max'."""
-        fns = {"median": _median, "min": np.min, "max": np.max}
-        if which not in fns:
-            raise ValueError(f"unknown statistic {which!r}")
-        return np.array([fns[which](errs) for _, errs in self.points], dtype=float)
+        """Per-n summary across trials: 'median', 'min' or 'max'.
+
+        Each is computed once per curve; the array returned is read-only.
+        """
+        values = self._statistics.get(which)
+        if values is None:
+            fns = {"median": _median, "min": np.min, "max": np.max}
+            if which not in fns:
+                raise ValueError(f"unknown statistic {which!r}")
+            values = np.array([fns[which](errs) for _, errs in self.points], dtype=float)
+            values.flags.writeable = False
+            self._statistics[which] = values
+        return values
 
 
 @dataclass(frozen=True)

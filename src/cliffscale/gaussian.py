@@ -16,7 +16,7 @@ import numpy as np
 
 from . import streams
 # aggregate_trials is not called here; benchmarks/tracing.py wraps it at this name.
-from .curves import ScalingCurve, aggregate_trials, run_cells
+from .curves import ScalingCurve, aggregate_trials, check_n_grid, run_cells
 
 __all__ = [
     "GaussianTask",
@@ -174,9 +174,14 @@ def run_gaussian_scaling(d: int, s: float, n_grid, trials: int, seed: int) -> Sc
     Each cell draws one error through ``sample_error_sufficient``.
     """
     task = GaussianTask(d=d, s=float(s))
+    grid = check_n_grid(n_grid)
+    if trials >= 1:  # run_cells refuses fewer
+        # The last cell's key holds the run's largest words: a seed or trial
+        # count that stream() refuses fails here, before any cell draws.
+        streams.check_key(seed, streams.DATA, trials - 1, len(grid) - 1)
     # Cells run one at a time in each process, and each draws from one stream
-    # only, so every cell resets the previous cell's generator instead of
-    # building its own.
+    # only, so every cell walks the previous cell's generator to its own
+    # stream instead of building its own.
     rng = None
 
     def cell(n_idx: int, n: int, trial: int) -> float:
@@ -186,4 +191,4 @@ def run_gaussian_scaling(d: int, s: float, n_grid, trials: int, seed: int) -> Sc
 
     # "sampler" stays so that curve.json reads as earlier versions wrote it.
     meta = {"task": "gaussian", "d": d, "s": task.s, "sampler": "sufficient", "seed": seed}
-    return run_cells(cell, n_grid, trials, meta)
+    return run_cells(cell, grid, trials, meta)

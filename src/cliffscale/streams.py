@@ -14,6 +14,14 @@ the key's length in the Philox key keeps ``(a,)`` apart from ``(a, 0)``.
 ``jumped()`` and ``advance()`` move the upper counter words, into other
 keys' streams. The generator's ``bit_generator.seed_seq`` is a shim that
 hands Philox its key; it cannot be spawned.
+
+A runner walks one generator over a grid row's cells with
+``stream(seed, purpose, trial, n_idx, reuse=g)``. Along a row only the
+trial changes: when the seed, purpose and n-index are the very objects
+of the previous such call, checked then, the call checks and writes
+counter word 2, the trial, alone before it applies the state. Any other
+key, such as the first of a new row, is checked and written whole.
+``check_key`` lets a runner check its largest key before any cell draws.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ class _FixedKey(ISeedSequence):
     without a seed. ``point`` rewrites the one state dict in place.
     """
 
-    __slots__ = ("state",)
+    __slots__ = ("state", "_key", "_counter", "_row")
 
     def __init__(self):
         self.state = {
@@ -56,18 +64,35 @@ class _FixedKey(ISeedSequence):
             "has_uint32": 0,
             "uinteger": 0,
         }
+        self._key = self.state["state"]["key"]
+        self._counter = self.state["state"]["counter"]
+        # The seed, first and last word of the last 3-word key set: the
+        # objects themselves, each checked when it was set. None otherwise.
+        self._row = None
 
     def point(self, seed: int, key: tuple) -> list:
-        """Set the state to the start of (seed, key); return its counter."""
-        words = self.state["state"]
-        words["key"][:] = seed, len(key)
-        words["counter"][1:] = key + (0, 0, 0)[len(key) :]
-        return words["counter"]
+        """Check (seed, key) as stream() does, set the state to its start; return its counter.
+
+        A 3-word key whose seed, first and last word are the very objects of
+        the last 3-word key set, as the next trial of a grid row is, checks
+        and writes only its middle word. Nothing changes when a check fails.
+        """
+        row = self._row
+        if row is not None and len(key) == 3 and seed is row[0] and key[0] is row[1] and key[2] is row[2]:
+            trial = key[1]
+            if type(trial) is int and 0 <= trial <= _MASK32:
+                self._counter[2] = trial
+                return self._counter
+        _checked(seed, key)
+        self._key[:] = seed, len(key)
+        self._counter[1:] = key + (0, 0, 0)[len(key) :]
+        self._row = (seed, key[0], key[2]) if len(key) == 3 else None
+        return self._counter
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 2 or np.dtype(dtype) != np.uint64:
             raise ValueError("a fixed Philox key is exactly 2 uint64 words")
-        return np.array(self.state["state"]["key"], dtype=np.uint64)
+        return np.array(self._key, dtype=np.uint64)
 
 
 def _checked(seed: int, key: tuple) -> None:
@@ -90,6 +115,14 @@ def _checked(seed: int, key: tuple) -> None:
         raise ValueError(f"seed and key entries must be integers, got {bad!r}") from None
 
 
+def check_key(seed: int, *key: int) -> None:
+    """Raise the ValueError that ``stream(seed, *key)`` raises for a bad seed or key.
+
+    A runner checks its largest key with it before any cell draws.
+    """
+    _checked(seed, key)
+
+
 def stream(seed: int, *key: int, reuse: np.random.Generator | None = None) -> np.random.Generator:
     """Return the Generator for (seed, key).
 
@@ -103,9 +136,10 @@ def stream(seed: int, *key: int, reuse: np.random.Generator | None = None) -> np
     reset to the start of (seed, key) and returned, which costs less than
     building a new one and gives the same draws whatever was drawn from it
     before: a Philox stream is set by its key and counter alone. The
-    earlier stream of ``reuse`` ends there.
+    earlier stream of ``reuse`` ends there. Moving ``reuse`` to the next
+    trial of the same (seed, purpose, n_idx) costs least of all (see the
+    module docstring).
     """
-    _checked(seed, key)
     if reuse is None:
         fixed = _FixedKey()
         return np.random.Generator(np.random.Philox(fixed, counter=fixed.point(seed, key)))

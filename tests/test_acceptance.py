@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Criteria pin their own tolerances. Criterion 8, the harmonic cliff, is
-not yet implemented (ROADMAP open item 6), so there is no test_08.
+not yet implemented (ROADMAP open item 9), so there is no test_08.
 """
 
 import math

@@ -79,6 +79,15 @@ class TestScalingCurve:
         assert curve.statistic("min").tolist() == [0.3, 0.1]
         assert curve.statistic("max").tolist() == [0.5, 0.1]
 
+    @pytest.mark.parametrize("which", ["median", "min", "max"])
+    def test_each_statistic_is_computed_once_and_read_only(self, which):
+        curve = aggregate_trials([(10, 0, 0.5), (10, 1, 0.3), (100, 0, 0.1)])
+        first = curve.statistic(which)
+        assert curve.statistic(which) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 1.0
+        assert curve == aggregate_trials([(10, 0, 0.5), (10, 1, 0.3), (100, 0, 0.1)])
+
     def test_median_near_the_float_maximum_does_not_overflow(self):
         # np.median sums the two middle values; where that overflows the
         # median is a/2 + b/2, and every other median is np.median's.

@@ -26,11 +26,12 @@ def test_all_names_resolve(name):
 
 
 # Imported and never called: benchmarks/tracing.py wraps aggregate_trials at
-# each of these module names.
+# each of these module names, and curve_to_json at the CLI's.
 TRACED_IMPORTS = {
     ("cliffscale.gaussian", "aggregate_trials"),
     ("cliffscale.linreg", "aggregate_trials"),
     ("cliffscale.harmonic.training", "aggregate_trials"),
+    ("cliffscale.cli", "curve_to_json"),
 }
 
 

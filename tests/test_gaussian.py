@@ -1,12 +1,14 @@
 """Tests for the binary Gaussian classification toy model."""
 
+import itertools
 import math
+import types
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from cliffscale import streams
+from cliffscale import _parallel, gaussian, streams
 from cliffscale.curves import run_cells
 from cliffscale.gaussian import (
     GaussianTask,
@@ -324,6 +326,42 @@ class TestRows:
             want = tuple(draw(task, n, streams.stream(seed, streams.DATA, t, n_idx)) for t in range(trials))
             assert errs == want
             assert all(type(e) is float for e in errs)
+
+    # Cells run serially before the split: none, part of row 0, and into row 1,
+    # so forked children inherit a generator walked to those cells.
+    @pytest.mark.parametrize("serial", [0, 5, 20])
+    def test_split_rows_equal_cells_on_fresh_streams(self, split_cells, monkeypatch, serial):
+        ticks = itertools.count()
+        monkeypatch.setattr(_parallel, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        monkeypatch.setattr(_parallel, "SERIAL_START_S", serial + 0.5)
+        # An odd trial count: with two shares, each process crosses every row
+        # boundary from a trial of the other parity.
+        task, grid, trials, seed = GaussianTask(d=7, s=0.7), [1, 6, 40, 300], 17, 21
+        curve = run_gaussian_scaling(d=task.d, s=task.s, n_grid=grid, trials=trials, seed=seed)
+        assert curve.processes == min(len(_parallel.usable_cpus()), len(grid) * trials - serial)
+        for n_idx, (n, errs) in enumerate(curve.points):
+            want = tuple(
+                sample_error_sufficient(task, n, streams.stream(seed, streams.DATA, t, n_idx)) for t in range(trials)
+            )
+            assert errs == want
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(trials=2**32 + 1, seed=3), dict(trials=4, seed=2.5), dict(trials=4, seed=2**64)],
+        ids=["trials", "fractional-seed", "seed"],
+    )
+    def test_a_refused_key_fails_before_any_cell(self, monkeypatch, kwargs):
+        grid = [2, 5, 9]
+        with pytest.raises(ValueError) as fresh:
+            streams.stream(kwargs["seed"], streams.DATA, kwargs["trials"] - 1, len(grid) - 1)
+
+        def no_cells(*args):
+            raise AssertionError("cells ran")
+
+        monkeypatch.setattr(gaussian, "run_cells", no_cells)
+        with pytest.raises(ValueError) as refused:
+            run_gaussian_scaling(d=3, s=1.0, n_grid=grid, **kwargs)
+        assert str(refused.value) == str(fresh.value)
 
     def test_degenerate_draw_reports_chance_and_warns(self):
         # eps = -s sqrt(n) puts the first weight at exactly 0; at d = 1 the

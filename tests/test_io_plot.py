@@ -295,6 +295,18 @@ class TestWritersMatchReferences:
     def test_json_text(self, curve):
         assert curve_to_json(curve) == reference_curve_json(curve)
 
+    @given(curve=writer_curves())
+    @with_writer_examples
+    # Unequal trial counts, int zeros, and metadata that needs JSON escapes.
+    @example(curve=ScalingCurve(points=((2, (0, 0.5, 0)), (9, (0,))), metadata={"q": 'say "hi"\\\n\u00e9'}))
+    def test_one_pass_writes_what_the_two_writers_write(self, csv_path, curve):
+        json_path = csv_path.with_name("curve.json")
+        write_curve_csv(curve, csv_path, _json_path=json_path)
+        one_pass = csv_path.read_bytes(), json_path.read_bytes()
+        write_curve_csv(curve, csv_path)
+        json_path.write_text(curve_to_json(curve), encoding="utf-8")
+        assert one_pass == (csv_path.read_bytes(), json_path.read_bytes())
+
 
 class TestRenderSvg:
     def test_deterministic_bytes(self):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cliffscale import streams
@@ -173,3 +173,34 @@ def test_word_types_do_not_change_the_stream():
     np.testing.assert_array_equal(raw(streams.stream(*typed)), a)
     np.testing.assert_array_equal(raw(streams.stream(*typed, reuse=streams.stream(1))), a)
     np.testing.assert_array_equal(a, raw(reference(7, 2, 40, 3)))
+
+
+# Trials a row walk may meet: edge words, words out of range or of another
+# type, each taking the path a fresh call takes.
+WALK_TRIALS = st.one_of(st.sampled_from(EDGE_WORDS), st.sampled_from([-1, 2**32, 2.0, np.int64(3), True]))
+# The same purpose and n-index objects recur, as in a grid row; shorter keys
+# break the row.
+WALK_KEYS = st.one_of(
+    st.tuples(st.sampled_from([streams.DATA, streams.TEST]), WALK_TRIALS, st.sampled_from([0, 1, 2**32 - 1])),
+    st.tuples(st.sampled_from([streams.DATA, streams.TEST]), WALK_TRIALS),
+    st.tuples(st.sampled_from([streams.DATA, streams.TEST])),
+)
+
+
+@given(seed=seeds, keys=st.lists(WALK_KEYS, min_size=1, max_size=10))
+@example(seed=2**40, keys=[(2, 5, 1), (2, 6, 1), (2, 2**32, 1), (2, 7, 1), (2,), (2, 8, 1), (3, 8, 1), (2, 9, 0)])
+def test_a_walk_acts_as_fresh_calls(seed, keys):
+    g = streams.stream(seed, 9)
+    shadow = streams.stream(seed, 9)
+    for key in keys:
+        try:
+            fresh = streams.stream(seed, *key)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as reused:
+                streams.stream(seed, *key, reuse=g)
+            assert str(reused.value) == str(exc)
+        else:
+            assert streams.stream(seed, *key, reuse=g) is g
+            shadow = fresh
+        # A refused key leaves g on the stream it was on.
+        np.testing.assert_array_equal(raw(g, 3), raw(shadow, 3))
