@@ -45,7 +45,7 @@ from .curves import (
 # pass. benchmarks/tracing.py wraps it at this name.
 from .curve_io import _is_decimal, curve_to_json, read_curve_csv, write_curve_csv
 from .gaussian import GaussianTask, approx_error, run_gaussian_scaling
-from .harmonic.training import ARMS, INPUT_DIM, DivergenceError, TrainConfig, run_harmonic_scaling
+from .harmonic.training import ARMS, DivergenceError, TrainConfig, run_harmonic_scaling
 from .linreg import ESTIMATORS, run_linreg_scaling
 from .svgplot import PlotError, render_svg
 
@@ -80,9 +80,6 @@ CHOICES = {
     "arm": ARMS,
 }
 
-# The least value of each numeric config field; validate checks them in this order.
-LOWER_BOUNDS = {"d": 1, "sigma": 0, "s": 0, "bandlimit": 0, "width": 1, "max_steps": 1, "reg_points": 1, "workers": 1}
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
@@ -112,10 +109,11 @@ class ExperimentConfig:
     out: str = "."
 
     def validate(self, given) -> None:
-        """Check every field; ``given`` names the fields a config file or flag set.
+        """Check what only the CLI knows; ``given`` names the fields a config file or flag set.
 
         A field that the kind does not read may not be given, so it keeps its
-        default, which passes every check below.
+        default. Each value a runner reads is checked by the library module
+        that uses it, whose ValueError names the field.
         """
         # kind is checked first, so that KIND_FIELDS has an entry for it.
         for name, allowed in CHOICES.items():
@@ -131,26 +129,8 @@ class ExperimentConfig:
                     raise ConfigError(f"{name}: not read when n_grid is set")
         if self.kind == "import" and not self.input:
             raise ConfigError("input: import runs need an input CSV path")
-        for name in ("sigma", "lam", "s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name}: must be finite, got {getattr(self, name)}")
-        for name, least in LOWER_BOUNDS.items():
-            value = getattr(self, name)
-            if not value >= least:
-                raise ConfigError(f"{name}: must be >= {least}, got {value}")
-        if self.estimator == "ridge" and self.lam <= 0:
-            raise ConfigError(f"lam: ridge needs a positive value, got {self.lam}")
-        if self.arm == "reg":
-            # The regularizer projects onto (2B+1)^INPUT_DIM basis columns,
-            # and no more points than that leave no residual.
-            n_basis = (2 * self.bandlimit + 1) ** INPUT_DIM
-            if self.reg_points <= n_basis:
-                raise ConfigError(f"reg_points: the reg arm needs > (2B+1)^{INPUT_DIM} = {n_basis}, got {self.reg_points}")
-        if not 1 <= self.trials <= 2**32:
-            # Each trial index is one 32-bit word of its stream key.
-            raise ConfigError(f"trials: must be in [1, 2**32], got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
+        if self.workers < 1:
+            raise ConfigError(f"workers: must be >= 1, got {self.workers}")
         self.resolve_n_grid()
 
     def resolve_n_grid(self) -> list[int]:

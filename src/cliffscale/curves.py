@@ -222,8 +222,9 @@ def run_cells(cell, n_grid, trials: int, metadata: dict) -> ScalingCurve:
     caller's BLAS thread count is restored when the run returns or fails.
     """
     grid = check_n_grid(n_grid)
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    if not 1 <= trials <= 2**32:
+        # Each trial index is one 32-bit word of its cells' stream keys.
+        raise ValueError(f"trials: must be in [1, 2**32], got {trials}")
 
     def call(i: int) -> float:
         n_idx, trial = divmod(i, trials)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import streams
 # aggregate_trials is not called here; benchmarks/tracing.py wraps it at this name.
-from .curves import ScalingCurve, aggregate_trials, check_n_grid, run_cells
+from .curves import ScalingCurve, aggregate_trials, run_cells
 
 __all__ = [
     "GaussianTask",
@@ -41,9 +41,9 @@ class GaussianTask:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+            raise ValueError(f"d: dimension must be >= 1, got {self.d}")
         if not 0 <= self.s < math.inf:
-            raise ValueError(f"signal-to-noise ratio must be >= 0 and finite, got {self.s}")
+            raise ValueError(f"s: signal-to-noise ratio must be >= 0 and finite, got {self.s}")
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -128,9 +128,12 @@ def sample_error_sufficient(task: GaussianTask, n: int, rng: np.random.Generator
     chi2 = sample_chi_squared(task.d - 1, rng)
     first = s + eps / math.sqrt(n)
     norm_sq = first * first + chi2 / n
-    if norm_sq == 0.0:
-        warnings.warn("degenerate zero estimate; reporting chance error", RuntimeWarning)
-        return 0.5
+    if not 0.0 < norm_sq < math.inf:
+        if norm_sq == 0.0:
+            warnings.warn("degenerate zero estimate; reporting chance error", RuntimeWarning)
+            return 0.5
+        # first * first overflowed (|first| > ~1.3e154): divide |first| out of the margin.
+        return std_normal_cdf(-s * math.copysign(1.0, first) / math.sqrt(1.0 + chi2 / n / first / first))
     margin = s * first / math.sqrt(norm_sq)
     return std_normal_cdf(-margin)
 
@@ -174,11 +177,7 @@ def run_gaussian_scaling(d: int, s: float, n_grid, trials: int, seed: int) -> Sc
     Each cell draws one error through ``sample_error_sufficient``.
     """
     task = GaussianTask(d=d, s=float(s))
-    grid = check_n_grid(n_grid)
-    if trials >= 1:  # run_cells refuses fewer
-        # The last cell's key holds the run's largest words: a seed or trial
-        # count that stream() refuses fails here, before any cell draws.
-        streams.check_key(seed, streams.DATA, trials - 1, len(grid) - 1)
+    streams.check_key(seed)
     # Cells run one at a time in each process, and each draws from one stream
     # only, so every cell walks the previous cell's generator to its own
     # stream instead of building its own.
@@ -191,4 +190,4 @@ def run_gaussian_scaling(d: int, s: float, n_grid, trials: int, seed: int) -> Sc
 
     # "sampler" stays so that curve.json reads as earlier versions wrote it.
     meta = {"task": "gaussian", "d": d, "s": task.s, "sampler": "sufficient", "seed": seed}
-    return run_cells(cell, grid, trials, meta)
+    return run_cells(cell, n_grid, trials, meta)

@@ -36,8 +36,10 @@ def canonical_frequencies(B: int, d: int) -> list[FreqVec]:
     vector lexicographically above zero; those are kept, and zero itself,
     which comes first. Exactly one of {v, -v} is kept for every nonzero v.
     """
-    if B < 0 or d < 1:
-        raise ValueError(f"need bandlimit >= 0 and dimension >= 1, got B={B}, d={d}")
+    if B < 0:
+        raise ValueError(f"bandlimit: must be >= 0, got {B}")
+    if d < 1:
+        raise ValueError(f"d: dimension must be >= 1, got {d}")
     zero = (0,) * d
     return [v for v in itertools.product(range(-B, B + 1), repeat=d) if v >= zero]
 
@@ -138,11 +140,12 @@ class BandwidthRegularizer:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        basis = build_basis_matrix(self.B, self.d, self.points)
-        m, k = basis.shape
+        # Checked before the m x k basis is built, which can outgrow memory.
+        m, k = len(self.points), (2 * self.B + 1) ** self.d
         if m <= k:
             # The k columns can then span all of R^m, and every y has P y ~ 0.
-            raise ValueError(f"need more points than basis columns: {k} columns, got {m} points")
+            raise ValueError(f"reg_points: need more points than basis columns: {k} columns, got {m} points")
+        basis = build_basis_matrix(self.B, self.d, self.points)
         u, sigma, _ = np.linalg.svd(basis, full_matrices=False)
         cutoff = max(m, k) * np.finfo(float).eps * sigma[0]
         self.span = np.ascontiguousarray(u[:, sigma > cutoff])

@@ -68,6 +68,16 @@ class TrainConfig:
     test_size: int = 4096
     reg_points: int = 20_000
 
+    def __post_init__(self):
+        # At 0 each of these builds no network, steps on no rows, divides by
+        # zero, takes no step, stops without waiting or draws no regularizer point.
+        for name in ("width", "batch_size", "eval_every", "val_size", "test_size", "max_steps", "patience", "reg_points"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
+        # Adam descends only with a positive step size.
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate: must be finite and > 0, got {self.learning_rate}")
+
 
 @dataclass
 class TrainResult:
@@ -117,14 +127,6 @@ def train(
     after ``patience`` steps without a validation improvement or at
     ``max_steps``, whichever comes first.
     """
-    # At 0 each of these builds no network, steps on no rows, divides by
-    # zero, takes no step or stops without waiting.
-    for name in ("width", "batch_size", "eval_every", "val_size", "test_size", "max_steps", "patience"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name}: must be >= 1, got {getattr(config, name)}")
-    # Adam descends only with a positive step size.
-    if not (math.isfinite(config.learning_rate) and config.learning_rate > 0):
-        raise ValueError(f"learning_rate: must be finite and > 0, got {config.learning_rate}")
     if n < 0:
         raise ValueError(f"training-set size must be >= 0, got {n}")
     if n == 0 and regularizer is None:
@@ -233,15 +235,17 @@ def run_harmonic_scaling(
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r} (expected one of {ARMS})")
+    streams.check_key(seed)
 
     def cell(n_idx: int, n: int, trial: int) -> float:
-        target = sample_harmonic(B, INPUT_DIM, streams.stream(seed, streams.TARGET, trial))
         regularizer = None
         if arm == "reg":
+            # Built first, so too few points for a large B fail before the target's (2B+1)^2 draws.
             pts = streams.stream(seed, streams.REG_POINTS, trial, n_idx).uniform(
                 size=(config.reg_points, INPUT_DIM)
             )
             regularizer = BandwidthRegularizer(B=B, d=INPUT_DIM, points=pts)
+        target = sample_harmonic(B, INPUT_DIM, streams.stream(seed, streams.TARGET, trial))
         result = train(
             target,
             n,

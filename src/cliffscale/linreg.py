@@ -69,7 +69,7 @@ class LinearTask:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+            raise ValueError(f"d: dimension must be >= 1, got {self.d}")
         if self.v.shape != (self.d,):
             raise ValueError(f"weight vector shape {self.v.shape} != ({self.d},)")
         if not 0 <= self.sigma < np.inf:
@@ -94,7 +94,7 @@ class RegressionDataset:
 def sample_task(d: int, sigma: float, rng: np.random.Generator) -> LinearTask:
     """Draw v uniformly on the unit sphere in d dimensions."""
     if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+        raise ValueError(f"d: dimension must be >= 1, got {d}")
     v = rng.standard_normal(d)
     norm = np.linalg.norm(v)
     while norm == 0.0:  # probability-zero redraw guard
@@ -282,8 +282,11 @@ def run_linreg_scaling(
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r} (expected one of {ESTIMATORS})")
-    if estimator == "ridge" and (lam is None or not 0 < lam < np.inf):
-        raise ValueError(f"lam: the ridge estimator needs a finite, positive penalty, got {lam}")
+    # Only ridge uses lam, and needs it positive; every estimator refuses a non-finite one.
+    above = 0.0 if estimator == "ridge" else -np.inf
+    if (lam is None and estimator == "ridge") or (lam is not None and not above < lam < np.inf):
+        raise ValueError(f"lam: must be finite, and positive for ridge, got {lam}")
+    streams.check_key(seed)
 
     # Only 1-NN needs the points themselves; the linear fits need X'X and X'y.
     sample = sample_dataset if estimator == "nn" else sample_dataset_sufficient

@@ -21,7 +21,8 @@ trial changes: when the seed, purpose and n-index are the very objects
 of the previous such call, checked then, the call checks and writes
 counter word 2, the trial, alone before it applies the state. Any other
 key, such as the first of a new row, is checked and written whole.
-``check_key`` lets a runner check its largest key before any cell draws.
+Every runner calls ``check_key(seed)`` before its first cell, so a bad
+seed fails with ``seed: ...`` before any cell draws.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def _checked(seed: int, key: tuple) -> None:
     """
     try:
         if not 0 <= index(seed) < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+            raise ValueError(f"seed: must be a 64-bit unsigned integer, got {seed}")
         if len(key) > _MAX_WORDS:
             raise ValueError(f"a stream key has at most {_MAX_WORDS} words, got {len(key)}")
         # One loop is cheaper than min() and max() over at most 3 words.
@@ -116,10 +117,7 @@ def _checked(seed: int, key: tuple) -> None:
 
 
 def check_key(seed: int, *key: int) -> None:
-    """Raise the ValueError that ``stream(seed, *key)`` raises for a bad seed or key.
-
-    A runner checks its largest key with it before any cell draws.
-    """
+    """Raise the ValueError that ``stream(seed, *key)`` raises for a bad seed or key."""
     _checked(seed, key)
 
 

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+import typing
 import warnings
 from pathlib import Path
 
@@ -22,7 +23,13 @@ from cliffscale import _parallel, cli
 from cliffscale.cli import CHOICES, ExperimentConfig, build_parser, main
 from cliffscale.curve_io import read_curve_csv
 from cliffscale.curves import DEFAULT_CLIFF_THRESHOLD, DEFAULT_MIN_RUN, detect_cliffs, fit_power_law, log_spaced_ns
-from cliffscale.gaussian import GaussianTask, approx_error
+from cliffscale.gaussian import GaussianTask, approx_error, run_gaussian_scaling
+from cliffscale.harmonic.training import TrainConfig, run_harmonic_scaling
+from cliffscale.linreg import run_linreg_scaling
+
+
+# The grid, trial count and seed of the runs that the CLI and the library should refuse alike.
+SMALL_RUN = {"n_grid": [2, 4], "trials": 2, "seed": 0}
 
 
 def run_cli(*argv):
@@ -265,6 +272,62 @@ class TestRun:
         err = capsys.readouterr().err
         assert names(err, field) and "not read by" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_every_numeric_run_field_has_a_refusal_case(self):
+        # A numeric field that a simulated kind reads is checked by the library,
+        # so it needs a case above that shows its refusal names it. The range
+        # fields choose the grid, and their refusals name n_grid.
+        (cases,) = [m.args[1] for m in self.test_invalid_field_names_offender.pytestmark if m.name == "parametrize"]
+        covered = {field for _, _, field in cases}
+        hints = typing.get_type_hints(ExperimentConfig)
+        read = {name for kind, names in cli.KIND_FIELDS.items() if kind != "import" for name in names}
+        numeric = {name for name in read if hints[name] in (int, float)}
+        assert {"n_grid" if name in cli.RANGE_FIELDS else name for name in numeric} - covered == set()
+
+    @pytest.mark.parametrize(
+        "argv, library",
+        [
+            (["--d", 0], lambda: run_gaussian_scaling(d=0, s=1.0, **SMALL_RUN)),
+            (["--s", "nan"], lambda: run_gaussian_scaling(d=3, s=math.nan, **SMALL_RUN)),
+            (["--kind", "linreg", "--d", 0], lambda: run_linreg_scaling(d=0, sigma=0.0, estimator="lstsq", **SMALL_RUN)),
+            (["--kind", "linreg", "--sigma", -1], lambda: run_linreg_scaling(d=3, sigma=-1.0, estimator="lstsq", **SMALL_RUN)),
+            (["--kind", "linreg", "--lambda", "inf"],
+             lambda: run_linreg_scaling(d=3, sigma=0.0, estimator="lstsq", lam=math.inf, **SMALL_RUN)),
+            (["--kind", "linreg", "--estimator", "ridge", "--lambda", 0],
+             lambda: run_linreg_scaling(d=3, sigma=0.0, estimator="ridge", lam=0.0, **SMALL_RUN)),
+            (["--kind", "harmonic", "--bandlimit", -1], lambda: run_harmonic_scaling(B=-1, arm="reg", **SMALL_RUN)),
+            (["--kind", "harmonic", "--width", 0], lambda: TrainConfig(width=0)),
+            (["--kind", "harmonic", "--max-steps", 0], lambda: TrainConfig(max_steps=0)),
+            (["--kind", "harmonic", "--reg-points", 0], lambda: TrainConfig(reg_points=0)),
+            (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 9],
+             lambda: run_harmonic_scaling(B=1, arm="reg", config=TrainConfig(reg_points=9), **SMALL_RUN)),
+            (["--trials", 0], lambda: run_gaussian_scaling(d=3, s=1.0, **{**SMALL_RUN, "trials": 0})),
+            (["--kind", "linreg", "--trials", 2**32 + 1],
+             lambda: run_linreg_scaling(d=3, sigma=0.0, estimator="lstsq", **{**SMALL_RUN, "trials": 2**32 + 1})),
+            (["--kind", "harmonic", "--seed", 2**64],
+             lambda: run_harmonic_scaling(B=1, arm="noreg", **{**SMALL_RUN, "seed": 2**64})),
+            (["--seed", -1], lambda: run_gaussian_scaling(d=3, s=1.0, **{**SMALL_RUN, "seed": -1})),
+        ],
+        ids=[
+            "gaussian-d", "s", "linreg-d", "sigma", "lam-lstsq", "lam-ridge", "bandlimit", "width", "max_steps",
+            "reg_points-zero", "reg_points-basis", "trials-zero", "trials-above-2**32", "seed-2**64", "seed-negative",
+        ],
+    )
+    def test_cli_and_library_refuse_alike(self, tmp_path, capsys, argv, library):
+        # The CLI no longer checks these values itself: its message is the library's.
+        with pytest.raises(ValueError) as refused:
+            library()
+        flags = ["--n-grid", "2,4", "--trials", SMALL_RUN["trials"], "--seed", SMALL_RUN["seed"]]
+        assert run_cli("run", "--kind", "gaussian", *flags, *argv, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"config error: {refused.value}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_huge_signal_runs(self, tmp_path):
+        # s = 1e200 overflowed the sufficient sampler's margin, and the run exited 3 on a nan error.
+        out = tmp_path / "g"
+        assert run_cli("run", "--kind", "gaussian", "--d", 3, "--s", "1e200", "--n-grid", "1,10", "--trials", 3,
+                       "--out", out) == 0
+        assert read_curve_csv(out / "curve.csv").points == ((1, (0.0, 0.0, 0.0)), (10, (0.0, 0.0, 0.0)))
 
     @pytest.mark.parametrize(
         "kind, argv, config, field",
@@ -625,7 +688,7 @@ class TestPlot:
         assert run_cli("plot", src, "--overlay-powerlaw", "nope", "--out", tmp_path / "x.svg") == 2
         assert "config error: overlay-powerlaw: expected A,alpha,E" in capsys.readouterr().err
         # Well-formed specs that GaussianTask refuses carry its reason, not a format complaint.
-        for spec, reason in (("5,-1", "signal-to-noise ratio must be >= 0"), ("0,1", "dimension must be >= 1")):
+        for spec, reason in (("5,-1", "s: signal-to-noise ratio must be >= 0"), ("0,1", "d: dimension must be >= 1")):
             assert run_cli("plot", src, "--overlay-gaussian", spec, "--out", tmp_path / "x.svg") == 2
             assert f"config error: overlay-gaussian: {reason}" in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cliffscale import linreg, streams
+from cliffscale import _parallel, linreg, streams
 from cliffscale.curve_io import curve_to_json
 from cliffscale.gaussian import run_gaussian_scaling
 from cliffscale.harmonic.training import run_harmonic_scaling
@@ -583,3 +583,30 @@ class TestRunScaling:
         # Every kind shares one grid and trial check, run before any cell.
         with pytest.raises(ValueError):
             run(n_grid=n_grid, trials=trials, seed=6)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda **kw: run_linreg_scaling(d=3, sigma=0.0, estimator="lstsq", **kw),
+            lambda **kw: run_gaussian_scaling(d=3, s=1.0, **kw),
+            lambda **kw: run_harmonic_scaling(B=1, arm="reg", **kw),
+        ],
+        ids=["linreg", "gaussian", "harmonic"],
+    )
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(trials=2**32 + 1, seed=3), "trials: must be in [1, 2**32], got 4294967297"),
+            (dict(trials=0, seed=3), "trials: must be in [1, 2**32], got 0"),
+            (dict(trials=4, seed=2.5), "seed and key entries must be integers, got 2.5"),
+            (dict(trials=4, seed=2**64), f"seed: must be a 64-bit unsigned integer, got {2**64}"),
+            (dict(trials=4, seed=-1), "seed: must be a 64-bit unsigned integer, got -1"),
+        ],
+        ids=["trials", "trials-zero", "fractional-seed", "seed", "seed-negative"],
+    )
+    def test_a_refused_key_fails_before_any_cell(self, monkeypatch, run, kwargs, message):
+        # A trial count is refused by run_cells and a seed by streams, both before any cell runs.
+        monkeypatch.setattr(_parallel, "run_split", lambda *args: pytest.fail("cells ran"))
+        with pytest.raises(ValueError) as refused:
+            run(n_grid=[2, 5, 9], **kwargs)
+        assert str(refused.value) == message

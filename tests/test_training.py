@@ -95,7 +95,7 @@ class TestTrain:
         [
             ("batch_size", 0), ("val_size", 0), ("eval_every", 0), ("test_size", 0), ("width", 0),
             ("max_steps", 0), ("patience", 0), ("learning_rate", -1e-3), ("learning_rate", 0.0),
-            ("learning_rate", math.nan),
+            ("learning_rate", math.nan), ("reg_points", 0),
         ],
     )
     def test_config_that_cannot_train_rejected(self, field, value):
@@ -109,6 +109,11 @@ class TestTrain:
         rule = "must be finite and > 0" if field == "learning_rate" else "must be >= 1"
         with pytest.raises(ValueError, match=f"^{field}: {rule}, got {re.escape(str(value))}$"):
             train(h, 50, config=tiny_config(**{field: value}), rng=rng_for(18))
+
+    def test_config_is_checked_when_built(self):
+        # Once per config, when it is built, not by train() once per cell.
+        with pytest.raises(ValueError, match="^width: must be >= 1, got 0$"):
+            TrainConfig(width=0)
 
 
 class TestPinnedResults:
