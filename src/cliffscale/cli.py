@@ -71,9 +71,9 @@ KIND_FIELDS = {
     "import": ("kind", "out", "input"),
 }
 
-# The allowed values of the config fields that name a choice; the parser and
-# ExperimentConfig.validate both read them here. Each runner's choices are
-# named by the module that implements them.
+# The allowed values of the config fields that name a choice, as the parser
+# offers them. Each runner's choices are named, and checked, by the module
+# that implements them; ExperimentConfig.validate checks only kind.
 CHOICES = {
     "kind": tuple(KIND_FIELDS),
     "estimator": ESTIMATORS,
@@ -116,10 +116,8 @@ class ExperimentConfig:
         that uses it, whose ValueError names the field.
         """
         # kind is checked first, so that KIND_FIELDS has an entry for it.
-        for name, allowed in CHOICES.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ConfigError(f"{name}: expected one of {allowed}, got {value!r}")
+        if self.kind not in CHOICES["kind"]:
+            raise ConfigError(f"kind: expected one of {CHOICES['kind']}, got {self.kind!r}")
         for name in given:
             if name not in KIND_FIELDS[self.kind]:
                 raise ConfigError(f"{name}: not read by kind {self.kind}")
@@ -319,40 +317,32 @@ def _analysis_table(curve: ScalingCurve) -> str:
     return "\n".join(lines)
 
 
-def _check_floor(floor: float | None) -> None:
-    if floor is not None and not (math.isfinite(floor) and floor > 0):
-        raise ConfigError(f"floor: must be finite and > 0, got {floor}")
-
-
 # The analyze flags that only one mode reads; --mode both reads them all.
 MODE_FLAGS = {"fit": ("n_min", "n_max"), "cliffs": ("threshold", "min_run")}
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def _check_mode_flags(args: argparse.Namespace) -> None:
     for mode, dests in MODE_FLAGS.items():
         for dest in dests:
             if args.mode not in (mode, "both") and getattr(args, dest) is not None:
                 raise ConfigError(f"{dest.replace('_', '-')}: not read by --mode {args.mode}")
-    _check_floor(args.floor)
-    if args.threshold is not None and not (math.isfinite(args.threshold) and args.threshold <= 0):
-        raise ConfigError(f"threshold: must be finite and <= 0, got {args.threshold}")
-    if args.min_run is not None and args.min_run < 1:
-        raise ConfigError(f"min-run: must be >= 1, got {args.min_run}")
-    for flag, value in (("n-min", args.n_min), ("n-max", args.n_max)):
-        if value is not None and value < 1:
-            raise ConfigError(f"{flag}: must be >= 1, got {value}")
-    if args.n_min is not None and args.n_max is not None and args.n_min >= args.n_max:
-        raise ConfigError(f"n-min: must be < n-max = {args.n_max}, got {args.n_min}")
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    # The curves function that reads a numeric flag checks it. Nothing is
+    # printed before the whole report is made, so a refused value prints nothing.
+    _check_mode_flags(args)
     curve = read_curve_csv(args.curve)
-    print(_analysis_table(curve))
     report: dict = {}
+    summary = []
     if args.mode in ("fit", "both"):
-        fit = fit_power_law(curve, n_range=(args.n_min or 1, args.n_max or MAX_N), floor=args.floor)
+        n_range = (1 if args.n_min is None else args.n_min, MAX_N if args.n_max is None else args.n_max)
+        fit = fit_power_law(curve, n_range=n_range, floor=args.floor)
         n_min, n_max = fit.n_range
         report["fit"] = {
             "A": fit.A, "alpha": fit.alpha, "E": fit.E, "residual": fit.residual, "n_min": n_min, "n_max": n_max
         }
-        print(
+        summary.append(
             f"power law: A={fit.A:.6g} alpha={fit.alpha:.6g} E={fit.E:.6g} "
             f"residual={fit.residual:.3g} over n in [{n_min}, {n_max}]"
         )
@@ -364,11 +354,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             floor=args.floor if args.floor is not None else DEFAULT_ERROR_FLOOR,
         )
         report["cliffs"] = [asdict(r) for r in regions]
-        if regions:
-            for r in regions:
-                print(f"cliff: n in [{r.n_start}, {r.n_end}], strength {r.strength:.4g}")
-        else:
-            print("cliff: none detected")
+        summary += [f"cliff: n in [{r.n_start}, {r.n_end}], strength {r.strength:.4g}" for r in regions] or [
+            "cliff: none detected"
+        ]
+    print(_analysis_table(curve))
+    print("\n".join(summary))
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -410,9 +400,7 @@ def _parse_overlays(args) -> list[tuple[str, typing.Callable[[np.ndarray], np.nd
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    _check_floor(args.floor)
-    if args.vline is not None and args.vline < 1:
-        raise ConfigError(f"vline: must be >= 1, got {args.vline}")
+    # render_svg checks --floor and --vline before it draws anything.
     overlay_specs = _parse_overlays(args)
     curves = [read_curve_csv(path) for path in args.curves]
     for path, curve in zip(args.curves, curves):
@@ -504,9 +492,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except MemoryError as exc:
         # The configuration asks for an array larger than memory.
         print(f"config error: out of memory: {exc}", file=sys.stderr)
@@ -518,6 +503,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
+        # ConfigError, and every value a library function refuses.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

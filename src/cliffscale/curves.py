@@ -25,6 +25,7 @@ __all__ = [
     "CurveError",
     "FitError",
     "aggregate_trials",
+    "check_floor",
     "check_n_grid",
     "run_cells",
     "fit_power_law",
@@ -210,6 +211,12 @@ def check_n_grid(n_grid) -> list[int]:
     return grid
 
 
+def check_floor(floor: float | None) -> None:
+    """ValueError unless floor, the least error kept before logs, is None or finite and > 0."""
+    if floor is not None and not 0 < floor < math.inf:
+        raise ValueError(f"floor: must be finite and positive, got {floor}")
+
+
 def run_cells(cell, n_grid, trials: int, metadata: dict) -> ScalingCurve:
     """The curve of ``cell(n_idx, n, trial) -> error`` over the grid.
 
@@ -268,9 +275,11 @@ def _distinct(ns: np.ndarray, keys: np.ndarray, what: str) -> None:
 def _fit_values(curve: ScalingCurve, n_range, floor: float | None):
     """The curve's n values, as integers and as float64, and per-n medians.
 
-    Restricted to n_range and clamped up to floor. CurveError if two of
-    the n kept round to the same float64, which only n above 2**53 can.
+    Restricted to n_range and clamped up to floor, which is checked
+    first. CurveError if two of the n kept round to the same float64,
+    which only n above 2**53 can.
     """
+    check_floor(floor)
     ns = curve.ns
     vals = curve.statistic("median")
     if n_range is not None:
@@ -278,8 +287,6 @@ def _fit_values(curve: ScalingCurve, n_range, floor: float | None):
         keep = (ns >= lo) & (ns <= hi)
         ns, vals = ns[keep], vals[keep]
     if floor is not None:
-        if not 0 < floor < math.inf:
-            raise FitError(f"floor: must be finite and positive, got {floor}")
         vals = np.maximum(vals, floor)
     ns_float = ns.astype(float)
     _distinct(ns, ns_float, "value")
@@ -302,8 +309,11 @@ def fit_power_law(
     median. E is located by golden-section search on
     [0, 0.999 * min error]; for each candidate E the remaining
     (log A, alpha) problem is ordinary least squares of log(err - E)
-    against log n. Deterministic for fixed input.
+    against log n. Deterministic for fixed input. ValueError unless
+    n_range, when given, has 1 <= n_min < n_max <= 2**63 - 1.
     """
+    if n_range is not None and not 1 <= n_range[0] < n_range[1] <= MAX_N:
+        raise ValueError(f"n_range: need 1 <= n_min < n_max <= 2**63 - 1, got {n_range}")
     ns_int, ns, vals = _fit_values(curve, n_range, floor)
     if len(ns) < 4:
         raise FitError(f"need at least 4 points to fit, got {len(ns)}")
@@ -426,12 +436,13 @@ def detect_cliffs(
     the run to the one after it (the full stencil the run rests on).
     A run whose region shares a grid point with the previous region
     joins it, and its strength adds to that region's; the result is
-    disjoint and ordered.
+    disjoint and ordered. Each parameter is checked before the curve.
     """
     if not -math.inf < threshold <= 0:
-        raise CurveError(f"threshold: must be finite and nonpositive, got {threshold}")
+        raise ValueError(f"threshold: must be finite and nonpositive, got {threshold}")
     if min_run < 1:
-        raise CurveError(f"min_run must be >= 1, got {min_run}")
+        raise ValueError(f"min_run: must be >= 1, got {min_run}")
+    check_floor(floor)
     if len(curve.points) < min_run + 2:
         raise CurveError(
             f"need at least {min_run + 2} points to detect runs of {min_run}, got {len(curve.points)}"

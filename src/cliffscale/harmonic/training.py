@@ -234,7 +234,7 @@ def run_harmonic_scaling(
     under the same seed.
     """
     if arm not in ARMS:
-        raise ValueError(f"unknown arm {arm!r} (expected one of {ARMS})")
+        raise ValueError(f"arm: expected one of {ARMS}, got {arm!r}")
     streams.check_key(seed)
 
     def cell(n_idx: int, n: int, trial: int) -> float:

@@ -281,7 +281,7 @@ def run_linreg_scaling(
     of trial order.
     """
     if estimator not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r} (expected one of {ESTIMATORS})")
+        raise ValueError(f"estimator: expected one of {ESTIMATORS}, got {estimator!r}")
     # Only ridge uses lam, and needs it positive; every estimator refuses a non-finite one.
     above = 0.0 if estimator == "ridge" else -np.inf
     if (lam is None and estimator == "ridge") or (lam is not None and not above < lam < np.inf):

@@ -113,7 +113,9 @@ def _checked(seed: int, key: tuple) -> None:
                 raise ValueError(f"key entries must be 32-bit unsigned integers, got {word}")
     except TypeError:
         bad = next(w for w in (seed, *key) if not hasattr(type(w), "__index__"))
-        raise ValueError(f"seed and key entries must be integers, got {bad!r}") from None
+        # A bad seed is named as the field it is; key words are the package's own.
+        field = "seed: " if bad is seed else ""
+        raise ValueError(f"{field}seed and key entries must be integers, got {bad!r}") from None
 
 
 def check_key(seed: int, *key: int) -> None:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .curves import ScalingCurve
+from .curves import ScalingCurve, check_floor
 
 __all__ = ["PlotError", "render_svg"]
 
@@ -51,12 +51,14 @@ def render_svg(
 
     Every line is read the same way, floor clamp and checks included; an
     overlay is drawn dashed through its medians, with no band. The x axis
-    spans every curve's and overlay's n values, and vline.
+    spans every curve's and overlay's n values, and vline. floor and
+    vline are checked before any curve.
     """
+    check_floor(floor)
+    if vline is not None and not 1 <= vline < math.inf:
+        raise ValueError(f"vline: must be a finite n >= 1, got {vline}")
     if not curves:
         raise PlotError("nothing to plot: no curves given")
-    if floor is not None and not math.isfinite(floor):
-        raise PlotError(f"floor: must be finite, got {floor}")
     lines = curves + (overlays or [])
 
     xs_all: list[np.ndarray] = []
@@ -80,8 +82,6 @@ def render_svg(
         xs_all.append(ns)
         ys_all.extend([lo, hi])
     if vline is not None:
-        if vline <= 0:
-            raise PlotError(f"vertical marker must be a positive n, got {vline}")
         xs_all.append(np.array([vline], dtype=float))
 
     x_lo = math.floor(math.log10(min(x.min() for x in xs_all)))

@@ -22,14 +22,20 @@ import cliffscale
 from cliffscale import _parallel, cli
 from cliffscale.cli import CHOICES, ExperimentConfig, build_parser, main
 from cliffscale.curve_io import read_curve_csv
-from cliffscale.curves import DEFAULT_CLIFF_THRESHOLD, DEFAULT_MIN_RUN, detect_cliffs, fit_power_law, log_spaced_ns
+from cliffscale.curves import (
+    DEFAULT_CLIFF_THRESHOLD, DEFAULT_MIN_RUN, MAX_N, ScalingCurve, detect_cliffs, fit_power_law, log_spaced_ns,
+)
 from cliffscale.gaussian import GaussianTask, approx_error, run_gaussian_scaling
 from cliffscale.harmonic.training import TrainConfig, run_harmonic_scaling
 from cliffscale.linreg import run_linreg_scaling
+from cliffscale.svgplot import render_svg
 
 
 # The grid, trial count and seed of the runs that the CLI and the library should refuse alike.
 SMALL_RUN = {"n_grid": [2, 4], "trials": 2, "seed": 0}
+
+# A curve no analysis or plot accepts: the library refuses a bad parameter before it looks at one.
+ONE_ZERO_POINT = ScalingCurve(points=((1, (0.0,)),))
 
 
 def run_cli(*argv):
@@ -230,10 +236,10 @@ class TestRun:
             (["--kind", "harmonic", "--reg-points", 0], None, "reg_points"),
             (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 3], None, "reg_points"),
             (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 9], None, "reg_points"),
-            ([], {"estimator": "x"}, "estimator"),
+            (["--kind", "linreg"], {"estimator": "x"}, "estimator"),
             # sampler is no longer a field, so any value of it is refused as unknown.
             ([], {"sampler": "x"}, "config"),
-            ([], {"arm": "x"}, "arm"),
+            (["--kind", "harmonic"], {"arm": "x"}, "arm"),
             (["--d", 0], None, "d"),
             (["--kind", "linreg", "--sigma", -1], None, "sigma"),
             (["--s", -1], None, "s"),
@@ -287,40 +293,90 @@ class TestRun:
     @pytest.mark.parametrize(
         "argv, library",
         [
-            (["--d", 0], lambda: run_gaussian_scaling(d=0, s=1.0, **SMALL_RUN)),
-            (["--s", "nan"], lambda: run_gaussian_scaling(d=3, s=math.nan, **SMALL_RUN)),
-            (["--kind", "linreg", "--d", 0], lambda: run_linreg_scaling(d=0, sigma=0.0, estimator="lstsq", **SMALL_RUN)),
-            (["--kind", "linreg", "--sigma", -1], lambda: run_linreg_scaling(d=3, sigma=-1.0, estimator="lstsq", **SMALL_RUN)),
-            (["--kind", "linreg", "--lambda", "inf"],
+            (["run", "--d", 0], lambda: run_gaussian_scaling(d=0, s=1.0, **SMALL_RUN)),
+            (["run", "--s", "nan"], lambda: run_gaussian_scaling(d=3, s=math.nan, **SMALL_RUN)),
+            (["run", "--kind", "linreg", "--d", 0],
+             lambda: run_linreg_scaling(d=0, sigma=0.0, estimator="lstsq", **SMALL_RUN)),
+            (["run", "--kind", "linreg", "--sigma", -1],
+             lambda: run_linreg_scaling(d=3, sigma=-1.0, estimator="lstsq", **SMALL_RUN)),
+            (["run", "--kind", "linreg", "--lambda", "inf"],
              lambda: run_linreg_scaling(d=3, sigma=0.0, estimator="lstsq", lam=math.inf, **SMALL_RUN)),
-            (["--kind", "linreg", "--estimator", "ridge", "--lambda", 0],
+            (["run", "--kind", "linreg", "--estimator", "ridge", "--lambda", 0],
              lambda: run_linreg_scaling(d=3, sigma=0.0, estimator="ridge", lam=0.0, **SMALL_RUN)),
-            (["--kind", "harmonic", "--bandlimit", -1], lambda: run_harmonic_scaling(B=-1, arm="reg", **SMALL_RUN)),
-            (["--kind", "harmonic", "--width", 0], lambda: TrainConfig(width=0)),
-            (["--kind", "harmonic", "--max-steps", 0], lambda: TrainConfig(max_steps=0)),
-            (["--kind", "harmonic", "--reg-points", 0], lambda: TrainConfig(reg_points=0)),
-            (["--kind", "harmonic", "--bandlimit", 1, "--reg-points", 9],
+            (["run", "--kind", "harmonic", "--bandlimit", -1],
+             lambda: run_harmonic_scaling(B=-1, arm="reg", **SMALL_RUN)),
+            (["run", "--kind", "harmonic", "--width", 0], lambda: TrainConfig(width=0)),
+            (["run", "--kind", "harmonic", "--max-steps", 0], lambda: TrainConfig(max_steps=0)),
+            (["run", "--kind", "harmonic", "--reg-points", 0], lambda: TrainConfig(reg_points=0)),
+            (["run", "--kind", "harmonic", "--bandlimit", 1, "--reg-points", 9],
              lambda: run_harmonic_scaling(B=1, arm="reg", config=TrainConfig(reg_points=9), **SMALL_RUN)),
-            (["--trials", 0], lambda: run_gaussian_scaling(d=3, s=1.0, **{**SMALL_RUN, "trials": 0})),
-            (["--kind", "linreg", "--trials", 2**32 + 1],
+            (["run", "--trials", 0], lambda: run_gaussian_scaling(d=3, s=1.0, **{**SMALL_RUN, "trials": 0})),
+            (["run", "--kind", "linreg", "--trials", 2**32 + 1],
              lambda: run_linreg_scaling(d=3, sigma=0.0, estimator="lstsq", **{**SMALL_RUN, "trials": 2**32 + 1})),
-            (["--kind", "harmonic", "--seed", 2**64],
+            (["run", "--kind", "harmonic", "--seed", 2**64],
              lambda: run_harmonic_scaling(B=1, arm="noreg", **{**SMALL_RUN, "seed": 2**64})),
-            (["--seed", -1], lambda: run_gaussian_scaling(d=3, s=1.0, **{**SMALL_RUN, "seed": -1})),
+            (["run", "--seed", -1], lambda: run_gaussian_scaling(d=3, s=1.0, **{**SMALL_RUN, "seed": -1})),
+            # A dict is written to a config file, whose path takes its place.
+            (["run", "--kind", "linreg", "--config", {"estimator": "bogus"}],
+             lambda: run_linreg_scaling(d=3, sigma=0.0, estimator="bogus", **SMALL_RUN)),
+            (["run", "--kind", "harmonic", "--config", {"arm": "bogus"}],
+             lambda: run_harmonic_scaling(B=1, arm="bogus", **SMALL_RUN)),
+            (["analyze", "--threshold", "nan"], lambda: detect_cliffs(ONE_ZERO_POINT, threshold=math.nan)),
+            (["analyze", "--threshold", 1], lambda: detect_cliffs(ONE_ZERO_POINT, threshold=1.0)),
+            (["analyze", "--min-run", 0], lambda: detect_cliffs(ONE_ZERO_POINT, min_run=0)),
+            (["analyze", "--floor", -1], lambda: fit_power_law(ONE_ZERO_POINT, floor=-1.0)),
+            (["analyze", "--floor", 0], lambda: fit_power_law(ONE_ZERO_POINT, floor=0.0)),
+            (["analyze", "--mode", "cliffs", "--floor", "nan"], lambda: detect_cliffs(ONE_ZERO_POINT, floor=math.nan)),
+            (["analyze", "--n-min", 100, "--n-max", 10], lambda: fit_power_law(ONE_ZERO_POINT, n_range=(100, 10))),
+            (["analyze", "--mode", "fit", "--n-max", 0], lambda: fit_power_law(ONE_ZERO_POINT, n_range=(1, 0))),
+            (["analyze", "--n-min", -5], lambda: fit_power_law(ONE_ZERO_POINT, n_range=(-5, MAX_N))),
+            (["analyze", "--n-max", "99999999999999999999"],
+             lambda: fit_power_law(ONE_ZERO_POINT, n_range=(1, 99999999999999999999))),
+            (["plot", "--floor", "nan"], lambda: render_svg([ONE_ZERO_POINT], floor=math.nan)),
+            (["plot", "--floor", 0], lambda: render_svg([ONE_ZERO_POINT], floor=0.0)),
+            (["plot", "--floor", -1], lambda: render_svg([ONE_ZERO_POINT], floor=-1.0)),
+            (["plot", "--vline", 0], lambda: render_svg([ONE_ZERO_POINT], vline=0)),
+            (["plot", "--vline", -3], lambda: render_svg([ONE_ZERO_POINT], vline=-3)),
         ],
         ids=[
             "gaussian-d", "s", "linreg-d", "sigma", "lam-lstsq", "lam-ridge", "bandlimit", "width", "max_steps",
             "reg_points-zero", "reg_points-basis", "trials-zero", "trials-above-2**32", "seed-2**64", "seed-negative",
+            "estimator-config", "arm-config", "analyze-threshold-nan", "analyze-threshold-positive",
+            "analyze-min_run-zero", "analyze-floor-negative", "analyze-floor-zero", "analyze-cliffs-floor-nan",
+            "analyze-n_range-inverted", "analyze-n_max-zero", "analyze-n_min-negative", "analyze-n_max-above-int64",
+            "plot-floor-nan", "plot-floor-zero", "plot-floor-negative", "plot-vline-zero", "plot-vline-negative",
         ],
     )
     def test_cli_and_library_refuse_alike(self, tmp_path, capsys, argv, library):
-        # The CLI no longer checks these values itself: its message is the library's.
+        # The CLI does not check these values itself: its message is the library's.
         with pytest.raises(ValueError) as refused:
             library()
-        flags = ["--n-grid", "2,4", "--trials", SMALL_RUN["trials"], "--seed", SMALL_RUN["seed"]]
-        assert run_cli("run", "--kind", "gaussian", *flags, *argv, "--out", tmp_path / "o") == 2
-        assert capsys.readouterr().err == f"config error: {refused.value}\n"
+        command, *flags = argv
+        for i, flag in enumerate(flags):
+            if isinstance(flag, dict):
+                flags[i] = tmp_path / "exp.json"
+                flags[i].write_text(json.dumps(flag))
+        if command == "run":
+            given = ["--kind", "gaussian", "--n-grid", "2,4", "--trials", SMALL_RUN["trials"],
+                     "--seed", SMALL_RUN["seed"]]
+        else:
+            given = [write_power_law(tmp_path / "pl.csv")]
+        assert run_cli(command, *given, *flags, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr() == ("", f"config error: {refused.value}\n")
         assert not (tmp_path / "o").exists()
+
+    def test_every_analyze_and_plot_numeric_flag_has_a_refusal_case(self):
+        # The library function that reads an analyze or plot number checks
+        # it, so each such flag needs a case above.
+        (cases,) = [m.args[1] for m in self.test_cli_and_library_refuse_alike.pytestmark if m.name == "parametrize"]
+        covered = {(command, word) for (command, *flags), _ in cases for word in flags if str(word).startswith("--")}
+        numeric = {
+            (command, a.option_strings[0])
+            for command in ("analyze", "plot")
+            for a in parser_actions(command)
+            if a.type in (cli._int_flag, cli._float_flag)
+        }
+        assert numeric - covered == set()
 
     def test_huge_signal_runs(self, tmp_path):
         # s = 1e200 overflowed the sufficient sampler's margin, and the run exited 3 on a nan error.
@@ -607,10 +663,10 @@ class TestAnalyze:
             (["--threshold", "nan"], "threshold"),
             (["--threshold", 1], "threshold"),
             (["--floor", -1], "floor"),
-            (["--min-run", 0], "min-run"),
-            (["--n-min", 100, "--n-max", 10], "n-min"),
-            (["--n-max", 0, "--mode", "fit"], "n-max"),
-            (["--n-min", -5], "n-min"),
+            (["--min-run", 0], "min_run"),
+            (["--n-min", 100, "--n-max", 10], "n_range"),
+            (["--n-max", 0, "--mode", "fit"], "n_range"),
+            (["--n-min", -5], "n_range"),
             (["--min-run", "\u0663"], "min-run"),
             # argparse reads a bare "-0_1" as an option; float() reads it as -1.
             (["--threshold=-0_1"], "threshold"),
@@ -621,11 +677,14 @@ class TestAnalyze:
     )
     def test_bad_numeric_flag_exits_2_naming_it(self, tmp_path, capsys, argv, flag):
         # NaN found no cliff, n-max 0 fitted the whole curve and n-min -5 was
-        # accepted; the others exited 3 or 4 without naming the flag.
+        # accepted; the others exited 3 or 4 without naming the flag. A value
+        # the library refuses is named by the parameter that reads it.
         src = tmp_path / "pl.csv"
         src.write_text("n,trial,error\n" + "".join(f"{n},0,{1 / n!r}\n" for n in (1, 2, 4, 8, 16)))
-        assert run_cli_exit("analyze", src, *argv) == 2
-        assert names(capsys.readouterr().err, flag)
+        assert run_cli_exit("analyze", src, *argv, "--out", tmp_path / "r.json") == 2
+        out, err = capsys.readouterr()
+        assert names(err, flag) and out == ""
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestPlot:
@@ -716,7 +775,8 @@ class TestPlot:
         src = tmp_path / "c.csv"
         src.write_text("n,trial,error\n10,0,0.5\n100,0,0.3\n")
         assert run_cli_exit("plot", src, *argv, "--out", tmp_path / "x.svg") == 2
-        assert names(capsys.readouterr().err, flag)
+        out, err = capsys.readouterr()
+        assert names(err, flag) and out == ""
         assert not (tmp_path / "x.svg").exists()
 
     def test_overflowing_overlay_exits_3_naming_it(self, tmp_path, capsys):
@@ -784,18 +844,18 @@ def test_gaussian_run_and_overlay_leave_scipy_special_unloaded(tmp_path):
     assert "scipy.special" not in loaded and "numpy.f2py" not in loaded
 
 
-def run_parser_actions():
+def parser_actions(command="run"):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices["run"]._actions
+    return sub.choices[command]._actions
 
 
 def test_run_flags_set_the_config_fields_by_name():
-    dests = {a.dest for a in run_parser_actions() if a.dest not in ("help", "config")}
+    dests = {a.dest for a in parser_actions() if a.dest not in ("help", "config")}
     assert dests == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def test_run_flag_choices_come_from_the_choice_table():
-    with_choices = {a.dest: a.choices for a in run_parser_actions() if a.choices is not None}
+    with_choices = {a.dest: a.choices for a in parser_actions() if a.choices is not None}
     assert with_choices == CHOICES
 
 
@@ -808,15 +868,22 @@ def test_benchmark_run_commands_build_valid_configs(tmp_path, monkeypatch):
     # dataclasses looks the module up by name while the file runs.
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    # Every repetition of a workload runs at one seed, and analyze and plot
+    # commands are checked as far as the CLI checks them before reading a curve.
     parser = build_parser()
-    runs = 0
+    counts = {"run": 0, "analyze": 0, "plot": 0}
     for workload in workloads.WORKLOADS.values():
         for seed in (1, 24, 102, 2**63):
             for argv in workload.commands(tmp_path, seed):
+                args = parser.parse_args(argv)
                 if argv[0] == "run":
-                    cli._build_config(parser.parse_args(argv))
-                    runs += 1
-    assert runs == 6 * 4
+                    cli._build_config(args)
+                elif argv[0] == "analyze":
+                    cli._check_mode_flags(args)
+                else:
+                    cli._parse_overlays(args)
+                counts[argv[0]] += 1
+    assert counts == {"run": 6 * 4, "analyze": 3 * 4, "plot": 3 * 4}
     assert not any(tmp_path.iterdir())
 
 
@@ -846,7 +913,7 @@ def test_readme_commands_and_flags_exist():
 
 def readme_flag_fields(text):
     """The config field of each run flag named in the text."""
-    options = {flag: a.dest for a in run_parser_actions() for flag in a.option_strings}
+    options = {flag: a.dest for a in parser_actions() for flag in a.option_strings}
     return {options[flag] for flag in re.findall(r"--[a-z][a-z-]*", text)}
 
 

@@ -551,7 +551,7 @@ class TestDetectCliffs:
     def test_threshold_must_be_nonpositive(self):
         ns = [1, 2, 4, 8, 16]
         curve = curve_from_fn(ns, lambda n: 1.0 / n)
-        with pytest.raises(CurveError, match="nonpositive"):
+        with pytest.raises(ValueError, match="nonpositive"):
             detect_cliffs(curve, threshold=0.1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -559,7 +559,7 @@ class TestDetectCliffs:
         # A NaN threshold used to flag nothing on this one-cliff curve.
         task = GaussianTask(d=100, s=2.0)
         curve = curve_from_fn(log_spaced_ns(1, 10_000, 10), lambda n: approx_error(task, n))
-        with pytest.raises(CurveError, match="threshold"):
+        with pytest.raises(ValueError, match="threshold"):
             detect_cliffs(curve, threshold=value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -568,7 +568,7 @@ class TestDetectCliffs:
         task = GaussianTask(d=100, s=2.0)
         curve = curve_from_fn(log_spaced_ns(1, 10_000, 10), lambda n: approx_error(task, n))
         for analysis in (detect_cliffs, loglog_second_differences, fit_power_law):
-            with pytest.raises(FitError, match="floor"):
+            with pytest.raises(ValueError, match="floor"):
                 analysis(curve, floor=value)
 
     def test_needs_enough_points(self):
@@ -619,6 +619,32 @@ class TestDetectCliffs:
             flagged = [v for v in seconds[a : b - 1] if v < 0]
             assert region.strength == pytest.approx(-sum(flagged))
             assert region.strength == pytest.approx(len(flagged) / math.log(10) ** 2)
+
+
+@pytest.mark.parametrize(
+    "analysis, kwargs, name",
+    [
+        (fit_power_law, dict(n_range=(8, 2)), "n_range"),
+        (fit_power_law, dict(n_range=(0, 10)), "n_range"),
+        (fit_power_law, dict(n_range=(1, 2**63)), "n_range"),
+        (fit_power_law, dict(floor=0.0), "floor"),
+        (fit_power_law, dict(floor=-1.0), "floor"),
+        (loglog_second_differences, dict(floor=math.nan), "floor"),
+        (detect_cliffs, dict(threshold=0.1), "threshold"),
+        (detect_cliffs, dict(threshold=-math.inf), "threshold"),
+        (detect_cliffs, dict(min_run=0), "min_run"),
+        (detect_cliffs, dict(floor=math.inf), "floor"),
+    ],
+    ids=["n_range-inverted", "n_range-zero", "n_range-above-int64", "fit-floor-zero", "fit-floor-negative",
+         "differences-floor-nan", "threshold-positive", "threshold-inf", "min_run-zero", "cliffs-floor-inf"],
+)
+def test_a_bad_parameter_is_refused_before_the_curve(analysis, kwargs, name):
+    # A single zero error is too little data for every analysis; a bad
+    # parameter is still named first, as a plain ValueError.
+    with pytest.raises(ValueError) as refused:
+        analysis(ScalingCurve(points=((1, (0.0,)),)), **kwargs)
+    assert type(refused.value) is ValueError
+    assert str(refused.value).startswith(f"{name}: ")
 
 
 class TestLogSpacedNs:

@@ -365,8 +365,26 @@ class TestRenderSvg:
 
     @pytest.mark.parametrize("floor", [math.nan, math.inf])
     def test_non_finite_floor_rejected(self, floor):
-        with pytest.raises(PlotError, match="floor"):
+        with pytest.raises(ValueError, match="floor"):
             render_svg([sample_curve()], floor=floor)
+
+    @pytest.mark.parametrize(
+        "curves, kwargs, name",
+        [
+            ([], dict(floor=0.0), "floor"),
+            ([ScalingCurve(points=((1, (0.0,)),))], dict(floor=-1.0), "floor"),
+            ([ScalingCurve(points=((1, (0.0,)),))], dict(vline=0), "vline"),
+            ([ScalingCurve(points=((1, (0.0,)),))], dict(vline=math.inf), "vline"),
+        ],
+        ids=["no-curves-floor-zero", "floor-negative", "vline-zero", "vline-inf"],
+    )
+    def test_a_bad_parameter_is_refused_before_the_curves(self, curves, kwargs, name):
+        # No curves, or one single-point zero curve, is a PlotError; a bad
+        # parameter is still named first, as a plain ValueError.
+        with pytest.raises(ValueError) as refused:
+            render_svg(curves, **kwargs)
+        assert type(refused.value) is ValueError
+        assert str(refused.value).startswith(f"{name}: ")
 
     def test_no_curves_rejected(self):
         with pytest.raises(PlotError):

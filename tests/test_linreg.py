@@ -598,7 +598,7 @@ class TestRunScaling:
         [
             (dict(trials=2**32 + 1, seed=3), "trials: must be in [1, 2**32], got 4294967297"),
             (dict(trials=0, seed=3), "trials: must be in [1, 2**32], got 0"),
-            (dict(trials=4, seed=2.5), "seed and key entries must be integers, got 2.5"),
+            (dict(trials=4, seed=2.5), "seed: seed and key entries must be integers, got 2.5"),
             (dict(trials=4, seed=2**64), f"seed: must be a 64-bit unsigned integer, got {2**64}"),
             (dict(trials=4, seed=-1), "seed: must be a 64-bit unsigned integer, got -1"),
         ],
@@ -610,3 +610,19 @@ class TestRunScaling:
         with pytest.raises(ValueError) as refused:
             run(n_grid=[2, 5, 9], **kwargs)
         assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (lambda **kw: run_linreg_scaling(d=3, sigma=0.0, estimator="bogus", **kw),
+             "estimator: expected one of ('lstsq', 'ridge', 'nn'), got 'bogus'"),
+            (lambda **kw: run_harmonic_scaling(B=1, arm="bogus", **kw),
+             "arm: expected one of ('reg', 'noreg'), got 'bogus'"),
+        ],
+        ids=["estimator", "arm"],
+    )
+    def test_an_unknown_choice_is_refused_first(self, run, message):
+        # The runner names its choice before the seed and the trial count, both also bad here.
+        with pytest.raises(ValueError) as refused:
+            run(n_grid=[2, 5], trials=0, seed=2.5)
+        assert type(refused.value) is ValueError and str(refused.value) == message
