@@ -81,10 +81,6 @@ CHOICES = {
 }
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; message names the offending field."""
-
-
 @dataclass
 class ExperimentConfig:
     kind: str = "linreg"
@@ -117,18 +113,18 @@ class ExperimentConfig:
         """
         # kind is checked first, so that KIND_FIELDS has an entry for it.
         if self.kind not in CHOICES["kind"]:
-            raise ConfigError(f"kind: expected one of {CHOICES['kind']}, got {self.kind!r}")
+            raise ValueError(f"kind: expected one of {CHOICES['kind']}, got {self.kind!r}")
         for name in given:
             if name not in KIND_FIELDS[self.kind]:
-                raise ConfigError(f"{name}: not read by kind {self.kind}")
+                raise ValueError(f"{name}: not read by kind {self.kind}")
         if self.n_grid is not None:
             for name in RANGE_FIELDS:
                 if name in given:
-                    raise ConfigError(f"{name}: not read when n_grid is set")
+                    raise ValueError(f"{name}: not read when n_grid is set")
         if self.kind == "import" and not self.input:
-            raise ConfigError("input: import runs need an input CSV path")
+            raise ValueError("input: import runs need an input CSV path")
         if self.workers < 1:
-            raise ConfigError(f"workers: must be >= 1, got {self.workers}")
+            raise ValueError(f"workers: must be >= 1, got {self.workers}")
         self.resolve_n_grid()
 
     def resolve_n_grid(self) -> list[int]:
@@ -137,7 +133,7 @@ class ExperimentConfig:
                 return check_n_grid(self.n_grid)
             return log_spaced_ns(self.n_min, self.n_max, self.points_per_decade)
         except CurveError as exc:
-            raise ConfigError(f"n_grid: {exc}") from None
+            raise ValueError(f"n_grid: {exc}") from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -145,18 +141,18 @@ def _load_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}") from None
+        raise ValueError(f"config: cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: {path} is not valid JSON: {exc}") from None
+        raise ValueError(f"config: {path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
-        raise ConfigError(f"config: {path} must hold a JSON object")
+        raise ValueError(f"config: {path} must hold a JSON object")
     hints = typing.get_type_hints(ExperimentConfig)
     for key, value in payload.items():
         if key not in hints:
-            raise ConfigError(f"config: unknown field {key!r} in {path}")
+            raise ValueError(f"config: unknown field {key!r} in {path}")
         if not _fits_annotation(value, hints[key]):
             expected = ExperimentConfig.__dataclass_fields__[key].type
-            raise ConfigError(f"{key}: expected {expected}, got {value!r} in {path}")
+            raise ValueError(f"{key}: expected {expected}, got {value!r} in {path}")
     return payload
 
 
@@ -325,7 +321,7 @@ def _check_mode_flags(args: argparse.Namespace) -> None:
     for mode, dests in MODE_FLAGS.items():
         for dest in dests:
             if args.mode not in (mode, "both") and getattr(args, dest) is not None:
-                raise ConfigError(f"{dest.replace('_', '-')}: not read by --mode {args.mode}")
+                raise ValueError(f"{dest.replace('_', '-')}: not read by --mode {args.mode}")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -374,24 +370,20 @@ def _parse_overlays(args) -> list[tuple[str, typing.Callable[[np.ndarray], np.nd
         try:
             a_, alpha_, e_ = (_float_flag(p) for p in args.overlay_powerlaw.split(","))
         except (ValueError, argparse.ArgumentTypeError):
-            raise ConfigError(
-                f"overlay-powerlaw: expected A,alpha,E, got {args.overlay_powerlaw!r}"
-            ) from None
+            raise ValueError(f"overlay-powerlaw: expected A,alpha,E, got {args.overlay_powerlaw!r}") from None
         if not all(map(math.isfinite, (a_, alpha_, e_))):
-            raise ConfigError(f"overlay-powerlaw: A, alpha and E must be finite, got {args.overlay_powerlaw!r}")
+            raise ValueError(f"overlay-powerlaw: A, alpha and E must be finite, got {args.overlay_powerlaw!r}")
         overlays.append((f"A n^-a + E ({a_:g},{alpha_:g},{e_:g})", lambda ns: a_ * ns**-alpha_ + e_))
     if args.overlay_gaussian:
         try:
             d_text, s_text = args.overlay_gaussian.split(",")
             d_, s_ = _int_flag(d_text), _float_flag(s_text)
         except (ValueError, argparse.ArgumentTypeError):
-            raise ConfigError(
-                f"overlay-gaussian: expected d,s, got {args.overlay_gaussian!r}"
-            ) from None
+            raise ValueError(f"overlay-gaussian: expected d,s, got {args.overlay_gaussian!r}") from None
         try:
             task = GaussianTask(d=d_, s=s_)
         except ValueError as exc:
-            raise ConfigError(f"overlay-gaussian: {exc} in {args.overlay_gaussian!r}") from None
+            raise ValueError(f"overlay-gaussian: {exc} in {args.overlay_gaussian!r}") from None
         overlays.append((
             f"closed form (d={task.d}, s={task.s:g})",
             lambda ns: np.array([approx_error(task, int(n)) for n in ns]),
@@ -503,7 +495,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
-        # ConfigError, and every value a library function refuses.
+        # Every value that this module or a library function refuses.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -218,24 +218,25 @@ def check_floor(floor: float | None) -> None:
 
 
 def run_cells(cell, n_grid, trials: int, metadata: dict) -> ScalingCurve:
-    """The curve of ``cell(n_idx, n, trial) -> error`` over the grid.
+    """The curve of ``cell(n, trial) -> error`` over the grid.
 
-    Cells run in (n index, trial) order, and each grid row's errors are
-    stored in trial order. Every cell runs on one BLAS thread and draws
-    only from streams keyed by its own (trial, n index), so neither the
-    order nor the process that runs a cell can change any result: a run
-    that lasts past a short serial start spreads its remaining cells over
-    forked processes on every usable CPU (``_parallel.run_split``). The
-    caller's BLAS thread count is restored when the run returns or fails.
+    Cells run in (n, trial) order, and each grid row's errors are stored
+    in trial order. Every cell runs on one BLAS thread and draws only
+    from streams keyed by its own (trial, n), so neither the order, the
+    grid around it nor the process that runs a cell can change any
+    result: a run that lasts past a short serial start spreads its
+    remaining cells over forked processes on every usable CPU
+    (``_parallel.run_split``). The caller's BLAS thread count is
+    restored when the run returns or fails.
     """
     grid = check_n_grid(n_grid)
     if not 1 <= trials <= 2**32:
-        # Each trial index is one 32-bit word of its cells' stream keys.
+        # 2**32 trials are far beyond any run on one machine; each index fits a 64-bit key word.
         raise ValueError(f"trials: must be in [1, 2**32], got {trials}")
 
     def call(i: int) -> float:
-        n_idx, trial = divmod(i, trials)
-        return cell(n_idx, grid[n_idx], trial)
+        row, trial = divmod(i, trials)
+        return cell(grid[row], trial)
 
     with _blas.blas_threads(1):
         errors, processes = _parallel.run_split(call, len(grid) * trials)

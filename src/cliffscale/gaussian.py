@@ -183,9 +183,9 @@ def run_gaussian_scaling(d: int, s: float, n_grid, trials: int, seed: int) -> Sc
     # stream instead of building its own.
     rng = None
 
-    def cell(n_idx: int, n: int, trial: int) -> float:
+    def cell(n: int, trial: int) -> float:
         nonlocal rng
-        rng = streams.stream(seed, streams.DATA, trial, n_idx, reuse=rng)
+        rng = streams.stream(seed, streams.DATA, trial, n, reuse=rng)
         return sample_error_sufficient(task, n, rng)
 
     # "sampler" stays so that curve.json reads as earlier versions wrote it.

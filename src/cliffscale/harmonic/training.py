@@ -237,11 +237,11 @@ def run_harmonic_scaling(
         raise ValueError(f"arm: expected one of {ARMS}, got {arm!r}")
     streams.check_key(seed)
 
-    def cell(n_idx: int, n: int, trial: int) -> float:
+    def cell(n: int, trial: int) -> float:
         regularizer = None
         if arm == "reg":
             # Built first, so too few points for a large B fail before the target's (2B+1)^2 draws.
-            pts = streams.stream(seed, streams.REG_POINTS, trial, n_idx).uniform(
+            pts = streams.stream(seed, streams.REG_POINTS, trial, n).uniform(
                 size=(config.reg_points, INPUT_DIM)
             )
             regularizer = BandwidthRegularizer(B=B, d=INPUT_DIM, points=pts)
@@ -251,7 +251,7 @@ def run_harmonic_scaling(
             n,
             config=config,
             regularizer=regularizer,
-            rng=streams.stream(seed, streams.TRAIN, trial, n_idx),
+            rng=streams.stream(seed, streams.TRAIN, trial, n),
         )
         return result.test_mse
 

@@ -277,8 +277,8 @@ def run_linreg_scaling(
     """Scaling curve of a linear-regression estimator over an n grid.
 
     Each trial draws a fresh task and a fresh dataset per n, all from
-    streams keyed by (seed, trial, n index), so results are independent
-    of trial order.
+    streams keyed by (seed, trial, n), so results are independent of
+    trial order and of the grid around each n.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator: expected one of {ESTIMATORS}, got {estimator!r}")
@@ -291,15 +291,15 @@ def run_linreg_scaling(
     # Only 1-NN needs the points themselves; the linear fits need X'X and X'y.
     sample = sample_dataset if estimator == "nn" else sample_dataset_sufficient
 
-    def cell(n_idx: int, n: int, trial: int) -> float:
+    def cell(n: int, trial: int) -> float:
         task = sample_task(d, sigma, streams.stream(seed, streams.TASK, trial))
-        data = sample(task, n, streams.stream(seed, streams.DATA, trial, n_idx))
+        data = sample(task, n, streams.stream(seed, streams.DATA, trial, n))
         if estimator == "lstsq":
             return linear_test_mse(task, fit_least_squares(data))
         if estimator == "ridge":
             return linear_test_mse(task, fit_ridge(data, lam))
         # Only the NN error is sampled, so only it derives a test stream.
-        return nn_test_mse(task, data, NN_TEST_POINTS, streams.stream(seed, streams.TEST, trial, n_idx))
+        return nn_test_mse(task, data, NN_TEST_POINTS, streams.stream(seed, streams.TEST, trial, n))
 
     meta = {"task": "linreg", "estimator": estimator, "d": d, "sigma": float(sigma), "seed": seed}
     if estimator == "ridge":

@@ -1,26 +1,28 @@
 """Deterministic per-task random streams derived from one master seed.
 
 Every simulated quantity in this package draws from a stream keyed by
-(master seed, purpose, trial, n-index). Streams are built on Philox, a
+(master seed, purpose, trial, n). Streams are built on Philox, a
 counter-based generator whose key and counter carry a stream's identity
 (Salmon et al., SC'11), so results are identical no matter in which
-order cells are evaluated, and a run with more trials reproduces the
-trials of a shorter run exactly.
+order cells are evaluated or which grid holds them: a run with more
+trials, or on a finer grid, reproduces the cells of a shorter run
+exactly.
 
 The Philox key of ``stream(seed, *key)`` is ``(seed, len(key))`` and its
-counter starts at ``(0, *key)``, padded with zeros to 4 words. Draws
-advance only the counter's low word, so two keys never share a counter;
-the key's length in the Philox key keeps ``(a,)`` apart from ``(a, 0)``.
-``jumped()`` and ``advance()`` move the upper counter words, into other
-keys' streams. The generator's ``bit_generator.seed_seq`` is a shim that
-hands Philox its key; it cannot be spawned.
+counter starts at ``(0, *key)``, padded with zeros to 4 words. The seed
+and every key word lie in [0, 2**64), the width of one Philox word.
+Draws advance only the counter's low word, so two keys never share a
+counter; the key's length in the Philox key keeps ``(a,)`` apart from
+``(a, 0)``. ``jumped()`` and ``advance()`` move the upper counter words,
+into other keys' streams. The generator's ``bit_generator.seed_seq`` is
+a shim that hands Philox its key; it cannot be spawned.
 
 A runner walks one generator over a grid row's cells with
-``stream(seed, purpose, trial, n_idx, reuse=g)``. Along a row only the
-trial changes: when the seed, purpose and n-index are the very objects
-of the previous such call, checked then, the call checks and writes
-counter word 2, the trial, alone before it applies the state. Any other
-key, such as the first of a new row, is checked and written whole.
+``stream(seed, purpose, trial, n, reuse=g)``. Along a row only the
+trial changes: when the seed, purpose and n are the very objects of the
+previous such call, checked then, the call checks and writes counter
+word 2, the trial, alone before it applies the state. Any other key,
+such as the first of a new row, is checked and written whole.
 Every runner calls ``check_key(seed)`` before its first cell, so a bad
 seed fails with ``seed: ...`` before any cell draws.
 """
@@ -42,7 +44,6 @@ REG_POINTS = 5
 # 6 is retired (it named validation data, which no stream ever drew); never reuse it.
 TRAIN = 7
 
-_MASK32 = 0xFFFFFFFF
 # A key fills at most the 3 upper counter words.
 _MAX_WORDS = 3
 
@@ -81,7 +82,7 @@ class _FixedKey(ISeedSequence):
         row = self._row
         if row is not None and len(key) == 3 and seed is row[0] and key[0] is row[1] and key[2] is row[2]:
             trial = key[1]
-            if type(trial) is int and 0 <= trial <= _MASK32:
+            if type(trial) is int and 0 <= trial < 2**64:
                 self._counter[2] = trial
                 return self._counter
         _checked(seed, key)
@@ -97,7 +98,7 @@ class _FixedKey(ISeedSequence):
 
 
 def _checked(seed: int, key: tuple) -> None:
-    """ValueError unless seed fits 64 bits and key is at most 3 words of 32 bits.
+    """ValueError unless seed and key are 64-bit words and key has at most 3 of them.
 
     Every word must be an integer, as ``operator.index`` takes it: Philox
     would truncate a fraction such as 2.5 to 2 and draw another stream.
@@ -109,8 +110,8 @@ def _checked(seed: int, key: tuple) -> None:
             raise ValueError(f"a stream key has at most {_MAX_WORDS} words, got {len(key)}")
         # One loop is cheaper than min() and max() over at most 3 words.
         for word in key:
-            if not 0 <= index(word) <= _MASK32:
-                raise ValueError(f"key entries must be 32-bit unsigned integers, got {word}")
+            if not 0 <= index(word) < 2**64:
+                raise ValueError(f"key entries must be 64-bit unsigned integers, got {word}")
     except TypeError:
         bad = next(w for w in (seed, *key) if not hasattr(type(w), "__index__"))
         # A bad seed is named as the field it is; key words are the package's own.
@@ -129,20 +130,23 @@ def stream(seed: int, *key: int, reuse: np.random.Generator | None = None) -> np
     The same (seed, key) always yields the same stream, and distinct keys
     yield statistically independent streams. Its draws equal those of
     ``Generator(Philox(key=np.array([seed, len(key)], np.uint64),
-    counter=(0, *key, 0, ...)))``. Without ``reuse`` each call returns a
-    fresh generator, independent of every other.
+    counter=np.array([0, *key, 0, ...], np.uint64)))``. Without
+    ``reuse`` each call returns a fresh generator, independent of every
+    other.
 
     ``reuse`` must be a generator this function returned earlier. It is
     reset to the start of (seed, key) and returned, which costs less than
     building a new one and gives the same draws whatever was drawn from it
     before: a Philox stream is set by its key and counter alone. The
     earlier stream of ``reuse`` ends there. Moving ``reuse`` to the next
-    trial of the same (seed, purpose, n_idx) costs least of all (see the
+    trial of the same (seed, purpose, n) costs least of all (see the
     module docstring).
     """
     if reuse is None:
         fixed = _FixedKey()
-        return np.random.Generator(np.random.Philox(fixed, counter=fixed.point(seed, key)))
+        # As an array: Philox reads a list holding a word at or above 2**63 as float64.
+        counter = np.array(fixed.point(seed, key), np.uint64)
+        return np.random.Generator(np.random.Philox(fixed, counter=counter))
     fixed = reuse.bit_generator.seed_seq if isinstance(reuse, np.random.Generator) else None
     if not isinstance(fixed, _FixedKey):
         raise ValueError("reuse must be a generator returned by stream()")

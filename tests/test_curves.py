@@ -157,43 +157,43 @@ class TestRunCells:
     def test_cells_run_in_n_index_then_trial_order(self):
         visits = []
 
-        def cell(n_idx, n, trial):
-            visits.append((n_idx, n, trial))
+        def cell(n, trial):
+            visits.append((n, trial))
             return n + trial / 10
 
         curve = run_cells(cell, [3, 7, 20], 2, {})
-        assert visits == [(0, 3, 0), (0, 3, 1), (1, 7, 0), (1, 7, 1), (2, 20, 0), (2, 20, 1)]
+        assert visits == [(3, 0), (3, 1), (7, 0), (7, 1), (20, 0), (20, 1)]
         assert curve.points == ((3, (3.0, 3.1)), (7, (7.0, 7.1)), (20, (20.0, 20.1)))
 
     def test_rows_hold_errors_in_trial_order(self):
-        curve = run_cells(lambda n_idx, n, trial: 1.0 / (1 + trial), [5, 50], 4, {})
+        curve = run_cells(lambda n, trial: 1.0 / (1 + trial), [5, 50], 4, {})
         assert dict(curve.points)[5] == dict(curve.points)[50] == (1.0, 0.5, 1 / 3, 0.25)
 
     def test_metadata_values_are_stored_as_str(self):
         meta = {"task": "demo", "d": 3, "s": 0.1, "seed": np.uint64(7)}
-        curve = run_cells(lambda n_idx, n, trial: 0.5, [2], 1, meta)
+        curve = run_cells(lambda n, trial: 0.5, [2], 1, meta)
         assert curve.metadata == {"task": "demo", "d": "3", "s": "0.1", "seed": "7"}
         assert meta["d"] == 3  # the caller's dict is left as it was
 
     def test_numpy_errors_come_back_as_python_floats(self):
-        curve = run_cells(lambda n_idx, n, trial: np.float64(0.25) * (trial + 1), [2, 4], 2, {})
+        curve = run_cells(lambda n, trial: np.float64(0.25) * (trial + 1), [2, 4], 2, {})
         assert curve.points == ((2, (0.25, 0.5)), (4, (0.25, 0.5)))
         assert all(type(e) is float for _, errs in curve.points for e in errs)
 
     def test_needs_a_trial(self):
         with pytest.raises(ValueError, match="trial"):
-            run_cells(lambda n_idx, n, trial: 0.0, [3, 7], 0, {})
+            run_cells(lambda n, trial: 0.0, [3, 7], 0, {})
 
     def test_rejects_a_descending_grid(self):
         with pytest.raises(CurveError, match="grid"):
-            run_cells(lambda n_idx, n, trial: 0.0, [7, 3], 1, {})
+            run_cells(lambda n, trial: 0.0, [7, 3], 1, {})
 
 
-def cell_value(n_idx, n, trial):
+def cell_value(n, trial):
     return n + trial / 10
 
 
-# The same 12-cell grid in every split test: cell i is row i // 3, trial i % 3.
+# The same 12-cell grid in every split test: cell i is GRID[i // 3], trial i % 3.
 GRID, TRIALS = [2, 5, 9, 20], 3
 needs_affinity = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(_parallel.usable_cpus()) < 2,
@@ -201,8 +201,8 @@ needs_affinity = pytest.mark.skipif(
 )
 
 
-def index(n_idx, trial):
-    return n_idx * TRIALS + trial
+def index(n, trial):
+    return GRID.index(n) * TRIALS + trial
 
 
 def outcome(run):
@@ -245,7 +245,7 @@ class TestSplitCells:
             pytest.skip("a CPU number too high for an exact float mask")
         before = os.sched_getaffinity(0)
         curve = run_cells(
-            lambda n_idx, n, trial: float(sum(1 << c for c in os.sched_getaffinity(0))), GRID, TRIALS, {}
+            lambda n, trial: float(sum(1 << c for c in os.sched_getaffinity(0))), GRID, TRIALS, {}
         )
         k = curve.processes
         assert k == min(len(cpus), len(GRID) * TRIALS) >= 2
@@ -260,7 +260,7 @@ class TestSplitCells:
         parent = os.getpid()
         with _blas.blas_threads(count):
             curve = run_cells(
-                lambda n_idx, n, trial: float(_blas.thread_count()) + (os.getpid() != parent) / 2,
+                lambda n, trial: float(_blas.thread_count()) + (os.getpid() != parent) / 2,
                 GRID, TRIALS, {},
             )
             assert _blas.thread_count() == count
@@ -272,15 +272,15 @@ class TestSplitCells:
     @needs_affinity
     @pytest.mark.parametrize(
         "failing",
-        [{index(1, 0)}, {index(1, 1)}, {index(1, 0), index(2, 0)}, {index(1, 1), index(2, 1)}, {index(3, 2)}],
+        [{index(5, 0)}, {index(5, 1)}, {index(5, 0), index(9, 0)}, {index(5, 1), index(9, 1)}, {index(20, 2)}],
         ids=["child", "parent-mid-run", "child-first", "parent-first", "last"],
     )
     def test_a_raising_cell_gives_the_serial_exception(self, split_cells, failing):
         # DivergenceError(step) comes back from pickling with its message garbled, so a child must not send it.
-        def cell(n_idx, n, trial):
-            if index(n_idx, trial) in failing:
-                raise DivergenceError(index(n_idx, trial))
-            return cell_value(n_idx, n, trial)
+        def cell(n, trial):
+            if index(n, trial) in failing:
+                raise DivergenceError(index(n, trial))
+            return cell_value(n, trial)
 
         serial = serially(lambda: outcome(lambda: run_cells(cell, GRID, TRIALS, {})))
         assert serial == ("raised", DivergenceError, str(DivergenceError(min(failing))))
@@ -289,10 +289,10 @@ class TestSplitCells:
     @needs_affinity
     @pytest.mark.parametrize("action", ["always", "error", "ignore"])
     def test_a_warning_cell_gives_the_serial_warnings(self, split_cells, action):
-        def cell(n_idx, n, trial):
-            if index(n_idx, trial) in (3, 6, 7):
-                warnings.warn(f"cell {index(n_idx, trial)}", UserWarning)
-            return cell_value(n_idx, n, trial)
+        def cell(n, trial):
+            if index(n, trial) in (3, 6, 7):
+                warnings.warn(f"cell {index(n, trial)}", UserWarning)
+            return cell_value(n, trial)
 
         def run():
             return outcome(lambda: run_cells(cell, GRID, TRIALS, {}))
@@ -310,10 +310,10 @@ class TestSplitCells:
     def test_a_child_that_dies_is_made_good_here(self, split_cells):
         parent = os.getpid()
 
-        def cell(n_idx, n, trial):
+        def cell(n, trial):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return cell_value(n_idx, n, trial)
+            return cell_value(n, trial)
 
         curve = run_cells(cell, GRID, TRIALS, {})
         assert curve == serially(lambda: run_cells(cell_value, GRID, TRIALS, {}))
@@ -337,12 +337,12 @@ class TestSplitCells:
         # is interrupted at once, and every child is killed and reaped.
         parent = os.getpid()
 
-        def cell(n_idx, n, trial):
+        def cell(n, trial):
             if os.getpid() != parent:
                 time.sleep(10 / len(GRID) / TRIALS)
-            elif index(n_idx, trial) > 0:
+            elif index(n, trial) > 0:
                 raise KeyboardInterrupt
-            return cell_value(n_idx, n, trial)
+            return cell_value(n, trial)
 
         started = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):

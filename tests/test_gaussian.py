@@ -266,7 +266,7 @@ class TestRunGaussianScaling:
     def test_medians_match_between_samplers(self):
         task, grid, trials, seed = GaussianTask(d=30, s=1.0), [10, 40, 160], 10_000, 99
         full = run_cells(
-            lambda n_idx, n, t: simulate_error(task, n, streams.stream(seed, streams.DATA, t, n_idx)),
+            lambda n, t: simulate_error(task, n, streams.stream(seed, streams.DATA, t, n)),
             grid, trials, {},
         )
         suff = run_gaussian_scaling(d=task.d, s=task.s, n_grid=grid, trials=trials, seed=seed)
@@ -309,8 +309,18 @@ class TestRunGaussianScaling:
     def test_cells_draw_their_own_fresh_stream(self, draw):
         task, grid, seed = GaussianTask(d=3, s=1.0), [2, 5, 9], 4
         curve = run_gaussian_scaling(d=task.d, s=task.s, n_grid=grid, trials=20, seed=seed)
-        for n_idx, (n, errs) in enumerate(curve.points):
-            assert errs == tuple(draw(task, n, streams.stream(seed, streams.DATA, t, n_idx)) for t in range(20))
+        for n, errs in curve.points:
+            assert errs == tuple(draw(task, n, streams.stream(seed, streams.DATA, t, n)) for t in range(20))
+
+    @pytest.mark.parametrize("n", [2**40, 2**63 - 1])
+    def test_a_huge_n_is_its_own_key_word(self, n):
+        # n is written into the counter whole: a cell at n draws stream(seed, DATA, trial, n).
+        # At d ~ n each draw still moves the error, so another stream would show.
+        task, seed = GaussianTask(d=2**60, s=1.0), 9
+        curve = run_gaussian_scaling(d=task.d, s=task.s, n_grid=[3, n], trials=6, seed=seed)
+        want = tuple(sample_error_sufficient(task, n, streams.stream(seed, streams.DATA, t, n)) for t in range(6))
+        assert len(set(want)) == 6
+        assert curve.points[1] == (n, want)
 
 
 class TestRows:
@@ -322,8 +332,8 @@ class TestRows:
     def test_rows_equal_cells_on_fresh_streams(self, draw, d, trials):
         task, grid, seed = GaussianTask(d=d, s=0.7), [1, 6], 12
         curve = run_gaussian_scaling(d=d, s=task.s, n_grid=grid, trials=trials, seed=seed)
-        for n_idx, (n, errs) in enumerate(curve.points):
-            want = tuple(draw(task, n, streams.stream(seed, streams.DATA, t, n_idx)) for t in range(trials))
+        for n, errs in curve.points:
+            want = tuple(draw(task, n, streams.stream(seed, streams.DATA, t, n)) for t in range(trials))
             assert errs == want
             assert all(type(e) is float for e in errs)
 
@@ -339,9 +349,9 @@ class TestRows:
         task, grid, trials, seed = GaussianTask(d=7, s=0.7), [1, 6, 40, 300], 17, 21
         curve = run_gaussian_scaling(d=task.d, s=task.s, n_grid=grid, trials=trials, seed=seed)
         assert curve.processes == min(len(_parallel.usable_cpus()), len(grid) * trials - serial)
-        for n_idx, (n, errs) in enumerate(curve.points):
+        for n, errs in curve.points:
             want = tuple(
-                sample_error_sufficient(task, n, streams.stream(seed, streams.DATA, t, n_idx)) for t in range(trials)
+                sample_error_sufficient(task, n, streams.stream(seed, streams.DATA, t, n)) for t in range(trials)
             )
             assert errs == want
 

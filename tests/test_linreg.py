@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from cliffscale import _parallel, linreg, streams
 from cliffscale.curve_io import curve_to_json
 from cliffscale.gaussian import run_gaussian_scaling
-from cliffscale.harmonic.training import run_harmonic_scaling
+from cliffscale.harmonic.training import TrainConfig, run_harmonic_scaling
 from cliffscale.linreg import (
     NN_TREE_MAX_D,
     LinearTask,
@@ -526,18 +526,18 @@ class TestRunScaling:
         "estimator, kwargs, expected",
         [
             ("lstsq", dict(d=6, n_grid=[1, 3, 5]), [
-                (1, (0.9645425903412286, 0.5690748454304821)),
-                (3, (0.38282459478092434, 0.21573079238453063)),
-                (5, (0.16327608472418795, 0.06530067912757055)),
+                (1, (0.7351119948757585, 0.8328701101031326)),
+                (3, (0.411214116101929, 0.6753437295494453)),
+                (5, (0.05858034182719619, 0.06731721163975021)),
             ]),
             ("ridge", dict(d=6, n_grid=[1, 3, 5], lam=0.5), [
-                (1, (0.963677649529535, 0.5677833768037104)),
-                (3, (0.3862101179440398, 0.3823097959191667)),
-                (5, (0.16881617158440848, 0.06534344460891983)),
+                (1, (0.737417276530433, 0.8404274910739672)),
+                (3, (0.4316398863305681, 0.6703152820425486)),
+                (5, (0.07614477132938402, 0.15487943669960114)),
             ]),
             ("nn", dict(d=3, n_grid=[2, 7]), [
-                (2, (1.020904320789877, 5.151347783100036)),
-                (7, (0.5708265053437265, 0.7302593207174919)),
+                (2, (1.5532958269337958, 0.9950315729774247)),
+                (7, (0.563116291731842, 0.5316509278599507)),
             ]),
         ],
         ids=["lstsq", "ridge", "nn"],
@@ -545,6 +545,8 @@ class TestRunScaling:
     def test_pinned_cells_that_draw_every_row(self, estimator, kwargs, expected):
         # Linear cells below n = d and every 1-NN cell draw their n full rows,
         # so the triangular-factor sampler at n >= d must leave these errors as they were.
+        # Each was computed from numpy Philox generators with counter (0, purpose, trial, n),
+        # through sample_dataset's draws, a pseudoinverse, a ridge solve and an exact 1-NN scan.
         curve = run_linreg_scaling(sigma=0.1, estimator=estimator, trials=2, seed=12, **kwargs)
         assert [(n, tuple(errs)) for n, errs in curve.points] == expected
 
@@ -626,3 +628,26 @@ class TestRunScaling:
         with pytest.raises(ValueError) as refused:
             run(n_grid=[2, 5], trials=0, seed=2.5)
         assert type(refused.value) is ValueError and str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda **kw: run_gaussian_scaling(d=20, s=1.0, **kw),
+            lambda **kw: run_linreg_scaling(d=4, sigma=0.1, estimator="lstsq", **kw),
+            lambda **kw: run_linreg_scaling(d=4, sigma=0.1, estimator="ridge", lam=0.5, **kw),
+            lambda **kw: run_linreg_scaling(d=3, sigma=0.1, estimator="nn", **kw),
+            lambda **kw: run_harmonic_scaling(
+                B=1, arm="noreg", config=TrainConfig(width=8, batch_size=8, max_steps=20, eval_every=5,
+                                                     val_size=16, test_size=32), **kw,
+            ),
+        ],
+        ids=["gaussian", "lstsq", "ridge", "nn", "harmonic-noreg"],
+    )
+    def test_a_sub_grid_with_fewer_trials_repeats_the_shared_cells(self, run):
+        # A cell's streams are keyed by (trial, n), not by n's place in the grid,
+        # so nested grids share their cells, on either side of n = d.
+        grid = dict(run(n_grid=[2, 3, 5, 8, 13, 21], trials=5, seed=17).points)
+        sub = run(n_grid=[3, 8, 21], trials=3, seed=17)
+        assert [n for n, _ in sub.points] == [3, 8, 21]
+        for n, errs in sub.points:
+            assert errs == grid[n][:3]

@@ -11,10 +11,10 @@ from cliffscale import streams
 def reference(seed, *key):
     """The generator ``stream`` must reproduce, built the documented way.
 
-    The key is a uint64 array: numpy reads a tuple holding a seed at or
-    above 2**63 as float64.
+    The key and counter are uint64 arrays: numpy reads a tuple or list
+    holding a word at or above 2**63 as float64.
     """
-    counter = (0, *key) + (0,) * (3 - len(key))
+    counter = np.array((0, *key) + (0,) * (3 - len(key)), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=np.array([seed, len(key)], dtype=np.uint64), counter=counter))
 
 
@@ -23,14 +23,16 @@ def raw(rng, count=8):
 
 
 EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-EDGE_WORDS = [0, 1, 2**31, 2**32 - 1]
+EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]
 
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
-words = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**32 - 1))
+words = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**64 - 1))
 keys = st.lists(words, max_size=3).map(tuple)
 
 
+# Key words share the seed's range: a counter word is 64 bits wide, and n reaches 2**63 - 1.
 @given(seed=seeds, key=keys)
+@example(seed=11, key=(2**32, 2**63, 2**64 - 1))
 def test_draws_match_the_documented_expression(seed, key):
     np.testing.assert_array_equal(raw(streams.stream(seed, *key)), raw(reference(seed, *key)))
 
@@ -43,6 +45,8 @@ PINNED = {
     (2**64 - 1, 7, 2**32 - 1, 0): [0x598705CE828B95ED, 0x40E411561B502D93, 0x18B17AB6C16EB756, 0xC4CD03540FCAAB74],
     (2024, 2, 1500, 3): [0x09C3628B9265FDC9, 0x68919886077E51F6, 0xAD2F10082A634EF0, 0x26B385BDD7FD461C],
     (2**32, 4, 20): [0x24C0B741F9DCC88B, 0xE6BB5DAE728F0A55, 0x16FF0B2911EFBD69, 0xA2ECB49717DCB7E1],
+    (2024, 2, 3, 2**63 - 1): [0x5DFA15024A443E62, 0x95E73CE7E269B9F0, 0x4EA23D049B844487, 0x331978A8F07FD375],
+    (7, 3, 2**32, 2**64 - 1): [0x4E92839025993996, 0xC2A91A03A1E1E565, 0x230DB4B412858D1F, 0xB2F9B9AFECA9022D],
 }
 
 
@@ -72,9 +76,9 @@ def test_call_order_does_not_change_draws():
     seed, n_trials = 31, 80
     cell_keys = [
         key
-        for n_idx in range(2)
+        for n in (3, 2**63 - 1)
         for trial in range(n_trials)
-        for key in ((streams.TASK, trial), (streams.DATA, trial, n_idx), (streams.TEST, trial, n_idx))
+        for key in ((streams.TASK, trial), (streams.DATA, trial, n), (streams.TEST, trial, n))
     ]
     forward = {key: raw(streams.stream(seed, *key), 2).tolist() for key in cell_keys}
     backward = {key: raw(streams.stream(seed, *key), 2).tolist() for key in reversed(cell_keys)}
@@ -91,7 +95,7 @@ def test_seed_seq_is_the_derived_key():
 
 @pytest.mark.parametrize(
     "args",
-    [(-1,), (2**64,), (2**64, 1, 2), (0, -1), (0, 2**32), (0, 1, 2**32), (0, 1, -3), (0, 1, 2, 2**32),
+    [(-1,), (2**64,), (2**64, 1, 2), (0, -1), (0, 2**64), (0, 1, 2**64), (0, 1, -3), (0, 1, 2, 2**64),
      (0, 0, 0, 0, 0)],
     ids=str,
 )
@@ -131,6 +135,7 @@ EARLIER_USE = st.lists(
 
 
 @given(seed=seeds, key=keys, first=st.tuples(seeds, keys), use=EARLIER_USE)
+@example(seed=11, key=(2, 2**63, 2**64 - 1), first=(1, ()), use=[])
 def test_reuse_restarts_the_stream(seed, key, first, use):
     g = streams.stream(first[0], *first[1])
     for f in use:
@@ -147,7 +152,7 @@ def test_reuse_restarts_the_stream(seed, key, first, use):
                                   want.bit_generator.seed_seq.generate_state(2, np.uint64))
 
 
-@pytest.mark.parametrize("args", [(-1,), (2**64, 1, 2), (0, 2**32), (0, 1, -3), (0, 1, 2, 3, 4), (1, 2.9)],
+@pytest.mark.parametrize("args", [(-1,), (2**64, 1, 2), (0, 2**64), (0, 1, -3), (0, 1, 2, 3, 4), (1, 2.9)],
                          ids=str)
 def test_reuse_rejects_a_bad_key_like_a_fresh_call(args):
     g = streams.stream(1, 2)
@@ -177,18 +182,18 @@ def test_word_types_do_not_change_the_stream():
 
 # Trials a row walk may meet: edge words, words out of range or of another
 # type, each taking the path a fresh call takes.
-WALK_TRIALS = st.one_of(st.sampled_from(EDGE_WORDS), st.sampled_from([-1, 2**32, 2.0, np.int64(3), True]))
-# The same purpose and n-index objects recur, as in a grid row; shorter keys
-# break the row.
+WALK_TRIALS = st.one_of(st.sampled_from(EDGE_WORDS), st.sampled_from([-1, 2**64, 2.0, np.int64(3), True]))
+# The same purpose and n objects recur, as in a grid row; shorter keys break
+# the row.
 WALK_KEYS = st.one_of(
-    st.tuples(st.sampled_from([streams.DATA, streams.TEST]), WALK_TRIALS, st.sampled_from([0, 1, 2**32 - 1])),
+    st.tuples(st.sampled_from([streams.DATA, streams.TEST]), WALK_TRIALS, st.sampled_from([1, 2**40, 2**63 - 1])),
     st.tuples(st.sampled_from([streams.DATA, streams.TEST]), WALK_TRIALS),
     st.tuples(st.sampled_from([streams.DATA, streams.TEST])),
 )
 
 
 @given(seed=seeds, keys=st.lists(WALK_KEYS, min_size=1, max_size=10))
-@example(seed=2**40, keys=[(2, 5, 1), (2, 6, 1), (2, 2**32, 1), (2, 7, 1), (2,), (2, 8, 1), (3, 8, 1), (2, 9, 0)])
+@example(seed=2**40, keys=[(2, 5, 1), (2, 2**32, 1), (2, 2**64, 1), (2, 2**63, 1), (2,), (2, 8, 1), (3, 8, 1), (2, 9, 0)])
 def test_a_walk_acts_as_fresh_calls(seed, keys):
     g = streams.stream(seed, 9)
     shadow = streams.stream(seed, 9)
