@@ -645,7 +645,7 @@ class TestRunScaling:
     )
     def test_a_sub_grid_with_fewer_trials_repeats_the_shared_cells(self, run):
         # A cell's streams are keyed by (trial, n), not by n's place in the grid,
-        # so nested grids share their cells, on either side of n = d.
+        # so nested grids share their cells; lstsq and ridge cover both sides of n = d.
         grid = dict(run(n_grid=[2, 3, 5, 8, 13, 21], trials=5, seed=17).points)
         sub = run(n_grid=[3, 8, 21], trials=3, seed=17)
         assert [n for n, _ in sub.points] == [3, 8, 21]
